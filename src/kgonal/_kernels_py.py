@@ -1,15 +1,21 @@
 """Pure-Python integer kernels.
 
 These are the innermost loops of the whole package: solving the
-edge-rooted series to large order and convolving big-integer coefficient
-lists.  A compiled twin lives in _kernels.pyx; kgonal.kernels picks
-whichever is importable.  Both implement exactly the same arithmetic on
-Python ints, so results are identical bit for bit.
+edge-rooted series to large order, convolving big-integer coefficient
+lists and raising them to powers.  A compiled twin lives in
+_kernels.pyx; kgonal.kernels picks whichever is importable.  solve_b and
+convolve run the same arithmetic in both; power uses the power rule
+here and squares and multiplies there.  All three return the same exact
+integers in both, bit for bit.
 """
 
 from __future__ import annotations
 
-__all__ = ["solve_b", "convolve", "power"]
+__all__ = ["InexactDivisionError", "solve_b", "convolve", "power"]
+
+
+class InexactDivisionError(ArithmeticError):
+    """A division that the recurrence guarantees exact left a remainder."""
 
 
 def solve_b(p: int, order: int) -> list[int]:
@@ -76,16 +82,33 @@ def convolve(a: list[int], b: list[int], order: int) -> list[int]:
 
 
 def power(a: list[int], e: int, order: int) -> list[int]:
-    """a**e truncated at `order`, by binary exponentiation."""
+    """a**e truncated at `order`, for a with constant term 1.
+
+    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, section 4.7):
+    C = a^e satisfies a C' = e a' C, whose coefficient of x^{n-1} reads
+
+        n C_n = sum_{i=1}^{n} ((e+1) i - n) a_i C_{n-i}.
+
+    One O(order^2) pass whatever e is.  The division by n is exact for
+    integer a with a_0 = 1; a remainder raises InexactDivisionError.
+    """
     if e < 0:
         raise ValueError("exponent must be >= 0")
-    result = [0] * (order + 1)
-    result[0] = 1
-    base = list(a[: order + 1])
-    while e:
-        if e & 1:
-            result = convolve(result, base, order)
-        e >>= 1
-        if e:
-            base = convolve(base, base, order)
-    return result
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if not a or a[0] != 1:
+        raise ValueError("power needs a constant term of 1")
+    a = a[: order + 1]
+    la = len(a)
+    c = [0] * (order + 1)
+    c[0] = 1
+    e1 = e + 1
+    for n in range(1, order + 1):
+        acc = 0
+        for i in range(1, min(n, la - 1) + 1):
+            acc += (e1 * i - n) * a[i] * c[n - i]
+        q, r = divmod(acc, n)
+        if r:
+            raise InexactDivisionError(f"power rule not exact at n={n}")
+        c[n] = q
+    return c

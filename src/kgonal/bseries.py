@@ -54,11 +54,14 @@ class GonalParams:
 
 @dataclass
 class BTable:
-    """b to a fixed order plus a write-once cache of its powers.
+    """b to a fixed order plus memoized prefixes of its powers.
 
-    The power cache maps exponent j to the Series b^j.  Insertions are
-    idempotent (always the same value for the same j), so concurrent
-    lookup and insert are harmless under the interpreter lock.
+    _int_powers maps exponent j to the longest prefix of b^j built so
+    far, each by one power-rule pass over b (kernels.power), never from
+    b^{j-1}.  A request past the stored prefix rebuilds it to the new
+    length.  power_cache holds full-order Series views of those lists.
+    Every stored value is a correct prefix of b^j, so concurrent lookup
+    and insert under the interpreter lock can at worst repeat work.
     """
 
     params: GonalParams
@@ -67,20 +70,43 @@ class BTable:
     power_cache: dict[int, Series] = field(default_factory=dict)
     _int_powers: dict[int, list[int]] = field(default_factory=dict, repr=False)
 
-    def int_coeffs(self, j: int = 1) -> list[int]:
-        """Coefficients of b^j as plain ints, memoized per exponent."""
+    def int_coeffs(self, j: int = 1, upto: int | None = None) -> list[int]:
+        """Coefficients of b^j as plain ints, through index `upto` at least.
+
+        `upto` defaults to the table order.  The list returned may run
+        past `upto` when a longer prefix is already memoized; callers
+        that ask for a prefix read only the indices they asked for.
+        """
+        if upto is None:
+            upto = self.order
+        got = self._int_powers.get(j)
+        if got is None or len(got) <= upto:
+            got = self._build_power(j, upto)
+        return got
+
+    def _build_power(self, j: int, upto: int) -> list[int]:
         if j < 0:
             raise ValueError("exponent must be >= 0")
-        got = self._int_powers.get(j)
-        if got is None:
-            if j == 0:
-                got = [1] + [0] * self.order
-            elif j == 1:
-                got = [int(c) for c in self.b.coeffs]
-            else:
-                got = kernels.convolve(self.int_coeffs(j - 1), self.int_coeffs(1), self.order)
-            self._int_powers[j] = got
+        if not 0 <= upto <= self.order:
+            raise IndexError(f"index {upto} outside table order 0..{self.order}")
+        if j == 0:
+            got = [1] + [0] * self.order
+        elif j == 1:
+            got = [int(c) for c in self.b.coeffs]
+        else:
+            got = kernels.power(self.int_coeffs(1), j, upto)
+        self._int_powers[j] = got
         return got
+
+    def truncate(self, order: int) -> BTable:
+        """The same b cut at a lower order; its powers are built afresh on demand."""
+        if not 0 <= order <= self.order:
+            raise ValueError(f"cannot cut order {self.order} to {order}")
+        if order == self.order:
+            return self
+        table = BTable(self.params, order, self.b.truncate(order))
+        table._int_powers[1] = self.int_coeffs(1)[: order + 1]
+        return table
 
     def power(self, j: int) -> Series:
         got = self.power_cache.get(j)

@@ -185,16 +185,14 @@ def constants_report(
 ) -> dict:
     """The full constant report for one p, as a JSON-ready dict."""
     params = GonalParams(p + 1)
-    table = compute_b(params, series_order, cache_dir)
+    probe_order = max(series_order, EMPIRICAL_ORDER) if with_empirical else series_order
+    # solve_b is prefix-stable, so one solve at the probe order also
+    # serves the xi solve and the report at series_order
+    probe_table = compute_b(params, probe_order, cache_dir)
+    table = probe_table.truncate(series_order)
     xi, iterations, residual = solve_xi(params, table, tol)
     empirical = None
     if with_empirical:
-        probe_order = max(series_order, EMPIRICAL_ORDER)
-        probe_table = (
-            table
-            if table.order >= probe_order
-            else compute_b(params, probe_order, cache_dir)
-        )
         oriented = oriented_series(params, probe_order, probe_table)
         # the square-root singularity puts n^{-5/2} in front of the
         # unrooted-type counts at every page size
@@ -219,6 +217,8 @@ def constants_report(
 def cmd_constants(args: argparse.Namespace, cache_dir: Path | None) -> int:
     if args.p < 1:
         raise CliError("p must be >= 1")
+    if args.series_order < 0:
+        raise CliError("series order must be >= 0")
     try:
         doc = constants_report(
             args.p, args.series_order, args.tol, not args.no_empirical, cache_dir

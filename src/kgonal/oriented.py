@@ -8,9 +8,12 @@ counted once per edge.  On series level:
              phi(d) * b^{k/d}(x^d)
            - ((k-1)/k) * x * b^k(x)
 
-Every coefficient must come out a non-negative integer; the division by
-k has no remainder exactly when b is correct, so the assertion doubles
-as a consistency check on the whole pipeline.
+The sum runs on k * a_{o,n} in plain integers.  b^{k/d}(x^d) is read
+only up to x^{order-1}, so each power is built only to index
+(order-1)//d, and b^k alone to order-1.  Every coefficient must come
+out a non-negative integer; the division by k has no remainder exactly
+when b is correct, so the check doubles as a consistency check on the
+whole pipeline.
 """
 
 from __future__ import annotations
@@ -47,15 +50,26 @@ def oriented_series(params: GonalParams, order: int, table: BTable | None = None
     if table.params != params or table.order < order:
         raise ValueError("table does not cover the request")
     k = params.k
-    n_max = table.order
-    acc = table.power(1)
-    for d in range(2, k + 1):
-        if k % d == 0:
-            term = table.power(k // d).substitute_power(d).shift(1)
-            acc = acc + term.scale(Fraction(euler_phi(d), k))
-    acc = acc - table.power(k).shift(1).scale(Fraction(k - 1, k))
-    out = acc.truncate(order)
-    for n, c in enumerate(out.coeffs):
-        if c.denominator != 1 or c < 0:
-            raise AssertionError(f"oriented count at n={n} is not a non-negative integer: {c}")
-    return out
+    # k * a_o as integers: k b, plus phi(d) b^{k/d}(x^d) and minus
+    # (k-1) b^k, the last two shifted by one place
+    acc = [k * c for c in table.int_coeffs(1)[: order + 1]]
+    if order >= 1:
+        top = order - 1
+        bk = table.int_coeffs(k, top)
+        for n in range(1, order + 1):
+            acc[n] -= (k - 1) * bk[n - 1]
+        for d in range(2, k + 1):
+            if k % d == 0:
+                phi = euler_phi(d)
+                bj = table.int_coeffs(k // d, top // d)
+                for i in range(top // d + 1):
+                    acc[i * d + 1] += phi * bj[i]
+    out = []
+    for n, v in enumerate(acc):
+        q, r = divmod(v, k)
+        if r or q < 0:
+            raise AssertionError(
+                f"oriented count at n={n} is not a non-negative integer: {Fraction(v, k)}"
+            )
+        out.append(q)
+    return Series.from_coeffs(out, order)

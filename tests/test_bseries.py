@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kgonal import cache
 from kgonal.bseries import (
@@ -52,6 +54,33 @@ def test_convolution_power():
     assert convolution_power(table, 3)[2] == 12
     assert convolution_power(table, 3) == table.b.pow(3)
     assert convolution_power(table, 3) is convolution_power(table, 3)
+
+
+@given(st.integers(2, 8), st.integers(0, 25), st.integers(0, 10), st.data())
+def test_power_prefix_then_full(k, order, j, data):
+    upto = data.draw(st.integers(0, order))
+    table = compute_b(GonalParams(k), order)
+    prefix = table.int_coeffs(j, upto)
+    full = table.int_coeffs(j)
+    want = compute_b(GonalParams(k), order).int_coeffs(j)
+    assert len(prefix) >= upto + 1
+    assert prefix[: upto + 1] == want[: upto + 1]
+    assert full == want
+    assert len(full) == order + 1
+
+
+def test_truncate_matches_lower_order():
+    params = GonalParams(5)
+    table = compute_b(params, 12)
+    cut = table.truncate(7)
+    low = compute_b(params, 7)
+    assert cut.order == 7 and cut.b == low.b
+    assert cut.int_coeffs(4) == low.int_coeffs(4)
+    assert table.truncate(12) is table
+    with pytest.raises(ValueError):
+        table.truncate(13)
+    with pytest.raises(IndexError):
+        cut.int_coeffs(3, 8)
 
 
 def test_half_index_coeff():

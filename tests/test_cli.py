@@ -65,6 +65,15 @@ class TestCount:
         assert code == 1
         assert "k" in err
 
+    def test_large_k_oriented(self, capsys):
+        # the exponent 2003 lies past the interpreter's recursion limit,
+        # so building b^k must not recurse on the exponent
+        code, out, _ = run_cli(
+            capsys, "count", "--k", "2003", "--family", "unlabelled-oriented", "--order", "2"
+        )
+        assert code == 0
+        assert [entry["value"] for entry in json.loads(out)["counts"]] == ["1", "1", "1"]
+
     def test_values_round_trip(self, capsys):
         code, out, _ = run_cli(
             capsys, "count", "--k", "4", "--family", "labelled-rooted", "--order", "25"
@@ -178,6 +187,11 @@ class TestConstants:
         code, _, err = run_cli(capsys, "constants", "--p", "0")
         assert code == 1
         assert "p must be" in err
+
+    def test_rejects_negative_series_order(self, capsys):
+        code, _, err = run_cli(capsys, "constants", "--p", "2", "--series-order", "-1")
+        assert code == 1
+        assert "series order must be" in err
 
 
 class TestUniversal:

@@ -1,6 +1,10 @@
 """Integer kernel backends: anchors and backend agreement."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kgonal import _kernels_py, kernels
 from kgonal.series import Series
@@ -44,3 +48,43 @@ def test_power_matches_series_pow():
     want = Series.from_coeffs(coeffs, 4).pow(3)
     assert got == [int(c) for c in want.coeffs]
     assert _kernels_py.power(coeffs, 0, 3) == [1, 0, 0, 0]
+
+
+@given(
+    st.lists(st.integers(-(10**6), 10**6), max_size=30),
+    st.integers(0, 15),
+    st.integers(0, 30),
+)
+def test_power_is_repeated_convolution(tail, e, order):
+    a = [1] + tail
+    want = [1] + [0] * order
+    for _ in range(e):
+        want = _kernels_py.convolve(want, a, order)
+    assert _kernels_py.power(a, e, order) == want
+
+
+@given(
+    st.lists(st.integers(), min_size=1).filter(lambda a: a[0] != 1),
+    st.integers(0, 15),
+    st.integers(0, 30),
+)
+def test_power_rejects_constant_term(a, e, order):
+    with pytest.raises(ValueError):
+        _kernels_py.power(a, e, order)
+
+
+def test_power_validation():
+    with pytest.raises(ValueError):
+        _kernels_py.power([], 2, 3)
+    with pytest.raises(ValueError):
+        _kernels_py.power([1, 1], -1, 3)
+    with pytest.raises(ValueError):
+        _kernels_py.power([1, 1], 2, -1)
+
+
+def test_power_checks_its_division():
+    # a non-integer coefficient leaves a remainder the check must catch,
+    # as an exception rather than an assert, so it also runs under -O
+    with pytest.raises(_kernels_py.InexactDivisionError):
+        _kernels_py.power([1, Fraction(1, 3)], 1, 2)
+

@@ -1,5 +1,7 @@
 """Oriented unlabelled counts."""
 
+from fractions import Fraction
+
 import pytest
 
 from kgonal.bseries import GonalParams, compute_b
@@ -54,3 +56,26 @@ def test_bounded_by_rooted():
         a_o = oriented_series(params, 12, table)
         for n in range(1, 13):
             assert 1 <= a_o[n] <= table.b[n]
+
+
+def _oriented_by_fractions(params, order):
+    """The unrooting formula in Fraction series arithmetic, powers by Series.pow."""
+    k = params.k
+    b = compute_b(params, order).b
+    acc = b
+    for d in range(2, k + 1):
+        if k % d == 0:
+            term = b.pow(k // d).substitute_power(d).shift(1)
+            acc = acc + term.scale(Fraction(euler_phi(d), k))
+    return acc - b.pow(k).shift(1).scale(Fraction(k - 1, k))
+
+
+def test_matches_fraction_route():
+    for k in range(2, 13):
+        params = GonalParams(k)
+        want = _oriented_by_fractions(params, 60)
+        assert oriented_series(params, 60) == want, f"k={k}"
+        # a request below the table order reads shorter power prefixes
+        table = compute_b(params, 60)
+        assert oriented_series(params, 37, table) == want.truncate(37), f"k={k}"
+        assert oriented_series(params, 0, table) == want.truncate(0)
