@@ -7,8 +7,7 @@ growth constants of the unlabelled families.
 
 The modules are layered:
 
-    series      exact truncated power series over Fraction
-    kernels     integer convolution kernels (compiled when available)
+    kernels     integer kernels and the errors every exact check raises
     bseries     the fundamental edge-rooted series b(x) and its powers
     labelled    closed-form labelled counts and cycle-type fixed points
     oriented    unlabelled counts up to orientation-preserving maps
@@ -17,6 +16,10 @@ The modules are layered:
     asymptotics growth rate and amplitude constants
     universal   coefficients of the large-k expansion of the singularity
     cli         command line front end
+
+Every layer from bseries up exchanges series as plain lists of ints.
+series, exact truncated power series over Fraction, is used by no
+layer; the tests keep it as an independent reference.
 """
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ extrapolation from the coefficients themselves, without silently
 choosing between them.  The `alpha_bar` field repeats the product form,
 which agrees with the 3/2-power singular coefficient route
 (3/(4 sqrt(pi))) * tau_bar3 to working precision; the agreement is
-asserted at report time.
+checked at report time.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from mpmath import pi as mp_pi
 from mpmath import sqrt as mp_sqrt
 
 from kgonal.bseries import BTable, GonalParams
+from kgonal.kernels import IntegrityError
 
 __all__ = [
     "AsymptoticReport",
@@ -188,7 +189,8 @@ def solve_xi(
                 omega, _ = omega_eval(params, table, x, dps)
                 residual = abs(x - omega ** (-p) / (euler_e * p))
                 upper = mpf(2) ** mpf("0.5") - 1 if p == 1 else rho(p)
-                assert rho(p + 1) <= x <= upper, f"xi escaped its bracket for p={p}"
+                if not rho(p + 1) <= x <= upper:
+                    raise IntegrityError(f"xi escaped its bracket for p={p}")
                 return x, iteration, residual
         raise NonConvergenceError(
             f"p={p}: no convergence to {tol} within {MAX_ITERATIONS} iterations; last x={x}"
@@ -223,9 +225,8 @@ def constants(
             (1 / mp_sqrt(2 * mp_pi)) * p ** (-(2 + inv_p)) * xi ** (-inv_p) * (1 + p * ratio) ** mpf("1.5")
         )
         singular_route = 3 / (4 * mp_sqrt(mp_pi)) * tau_bar3
-        assert abs(product_form - singular_route) <= mpf("1e-12") * product_form, (
-            "product form disagrees with the singular-coefficient route"
-        )
+        if not abs(product_form - singular_route) <= mpf("1e-12") * product_form:
+            raise IntegrityError("product form disagrees with the singular-coefficient route")
         return AsymptoticReport(
             p=p,
             series_order=table.order,

@@ -2,9 +2,9 @@
 
 b_n counts unlabelled k-gonal 2-trees rooted at an oriented edge and
 built from n polygons.  Every other counting module consumes b through
-the BTable produced here: the series itself, its powers b^j, and the
-half-index coefficient convention (fractional or negative indices read
-as zero).
+the BTable produced here, as plain integer lists: b itself, prefixes of
+its powers b^j (BTable.int_coeffs), and the half-index coefficient
+convention (BTable.coeff: fractional or negative indices read as zero).
 
 Two independent routes to b are provided.  compute_b solves the
 exponential fixed point y = exp(sum_i x^i y^{k-1}(x^i)/i) through the
@@ -20,14 +20,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from kgonal import cache, kernels
-from kgonal.series import Series
+from kgonal.kernels import IntegrityError, exact_div
 
 __all__ = [
     "GonalParams",
     "BTable",
     "compute_b",
-    "convolution_power",
-    "half_index_coeff",
     "recurrence_crosscheck",
 ]
 
@@ -56,19 +54,25 @@ class GonalParams:
 class BTable:
     """b to a fixed order plus memoized prefixes of its powers.
 
-    _int_powers maps exponent j to the longest prefix of b^j built so
-    far, each by one power-rule pass over b (kernels.power), never from
-    b^{j-1}.  A request past the stored prefix rebuilds it to the new
-    length.  power_cache holds full-order Series views of those lists.
-    Every stored value is a correct prefix of b^j, so concurrent lookup
-    and insert under the interpreter lock can at worst repeat work.
+    powers maps exponent j to the longest prefix of b^j built so far;
+    powers[1] is b itself, always to the full order.  Every other b^j is
+    one power-rule pass over b (kernels.power), never built from
+    b^{j-1}, and a request past the stored prefix rebuilds it to the new
+    length.  Every stored value is a correct prefix of b^j, so
+    concurrent lookup and insert under the interpreter lock can at worst
+    repeat work.
     """
 
     params: GonalParams
     order: int
-    b: Series
-    power_cache: dict[int, Series] = field(default_factory=dict)
-    _int_powers: dict[int, list[int]] = field(default_factory=dict, repr=False)
+    powers: dict[int, list[int]] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        b = self.powers.get(1)
+        if b is None or len(b) != self.order + 1:
+            raise ValueError(f"a table of order {self.order} needs b_0..b_{self.order}")
+        if b[0] != 1:
+            raise IntegrityError("b_0 must be 1")
 
     def int_coeffs(self, j: int = 1, upto: int | None = None) -> list[int]:
         """Coefficients of b^j as plain ints, through index `upto` at least.
@@ -79,23 +83,17 @@ class BTable:
         """
         if upto is None:
             upto = self.order
-        got = self._int_powers.get(j)
+        got = self.powers.get(j)
         if got is None or len(got) <= upto:
-            got = self._build_power(j, upto)
-        return got
-
-    def _build_power(self, j: int, upto: int) -> list[int]:
-        if j < 0:
-            raise ValueError("exponent must be >= 0")
-        if not 0 <= upto <= self.order:
-            raise IndexError(f"index {upto} outside table order 0..{self.order}")
-        if j == 0:
-            got = [1] + [0] * self.order
-        elif j == 1:
-            got = [int(c) for c in self.b.coeffs]
-        else:
-            got = kernels.power(self.int_coeffs(1), j, upto)
-        self._int_powers[j] = got
+            if j < 0:
+                raise ValueError("exponent must be >= 0")
+            if not 0 <= upto <= self.order:
+                raise IndexError(f"index {upto} outside table order 0..{self.order}")
+            if j == 0:
+                got = [1] + [0] * self.order
+            else:
+                got = kernels.power(self.powers[1], j, upto)
+            self.powers[j] = got
         return got
 
     def truncate(self, order: int) -> BTable:
@@ -104,19 +102,17 @@ class BTable:
             raise ValueError(f"cannot cut order {self.order} to {order}")
         if order == self.order:
             return self
-        table = BTable(self.params, order, self.b.truncate(order))
-        table._int_powers[1] = self.int_coeffs(1)[: order + 1]
-        return table
-
-    def power(self, j: int) -> Series:
-        got = self.power_cache.get(j)
-        if got is None:
-            got = Series.from_coeffs(self.int_coeffs(j), self.order)
-            self.power_cache[j] = got
-        return got
+        return BTable(self.params, order, {1: self.powers[1][: order + 1]})
 
     def coeff(self, j: int, r: int | Fraction) -> int:
-        """b^j coefficient at a possibly fractional index; see half_index_coeff."""
+        """Coefficient of x^r in b^j, with 0 for negative or non-integral r.
+
+        Counting formulas index b at expressions like (n-1)/2 or
+        (n-2)/4; terms whose index fails to be a non-negative integer
+        simply do not occur, which this convention encodes.  An integral
+        index past the table order raises instead, since silence there
+        would hide a truncation bug.
+        """
         r = Fraction(r)
         if r < 0 or r.denominator != 1:
             return 0
@@ -135,30 +131,10 @@ def compute_b(params: GonalParams, order: int, cache_dir: Path | None = None) ->
         coeffs = kernels.solve_b(params.p, order)
         if cache_dir is not None:
             cache.store_b(cache_dir, params.k, coeffs)
-    assert coeffs[0] == 1
-    table = BTable(params, order, Series.from_coeffs(coeffs, order))
-    table._int_powers[1] = [int(c) for c in coeffs]
-    return table
+    return BTable(params, order, {1: coeffs})
 
 
-def convolution_power(table: BTable, j: int) -> Series:
-    """b^j at the table's order, memoized in the table."""
-    return table.power(j)
-
-
-def half_index_coeff(table: BTable, j: int, r: int | Fraction) -> int:
-    """Coefficient of x^r in b^j, with 0 for negative or non-integral r.
-
-    Counting formulas below index b at expressions like (n-1)/2 or
-    (n-2)/4; terms whose index fails to be a non-negative integer simply
-    do not occur, which this convention encodes.  An integral index past
-    the table order raises instead, since silence there would hide a
-    truncation bug.
-    """
-    return table.coeff(j, r)
-
-
-def recurrence_crosscheck(params: GonalParams, order: int) -> Series:
+def recurrence_crosscheck(params: GonalParams, order: int) -> list[int]:
     """b by the explicit tuple recurrence; test oracle only.
 
     n b_n = sum over j = 1..n and over ordered (k-1)-tuples a of
@@ -188,7 +164,5 @@ def recurrence_crosscheck(params: GonalParams, order: int) -> Series:
             for e in range(1, j + 1):
                 if j % e == 0:
                     acc += e * tuple_sum(parts, e - 1) * b[n - j]
-        q, r = divmod(acc, n)
-        assert r == 0, f"tuple recurrence not exact at n={n}"
-        b.append(q)
-    return Series.from_coeffs(b, order)
+        b.append(exact_div(acc, n, f"tuple recurrence at n={n}"))
+    return b

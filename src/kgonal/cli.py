@@ -25,6 +25,7 @@ from kgonal.asymptotics import (
 from kgonal.bseries import BTable, GonalParams, compute_b, recurrence_crosscheck
 from kgonal.cache import resolve_cache_dir
 from kgonal.even import edge_rooted_counts, even_series, symmetric_system
+from kgonal.kernels import IntegrityError
 from kgonal.labelled import (
     burnside_b,
     labelled_oriented,
@@ -39,7 +40,6 @@ from kgonal.odd import (
 )
 from kgonal.oracle import count_tau_fixed, enumerate_b
 from kgonal.oriented import oriented_series
-from kgonal.series import Series
 from kgonal.universal import universal_c, xi_from_expansion
 
 __all__ = ["main", "family_counts", "render_table", "read_bfile", "FAMILIES"]
@@ -82,20 +82,14 @@ def family_counts(
     if family == "b":
         return list(table.int_coeffs(1))
     if family == "unlabelled-oriented":
-        series = oriented_series(params, order, table)
-    elif family == "unlabelled":
+        return oriented_series(params, order, table)
+    if family == "unlabelled":
+        return unlabelled_column(params, order, table)
+    if family == "edge-rooted-unlabelled":
         if params.k % 2:
-            series = odd_series(params, order, table)
-        else:
-            series = even_series(params, order, table)
-    elif family == "edge-rooted-unlabelled":
-        if params.k % 2:
-            series = odd_edge_rooted_counts(params, order, table)
-        else:
-            series = edge_rooted_counts(params, order, table)
-    else:
-        raise CliError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
-    return [int(series[n]) for n in range(order + 1)]
+            return odd_edge_rooted_counts(params, order, table)
+        return edge_rooted_counts(params, order, table)
+    raise CliError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
 
 
 def _count_document(k: int, family: str, entries: list[tuple[int, int]]) -> str:
@@ -128,7 +122,7 @@ def cmd_series(args: argparse.Namespace, cache_dir: Path | None) -> int:
 
 def unlabelled_column(
     params: GonalParams, order: int, table: BTable | None = None
-) -> Series:
+) -> list[int]:
     if params.k % 2:
         return odd_series(params, order, table)
     return even_series(params, order, table)
@@ -143,9 +137,7 @@ def render_table(
     columns: dict[int, list[int]] = {}
     for k in range(k_min, k_max + 1):
         params = GonalParams(k)
-        table = compute_b(params, order, cache_dir)
-        series = unlabelled_column(params, order, table)
-        columns[k] = [int(series[n]) for n in range(order + 1)]
+        columns[k] = unlabelled_column(params, order, compute_b(params, order, cache_dir))
     if fmt == "csv":
         lines = ["n," + ",".join(f"k{k}" for k in range(k_min, k_max + 1))]
         for n in range(order + 1):
@@ -196,12 +188,7 @@ def constants_report(
         oriented = oriented_series(params, probe_order, probe_table)
         # the square-root singularity puts n^{-5/2} in front of the
         # unrooted-type counts at every page size
-        empirical = empirical_amplitude(
-            [int(c) for c in oriented.coeffs],
-            xi,
-            2.5,
-            n_probe=probe_order,
-        )
+        empirical = empirical_amplitude(oriented, xi, 2.5, n_probe=probe_order)
     report = constants(
         params,
         table,
@@ -219,6 +206,8 @@ def cmd_constants(args: argparse.Namespace, cache_dir: Path | None) -> int:
         raise CliError("p must be >= 1")
     if args.series_order < 0:
         raise CliError("series order must be >= 0")
+    if not 0 < args.tol < float("inf"):
+        raise CliError("tol must be > 0 and finite")
     try:
         doc = constants_report(
             args.p, args.series_order, args.tol, not args.no_empirical, cache_dir
@@ -269,6 +258,12 @@ def read_bfile(path: Path) -> dict[int, int]:
     return out
 
 
+def _require(ok: bool, what: str) -> None:
+    """Fail a verify check; unlike assert this also runs under python -O."""
+    if not ok:
+        raise IntegrityError(what)
+
+
 def _verify_checks(level: str, with_oracle: bool, cache_dir: Path | None):
     """Yield (name, callable) pairs; each callable raises on failure."""
     wide = level == "full"
@@ -279,7 +274,7 @@ def _verify_checks(level: str, with_oracle: bool, cache_dir: Path | None):
             params = GonalParams(k)
             table = compute_b(params, order, cache_dir)
             alt = recurrence_crosscheck(params, order)
-            assert table.int_coeffs(1) == [int(c) for c in alt.coeffs], f"k={k}"
+            _require(table.int_coeffs(1) == alt, f"k={k}")
 
     def check_burnside():
         k_max, n_max = (8, 10) if wide else (6, 8)
@@ -287,7 +282,7 @@ def _verify_checks(level: str, with_oracle: bool, cache_dir: Path | None):
             params = GonalParams(k)
             table = compute_b(params, n_max, cache_dir)
             for n in range(n_max + 1):
-                assert burnside_b(params, n) == table.coeff(1, n), f"k={k} n={n}"
+                _require(burnside_b(params, n) == table.coeff(1, n), f"k={k} n={n}")
 
     def check_odd_routes():
         ks, order = ((3, 5, 7, 9, 11), 20) if wide else ((3, 5, 7), 12)
@@ -296,7 +291,7 @@ def _verify_checks(level: str, with_oracle: bool, cache_dir: Path | None):
             table = compute_b(params, order, cache_dir)
             a = odd_series(params, order, table)
             alt = odd_recurrence(params, order, table)
-            assert a.coeffs == alt.coeffs, f"k={k}"
+            _require(a == alt, f"k={k}")
 
     def check_group_average():
         k_max, order = (12, 14) if wide else (8, 12)
@@ -306,11 +301,12 @@ def _verify_checks(level: str, with_oracle: bool, cache_dir: Path | None):
             a = unlabelled_column(params, order, table)
             a_o = oriented_series(params, order, table)
             for n in range(order + 1):
-                assert a[n].denominator == 1 and a[n] >= 0, f"k={k} n={n}"
-                assert 2 * a[n] - a_o[n] >= 0, f"k={k} n={n}"
+                _require(isinstance(a[n], int) and a[n] >= 0, f"k={k} n={n}")
+                _require(2 * a[n] - a_o[n] >= 0, f"k={k} n={n}")
 
     def check_golden_table():
-        assert render_table(2, 12, 20, "csv", cache_dir) == packaged_golden_table()
+        table = render_table(2, 12, 20, "csv", cache_dir)
+        _require(table == packaged_golden_table(), "differs from the packaged golden table")
 
     def check_oracle():
         n_max = 6 if wide else 5
@@ -318,15 +314,14 @@ def _verify_checks(level: str, with_oracle: bool, cache_dir: Path | None):
             params = GonalParams(k)
             table = compute_b(params, n_max, cache_dir)
             if params.k % 2:
-                sym = odd_symmetric_series(params, n_max, table)
-                fixed_expected = [int(sym[n]) for n in range(n_max + 1)]
+                fixed_expected = odd_symmetric_series(params, n_max, table)
             else:
                 fixed_expected = list(
                     symmetric_system(params, n_max, table).alpha[: n_max + 1]
                 )
             for n in range(n_max + 1):
-                assert len(enumerate_b(params, n)) == table.coeff(1, n), f"k={k} n={n}"
-                assert count_tau_fixed(params, n) == fixed_expected[n], f"k={k} n={n}"
+                _require(len(enumerate_b(params, n)) == table.coeff(1, n), f"k={k} n={n}")
+                _require(count_tau_fixed(params, n) == fixed_expected[n], f"k={k} n={n}")
 
     yield "kernel-vs-tuple-recurrence", check_recurrence
     yield "burnside-vs-kernel", check_burnside

@@ -24,6 +24,13 @@ that cancel the per-edge and per-vertex overcounts:
     a_n = a_{o,n}/2 + alpha_n/2 + b^{(k/2)}_{(n-1)/2}/4
           - (1/4) sum_{i+j=n-1} (alpha^2)_i b^{((k-2)/2)}_{j/2}.
 
+Every table holds plain integers.  b^{(k-2)/2}, b^{k/2} and b^{k-1}
+are read only at half indices, so each is built only to index order/2,
+and a_n is accumulated as the integer 4 a_n with one checked division
+at the end.  The divisor sums sum_{d|m} d x_d that drive the beta and
+alpha recurrences are memoized as each slot closes, so the whole system
+costs O(order^2) big-integer products.
+
 k = 2 degenerates gracefully: the exponent (k-2)/2 = 0 makes the half
 power the constant series 1, and the outputs become the counts of free
 trees by edge count.
@@ -32,12 +39,10 @@ trees by edge count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from kgonal.bseries import BTable, GonalParams, compute_b, half_index_coeff
-from kgonal.kernels import convolve
+from kgonal.bseries import BTable, GonalParams, compute_b
+from kgonal.kernels import IntegrityError, convolve, exact_count, exact_div
 from kgonal.oriented import oriented_series
-from kgonal.series import Series
 
 __all__ = [
     "EvenSymTables",
@@ -51,6 +56,17 @@ __all__ = [
 def _require_even(params: GonalParams) -> None:
     if params.k % 2 == 1:
         raise ValueError("polygon size is odd; use the odd-parity module")
+
+
+def _close_slot(sums: list[int], n: int, x_n: int) -> None:
+    """Add n x_n to the divisor sum of every multiple of n up to the table end.
+
+    Called for n = 1, 2, ... in turn, after which sums[n] holds
+    sum_{d|n} d x_d in full: every divisor of n is at most n.
+    """
+    w = n * x_n
+    for m in range(n, len(sums), n):
+        sums[m] += w
 
 
 @dataclass(frozen=True)
@@ -68,10 +84,13 @@ class EvenSymTables:
     alpha_sq: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        assert self.pi[0] == 0 and self.beta[0] == 1 and self.alpha[0] == 1
-        assert all(self.p_al[n] == 0 for n in range(1, self.order + 1, 2))
+        if not (self.pi[0] == 0 and self.beta[0] == 1 and self.alpha[0] == 1):
+            raise IntegrityError("pi_0, beta_0 and alpha_0 must be 0, 1 and 1")
+        if any(self.p_al[n] for n in range(1, self.order + 1, 2)):
+            raise IntegrityError("alternated pairs at an odd size")
         for name in ("pi", "beta", "p_m", "p_al", "omega", "alpha", "alpha_sq"):
-            assert all(v >= 0 for v in getattr(self, name)), f"negative entry in {name}"
+            if any(v < 0 for v in getattr(self, name)):
+                raise IntegrityError(f"negative entry in {name}")
 
 
 def totally_symmetric(
@@ -92,21 +111,21 @@ def totally_symmetric(
         table = compute_b(params, order)
     if table.params != params or table.order < order:
         raise ValueError("table does not cover the request")
-    half = (params.k - 2) // 2
+    b_half = table.int_coeffs((params.k - 2) // 2, order // 2)
     pi = [0] * (order + 1)
     beta = [0] * (order + 1)
     beta[0] = 1
+    pi_sums = [0] * (order + 1)
     for n in range(1, order + 1):
         acc = 0
-        for i in range(0, n, 2):
-            acc += half_index_coeff(table, half, i // 2) * beta[n - 1 - i]
+        for m in range((n + 1) // 2):
+            acc += b_half[m] * beta[n - 1 - 2 * m]
         pi[n] = acc
+        _close_slot(pi_sums, n, acc)
         s = 0
         for j in range(n):
-            s += beta[j] * sum(d * pi[d] for d in range(1, n - j + 1) if (n - j) % d == 0)
-        q, r = divmod(s, n)
-        assert r == 0, f"beta recurrence not exact at n={n}"
-        beta[n] = q
+            s += beta[j] * pi_sums[n - j]
+        beta[n] = exact_div(s, n, f"beta recurrence at n={n}")
     return tuple(pi), tuple(beta)
 
 
@@ -116,30 +135,31 @@ def symmetric_system(params: GonalParams, order: int, table: BTable | None = Non
     if table is None:
         table = compute_b(params, order)
     pi, beta = totally_symmetric(params, order, table)
-    half = (params.k - 2) // 2
+    b_half = table.int_coeffs((params.k - 2) // 2, order // 2)
+    b_full = table.int_coeffs(params.k - 1, order // 2)
     p_m = [0] * (order + 1)
     p_al = [0] * (order + 1)
     omega = [0] * (order + 1)
     alpha = [0] * (order + 1)
     alpha[0] = 1
+    omega_sums = [0] * (order + 1)
     for n in range(1, order + 1):
         acc = 0
-        for i in range(0, n, 2):
-            acc += half_index_coeff(table, half, i // 2) * alpha[n - 1 - i]
+        for m in range((n + 1) // 2):
+            acc += b_half[m] * alpha[n - 1 - 2 * m]
         p_m[n] = acc - pi[n]
-        assert p_m[n] >= 0, f"mixed-page count negative at n={n}"
+        if p_m[n] < 0:
+            raise IntegrityError(f"mixed-page count at n={n} is negative")
         if n % 2 == 0:
-            v = half_index_coeff(table, params.k - 1, Fraction(n - 2, 2)) - pi[n // 2] - p_m[n // 2]
-            q, r = divmod(v, 2)
-            assert r == 0 and q >= 0, f"alternated-pair count bad at n={n}: {v}"
-            p_al[n] = q
+            h = n // 2
+            v = b_full[h - 1] - pi[h] - p_m[h]
+            p_al[n] = exact_count(v, 2, f"alternated-pair count at n={n}")
         omega[n] = pi[n] + p_al[n] + p_m[n]
+        _close_slot(omega_sums, n, omega[n])
         s = 0
         for i in range(1, n + 1):
-            s += sum(d * omega[d] for d in range(1, i + 1) if i % d == 0) * alpha[n - i]
-        q, r = divmod(s, n)
-        assert r == 0, f"alpha recurrence not exact at n={n}"
-        alpha[n] = q
+            s += omega_sums[i] * alpha[n - i]
+        alpha[n] = exact_div(s, n, f"alpha recurrence at n={n}")
     alpha_sq = convolve(alpha, alpha, order)
     return EvenSymTables(
         params,
@@ -156,37 +176,35 @@ def symmetric_system(params: GonalParams, order: int, table: BTable | None = Non
 
 def edge_rooted_counts(
     params: GonalParams, order: int, table: BTable | None = None, sym: EvenSymTables | None = None
-) -> Series:
+) -> list[int]:
     """Unlabelled edge-rooted counts (b_n + alpha_n)/2 for even k."""
     _require_even(params)
     if table is None:
         table = compute_b(params, order)
     if sym is None:
         sym = symmetric_system(params, order, table)
-    out = []
-    for n in range(order + 1):
-        total = table.coeff(1, n) + sym.alpha[n]
-        assert total % 2 == 0, f"b_n + alpha_n odd at n={n}"
-        out.append(total // 2)
-    return Series.from_coeffs(out, order)
+    b = table.int_coeffs(1)
+    return [
+        exact_count(b[n] + sym.alpha[n], 2, f"b_n + alpha_n at n={n}") for n in range(order + 1)
+    ]
 
 
-def even_series(params: GonalParams, order: int, table: BTable | None = None) -> Series:
-    """Unlabelled counts a_n for even k."""
+def even_series(params: GonalParams, order: int, table: BTable | None = None) -> list[int]:
+    """Unlabelled counts a_n for even k, from the integer 4 a_n."""
     _require_even(params)
     if table is None:
         table = compute_b(params, order)
     a_o = oriented_series(params, order, table)
     sym = symmetric_system(params, order, table)
-    half = (params.k - 2) // 2
+    b_half = table.int_coeffs((params.k - 2) // 2, order // 2)
+    b_mid = table.int_coeffs(params.k // 2, order // 2)
     out = []
     for n in range(order + 1):
-        v = Fraction(a_o[n] + sym.alpha[n], 2)
-        v += Fraction(half_index_coeff(table, params.k // 2, Fraction(n - 1, 2)), 4)
-        corr = 0
-        for i in range(n):
-            corr += sym.alpha_sq[i] * half_index_coeff(table, half, Fraction(n - 1 - i, 2))
-        v -= Fraction(corr, 4)
-        assert v.denominator == 1 and v >= 0, f"count at n={n} is not a non-negative integer: {v}"
-        out.append(int(v))
-    return Series.from_coeffs(out, order)
+        v = 2 * (a_o[n] + sym.alpha[n])
+        if n % 2:
+            v += b_mid[(n - 1) // 2]
+        # alpha^2 at i against b^{(k-2)/2} at (n-1-i)/2, for n-1-i even
+        for m in range((n + 1) // 2):
+            v -= sym.alpha_sq[n - 1 - 2 * m] * b_half[m]
+        out.append(exact_count(v, 4, f"count at n={n}"))
+    return out

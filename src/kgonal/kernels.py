@@ -1,30 +1,138 @@
-"""Backend selection for the integer kernels.
+"""Integer kernels, and the errors every exact computation raises.
 
-Prefers the compiled extension, falls back to the pure-Python module.
-KGONAL_PURE_PYTHON=1 forces the fallback, which is occasionally useful
-for timing comparisons and for debugging the extension itself.
+These are the innermost loops of the whole package: solving the
+edge-rooted series to large order, convolving big-integer coefficient
+lists and raising them to powers.  Every division is checked with
+divmod, and every integrity condition raises one of the two errors
+below instead of relying on assert, so the checks also run under
+python -O.
 """
 
 from __future__ import annotations
 
-import os
+__all__ = [
+    "BACKEND",
+    "IntegrityError",
+    "InexactDivisionError",
+    "exact_div",
+    "exact_count",
+    "solve_b",
+    "convolve",
+    "power",
+]
 
-if os.environ.get("KGONAL_PURE_PYTHON") == "1":
-    from kgonal import _kernels_py as _impl
+# the kernels are plain Python; benchmarks report this name
+BACKEND = "python"
 
-    BACKEND = "python"
-else:
-    try:
-        from kgonal import _kernels as _impl  # type: ignore[attr-defined]
 
-        BACKEND = "compiled"
-    except ImportError:
-        from kgonal import _kernels_py as _impl
+class IntegrityError(ArithmeticError):
+    """A count or a cross-check broke a condition that holds when the code is right."""
 
-        BACKEND = "python"
 
-solve_b = _impl.solve_b
-convolve = _impl.convolve
-power = _impl.power
+class InexactDivisionError(IntegrityError):
+    """A division that the recurrence guarantees exact left a remainder."""
 
-__all__ = ["BACKEND", "solve_b", "convolve", "power"]
+
+def exact_div(num: int, den: int, what: str) -> int:
+    """num / den, raising InexactDivisionError naming `what` on a remainder."""
+    q, r = divmod(num, den)
+    if r:
+        raise InexactDivisionError(f"{what}: remainder {r} dividing by {den}")
+    return q
+
+
+def exact_count(num: int, den: int, what: str) -> int:
+    """exact_div for a count, which must also come out non-negative."""
+    q = exact_div(num, den, what)
+    if q < 0:
+        raise IntegrityError(f"{what} is negative")
+    return q
+
+
+def solve_b(p: int, order: int) -> list[int]:
+    """Coefficients y_0..y_order of the series y with y = exp(sum_i x^i y^p(x^i)/i).
+
+    Writing C = y^p, logarithmic differentiation of the defining equation
+    gives x y'/y = sum_m h_m x^m with h_m = sum_{e|m} e * C_{e-1}, so
+
+        n y_n = sum_{m=1}^{n} h_m y_{n-m}.
+
+    C itself is carried along without a power ladder: y C' = p y' C is
+    the power rule, and its coefficient of x^{n-1} rearranges to
+
+        n C_n = sum_{i=1}^{n} ((p+1) i - n) y_i C_{n-i}.
+
+    Two O(n) convolution steps per coefficient, all in exact integers.
+    A remainder in either division would mean the recurrence is wired
+    wrong and raises InexactDivisionError.
+    """
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    y = [0] * (order + 1)
+    c = [0] * (order + 1)
+    y[0] = 1
+    c[0] = 1
+    h = [0] * (order + 1)
+    for n in range(1, order + 1):
+        hn = 0
+        for e in range(1, n + 1):
+            if n % e == 0:
+                hn += e * c[e - 1]
+        h[n] = hn
+        acc = 0
+        for m in range(1, n + 1):
+            acc += h[m] * y[n - m]
+        y[n] = exact_div(acc, n, f"y recurrence at n={n}")
+        acc = 0
+        for i in range(1, n + 1):
+            acc += ((p + 1) * i - n) * y[i] * c[n - i]
+        c[n] = exact_div(acc, n, f"power update at n={n}")
+    return y
+
+
+def convolve(a: list[int], b: list[int], order: int) -> list[int]:
+    """Truncated Cauchy product of integer coefficient lists."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    la, lb = len(a), len(b)
+    out = [0] * (order + 1)
+    for n in range(order + 1):
+        acc = 0
+        lo = max(0, n - lb + 1)
+        hi = min(n, la - 1)
+        for i in range(lo, hi + 1):
+            acc += a[i] * b[n - i]
+        out[n] = acc
+    return out
+
+
+def power(a: list[int], e: int, order: int) -> list[int]:
+    """a**e truncated at `order`, for a with constant term 1.
+
+    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, section 4.7):
+    C = a^e satisfies a C' = e a' C, whose coefficient of x^{n-1} reads
+
+        n C_n = sum_{i=1}^{n} ((e+1) i - n) a_i C_{n-i}.
+
+    One O(order^2) pass whatever e is.  The division by n is exact for
+    integer a with a_0 = 1; a remainder raises InexactDivisionError.
+    """
+    if e < 0:
+        raise ValueError("exponent must be >= 0")
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if not a or a[0] != 1:
+        raise ValueError("power needs a constant term of 1")
+    a = a[: order + 1]
+    la = len(a)
+    c = [0] * (order + 1)
+    c[0] = 1
+    e1 = e + 1
+    for n in range(1, order + 1):
+        acc = 0
+        for i in range(1, min(n, la - 1) + 1):
+            acc += (e1 * i - n) * a[i] * c[n - i]
+        c[n] = exact_div(acc, n, f"power rule at n={n}")
+    return c

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from kgonal.bseries import GonalParams
+from kgonal.kernels import IntegrityError, exact_div
 from kgonal.partitions import multiplicities, partitions
 
 __all__ = [
@@ -119,9 +120,7 @@ def labelled_unoriented(params: GonalParams, n: int) -> int:
         return 1
     m_pow = params.m(n) ** (n - 2)
     sym = 1 if params.k % 2 == 1 else (n + 1) ** (n - 2)
-    total = m_pow + sym
-    assert total % 2 == 0
-    return total // 2
+    return exact_div(m_pow + sym, 2, f"unoriented labelled count at n={n}")
 
 
 def burnside_b(params: GonalParams, n: int) -> int:
@@ -145,5 +144,6 @@ def burnside_b(params: GonalParams, n: int) -> int:
                 fact *= a
             z *= i**n_i * fact
         total += Fraction(fixed_point_count(params, t), z)
-    assert total.denominator == 1, f"Burnside average not integral at n={n}"
+    if total.denominator != 1:
+        raise IntegrityError(f"Burnside average not integral at n={n}")
     return int(total)

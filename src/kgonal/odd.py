@@ -3,24 +3,31 @@
 For odd k each polygon has one edge-to-vertex symmetry axis, and the
 reflection-symmetric structures admit their own product form: pages off
 the axis pair up, pages on the axis split into half-page combinations
-of size (k-1)/2.  That makes the symmetric classes an exponential of an
-explicit combination of b at doubled and quadrupled arguments, and the
+of size (k-1)/2.  That makes the symmetric classes s(x) = exp(A(x)) with
+
+    A(x) = sum_{i>=1} [ x^i b_h(x^{2i}) / i
+                        + (x^{2i} b_f(x^{2i}) - x^{2i} b_h(x^{4i})) / (2i) ],
+
+b_h = b^{(k-1)/2} and b_f = b^{k-1}.  A has fractional coefficients, but
+c_j = j A_j is an integer, so s follows in integers from
+n s_n = sum_{j=1}^{n} c_j s_{n-j}, one checked division per
+coefficient.  Both powers are read only up to index order/2.  The
 final count is the usual group average
 
-    a(x) = (a_o(x) + s(x)) / 2
+    a(x) = (a_o(x) + s(x)) / 2.
 
-with s the symmetric-class series.  A divisor-sum recurrence for the
-same numbers is implemented independently as a cross-check; the two
-routes share nothing past the b table.
+A divisor-sum recurrence for the same numbers is implemented
+independently as a cross-check; the two routes share nothing past the
+b table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from kgonal.bseries import BTable, GonalParams, compute_b, half_index_coeff
+from kgonal.bseries import BTable, GonalParams, compute_b
+from kgonal.kernels import IntegrityError, exact_count
 from kgonal.oriented import oriented_series
-from kgonal.series import Series, exp
 
 __all__ = [
     "odd_omega",
@@ -36,46 +43,47 @@ def _require_odd(params: GonalParams) -> None:
         raise ValueError("polygon size is even; use the even-parity module")
 
 
-def odd_symmetric_series(params: GonalParams, order: int, table: BTable | None = None) -> Series:
-    """Series of reflection-symmetric classes; coefficients are counts."""
+def odd_symmetric_series(params: GonalParams, order: int, table: BTable | None = None) -> list[int]:
+    """Reflection-symmetric classes s_0..s_order; each coefficient is a count."""
     _require_odd(params)
     if table is None:
         table = compute_b(params, order)
     if table.params != params or table.order < order:
         raise ValueError("table does not cover the request")
-    n_max = table.order
-    half = (params.k - 1) // 2
-    b_half = table.power(half)
-    b_full = table.power(params.k - 1)
-    exponent = Series.zero(n_max)
-    for i in range(1, n_max + 1):
-        term = b_half.substitute_power(2 * i).shift(i).scale(Fraction(2, 2 * i))
-        if 2 * i <= n_max:
-            term = term + b_full.substitute_power(2 * i).shift(2 * i).scale(Fraction(1, 2 * i))
-            term = term - b_half.substitute_power(4 * i).shift(2 * i).scale(Fraction(1, 2 * i))
-        exponent = exponent + term
-    sym = exp(exponent).truncate(order)
-    for n, c in enumerate(sym.coeffs):
-        if c.denominator != 1 or c < 0:
-            raise AssertionError(f"symmetric count at n={n} is not a non-negative integer: {c}")
-    return sym
+    b_h = table.int_coeffs((params.k - 1) // 2, order // 2)
+    b_f = table.int_coeffs(params.k - 1, order // 2)
+    # c_j = j A_j, scattered term by term: (2m+1) b_h[m] at j = i(2m+1),
+    # (m+1) b_f[m] at j = 2i(m+1) and -(2m+1) b_h[m] at j = 2i(2m+1)
+    c = [0] * (order + 1)
+    for i in range(1, order + 1):
+        for m, j in enumerate(range(i, order + 1, 2 * i)):
+            c[j] += (2 * m + 1) * b_h[m]
+        for m, j in enumerate(range(2 * i, order + 1, 2 * i)):
+            c[j] += (m + 1) * b_f[m]
+        for m, j in enumerate(range(2 * i, order + 1, 4 * i)):
+            c[j] -= (2 * m + 1) * b_h[m]
+    s = [1] + [0] * order
+    for n in range(1, order + 1):
+        acc = 0
+        for j in range(1, n + 1):
+            acc += c[j] * s[n - j]
+        s[n] = exact_count(acc, n, f"symmetric count at n={n}")
+    return s
 
 
-def odd_series(params: GonalParams, order: int, table: BTable | None = None) -> Series:
+def odd_series(params: GonalParams, order: int, table: BTable | None = None) -> list[int]:
     """Unlabelled counts a_n for odd k, as half the orbit sum."""
     _require_odd(params)
     if table is None:
         table = compute_b(params, order)
     a_o = oriented_series(params, order, table)
     sym = odd_symmetric_series(params, order, table)
-    out = (a_o + sym).scale(Fraction(1, 2))
-    for n, c in enumerate(out.coeffs):
-        if c.denominator != 1 or c < 0:
-            raise AssertionError(f"count at n={n} is not a non-negative integer: {c}")
-    return out
+    return [exact_count(a_o[n] + sym[n], 2, f"count at n={n}") for n in range(order + 1)]
 
 
-def odd_edge_rooted_counts(params: GonalParams, order: int, table: BTable | None = None) -> Series:
+def odd_edge_rooted_counts(
+    params: GonalParams, order: int, table: BTable | None = None
+) -> list[int]:
     """Unlabelled edge-rooted counts (b_n + s_n)/2 for odd k.
 
     The symmetric classes double as the reversal-fixed edge-rooted
@@ -85,12 +93,8 @@ def odd_edge_rooted_counts(params: GonalParams, order: int, table: BTable | None
     if table is None:
         table = compute_b(params, order)
     sym = odd_symmetric_series(params, order, table)
-    out = []
-    for n in range(order + 1):
-        total = table.coeff(1, n) + int(sym[n])
-        assert total % 2 == 0, f"b_n + s_n odd at n={n}"
-        out.append(total // 2)
-    return Series.from_coeffs(out, order)
+    b = table.int_coeffs(1)
+    return [exact_count(b[n] + sym[n], 2, f"b_n + s_n at n={n}") for n in range(order + 1)]
 
 
 def odd_omega(params: GonalParams, n: int, table: BTable) -> int:
@@ -104,13 +108,13 @@ def odd_omega(params: GonalParams, n: int, table: BTable) -> int:
         raise ValueError("n must be >= 1")
     half = (params.k - 1) // 2
     return (
-        2 * half_index_coeff(table, half, Fraction(n - 1, 2))
-        + half_index_coeff(table, params.k - 1, Fraction(n - 2, 2))
-        - half_index_coeff(table, half, Fraction(n - 2, 4))
+        2 * table.coeff(half, Fraction(n - 1, 2))
+        + table.coeff(params.k - 1, Fraction(n - 2, 2))
+        - table.coeff(half, Fraction(n - 2, 4))
     )
 
 
-def odd_recurrence(params: GonalParams, order: int, table: BTable | None = None) -> Series:
+def odd_recurrence(params: GonalParams, order: int, table: BTable | None = None) -> list[int]:
     """Same counts through the divisor-sum recurrence; test oracle.
 
     a_0 = 1 and for n >= 1
@@ -134,5 +138,6 @@ def odd_recurrence(params: GonalParams, order: int, table: BTable | None = None)
         for j in range(1, n + 1):
             s += divsum[j] * (a[n - j] - Fraction(1, 2) * a_o[n - j])
         a[n] = s / (2 * n) + Fraction(1, 2) * a_o[n]
-        assert a[n].denominator == 1 and a[n] >= 0, f"recurrence count at n={n}: {a[n]}"
-    return Series(order, tuple(a))
+        if a[n].denominator != 1 or a[n] < 0:
+            raise IntegrityError(f"recurrence count at n={n} is not a non-negative integer")
+    return [int(v) for v in a]

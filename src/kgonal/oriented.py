@@ -18,10 +18,8 @@ whole pipeline.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from kgonal.bseries import BTable, GonalParams, compute_b
-from kgonal.series import Series
+from kgonal.kernels import exact_count
 
 __all__ = ["euler_phi", "oriented_series"]
 
@@ -43,7 +41,7 @@ def euler_phi(d: int) -> int:
     return result
 
 
-def oriented_series(params: GonalParams, order: int, table: BTable | None = None) -> Series:
+def oriented_series(params: GonalParams, order: int, table: BTable | None = None) -> list[int]:
     """Series of oriented unlabelled counts a_{o,n} up to `order`."""
     if table is None:
         table = compute_b(params, order)
@@ -64,12 +62,4 @@ def oriented_series(params: GonalParams, order: int, table: BTable | None = None
                 bj = table.int_coeffs(k // d, top // d)
                 for i in range(top // d + 1):
                     acc[i * d + 1] += phi * bj[i]
-    out = []
-    for n, v in enumerate(acc):
-        q, r = divmod(v, k)
-        if r or q < 0:
-            raise AssertionError(
-                f"oriented count at n={n} is not a non-negative integer: {Fraction(v, k)}"
-            )
-        out.append(q)
-    return Series.from_coeffs(out, order)
+    return [exact_count(v, k, f"oriented count at n={n}") for n, v in enumerate(acc)]

@@ -2,8 +2,8 @@
 
 A Series of order N stores the coefficients of x^0 .. x^N and nothing
 beyond.  Coefficients are fractions.Fraction, so every operation here is
-exact; the only floating point in this module is eval_float and
-derivative_eval_float, which exist for downstream numeric work.
+exact.  The counting pipeline runs on integer lists and imports nothing
+from here; the tests use this module as an independent exact reference.
 
 Orders never coerce silently.  Combining two series of different orders
 raises OrderMismatchError, because a mismatch is almost always a caller
@@ -14,17 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "Series",
     "OrderMismatchError",
     "ConstantTermError",
-    "RecurrenceError",
     "exp",
-    "log_derivative_recurrence",
-    "eval_float",
-    "derivative_eval_float",
 ]
 
 
@@ -34,10 +30,6 @@ class OrderMismatchError(ValueError):
 
 class ConstantTermError(ValueError):
     """exp() was applied to a series with a nonzero constant term."""
-
-
-class RecurrenceError(ValueError):
-    """A fixed-point solve produced a series violating its own equation."""
 
 
 def _coeff(value: int | Fraction) -> Fraction:
@@ -192,47 +184,3 @@ def exp(a: Series) -> Series:
         s = sum((j * a.coeffs[j] * e[n - j] for j in range(1, n + 1)), Fraction(0))
         e[n] = s / n
     return Series(n_max, tuple(e))
-
-
-def log_derivative_recurrence(
-    order: int, exponent: Callable[[Series], Series]
-) -> Series:
-    """Solve y = exp(F(y)) coefficient by coefficient.
-
-    `exponent` maps a partial solution to the series F(y) at the given
-    order.  The solve is valid only when the coefficient of x^n in F(y)
-    depends on y_0..y_{n-1} alone; at step n the callback receives y with
-    entries from n upward still zero, and the recurrence
-    n y_n = sum_{j=1}^{n} j F_j y_{n-j} (the coefficient form of
-    x y' = (x F') y) fills in y_n.  After the last step the equation is
-    re-checked against the full solution; a dependency violation shows up
-    there and raises RecurrenceError.
-    """
-    ys = [Fraction(1)] + [Fraction(0)] * order
-    for n in range(1, order + 1):
-        f = exponent(Series(order, tuple(ys)))
-        if f.order != order:
-            raise OrderMismatchError(f"exponent returned order {f.order}, expected {order}")
-        s = sum((j * f.coeffs[j] * ys[n - j] for j in range(1, n + 1)), Fraction(0))
-        ys[n] = s / n
-    y = Series(order, tuple(ys))
-    f = exponent(y)
-    if f.coeffs[0] != 0 or exp(f) != y:
-        raise RecurrenceError("solution does not satisfy y = exp(F(y)); F peeks at y_n or later")
-    return y
-
-
-def eval_float(a: Series, x0: float) -> float:
-    """Horner evaluation of the truncated polynomial in 64-bit floats."""
-    acc = 0.0
-    for c in reversed(a.coeffs):
-        acc = acc * x0 + float(c)
-    return acc
-
-
-def derivative_eval_float(a: Series, x0: float) -> float:
-    """Horner evaluation of the formal derivative in 64-bit floats."""
-    acc = 0.0
-    for n in range(a.order, 0, -1):
-        acc = acc * x0 + n * float(a.coeffs[n])
-    return acc

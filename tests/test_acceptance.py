@@ -123,7 +123,7 @@ def test_criterion_3_amplitudes(capsys):
         xi, iterations, residual = solve_xi(params, table)
         oriented = oriented_series(params, 1000, table)
         empirical = empirical_amplitude(
-            [int(c) for c in oriented.coeffs], xi, 2.5, n_probe=1000
+            oriented, xi, 2.5, n_probe=1000
         )
         rep = constants(
             params, table, xi, iterations, residual, alpha_bar_empirical=empirical
@@ -313,7 +313,7 @@ def test_criterion_5_cross_method_identities(capsys):
         params = GonalParams(k)
         table = table_for(k, 12)
         alt = recurrence_crosscheck(params, 12)
-        assert table.int_coeffs(1) == [int(c) for c in alt.coeffs], f"k={k}"
+        assert table.int_coeffs(1) == alt, f"k={k}"
     for k in range(2, 9):
         params = GonalParams(k)
         table = table_for(k, 12)
@@ -322,9 +322,7 @@ def test_criterion_5_cross_method_identities(capsys):
     for k in (3, 5, 7, 9, 11):
         params = GonalParams(k)
         table = table_for(k, 20)
-        assert odd_series(params, 20, table).coeffs == odd_recurrence(
-            params, 20, table
-        ).coeffs, f"k={k}"
+        assert odd_series(params, 20, table) == odd_recurrence(params, 20, table), f"k={k}"
     for k in range(2, 13):
         params = GonalParams(k)
         table = table_for(k, 20)

@@ -176,7 +176,7 @@ class TestEmpirical:
         table = table_for(2, order)
         xi, iterations, residual = solve_xi(table.params, table)
         report = constants(table.params, table, xi, iterations, residual)
-        counts = [int(c) for c in table.b.coeffs]
+        counts = table.int_coeffs(1)
         value = empirical_amplitude(counts, float(xi), 1.5, n_probe=order)
         assert float(value) == pytest.approx(float(report.alpha), rel=0.01)
 
@@ -196,7 +196,7 @@ class TestOrientedAmplitude:
         xi, iterations, residual = solve_xi(params, table)
         report = constants(params, table, xi, iterations, residual)
         oriented = oriented_series(params, order, table=table)
-        counts = [int(c) for c in oriented.coeffs]
+        counts = oriented
         value = empirical_amplitude(counts, float(xi), 2.5, n_probe=order)
         assert float(value) == pytest.approx(
             float(report.alpha_bar_product_form), rel=1e-3

@@ -7,15 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kgonal import cache
-from kgonal.bseries import (
-    BTable,
-    GonalParams,
-    compute_b,
-    convolution_power,
-    half_index_coeff,
-    recurrence_crosscheck,
-)
-from kgonal.series import Series
+from kgonal.bseries import BTable, GonalParams, compute_b, recurrence_crosscheck
+from kgonal.kernels import IntegrityError
+from kgonal.series import Series, exp
 
 
 def test_params():
@@ -27,15 +21,15 @@ def test_params():
 
 
 def test_compute_b_anchors():
-    assert compute_b(GonalParams(3), 3).b == Series.from_coeffs([1, 1, 3, 10], 3)
-    assert compute_b(GonalParams(2), 4).b == Series.from_coeffs([1, 1, 2, 4, 9], 4)
+    assert compute_b(GonalParams(3), 3).int_coeffs(1) == [1, 1, 3, 10]
+    assert compute_b(GonalParams(2), 4).int_coeffs(1) == [1, 1, 2, 4, 9]
     for k in (2, 3, 5, 9):
-        assert compute_b(GonalParams(k), 1).b[1] == 1
+        assert compute_b(GonalParams(k), 1).int_coeffs(1)[1] == 1
 
 
 def test_crosscheck_anchors():
-    assert recurrence_crosscheck(GonalParams(3), 3) == Series.from_coeffs([1, 1, 3, 10], 3)
-    assert recurrence_crosscheck(GonalParams(2), 4) == Series.from_coeffs([1, 1, 2, 4, 9], 4)
+    assert recurrence_crosscheck(GonalParams(3), 3) == [1, 1, 3, 10]
+    assert recurrence_crosscheck(GonalParams(2), 4) == [1, 1, 2, 4, 9]
     for k in (2, 4, 7):
         assert recurrence_crosscheck(GonalParams(k), 1)[1] == 1
 
@@ -44,16 +38,41 @@ def test_two_routes_agree():
     # the acceptance sweep goes to k=8, order 12; keep the unit test snappy
     for k in (2, 3, 4, 5):
         params = GonalParams(k)
-        assert compute_b(params, 10).b == recurrence_crosscheck(params, 10)
+        assert compute_b(params, 10).int_coeffs(1) == recurrence_crosscheck(params, 10)
+
+
+def _powered_self_sum(y: Series, power: int) -> Series:
+    # sum_i x^i (y^power)(x^i) / i at y's order
+    order = y.order
+    yp = y.pow(power)
+    acc = Series.zero(order)
+    for i in range(1, order + 1):
+        acc = acc + yp.substitute_power(i).shift(i).scale(Fraction(1, i))
+    return acc
+
+
+def test_b_satisfies_its_equation():
+    # b = exp(sum_i x^i b^{k-1}(x^i) / i), checked in Fraction series arithmetic
+    for k in (2, 3, 4, 6):
+        params = GonalParams(k)
+        b = Series.from_coeffs(compute_b(params, 12).int_coeffs(1), 12)
+        assert exp(_powered_self_sum(b, params.p)) == b, f"k={k}"
 
 
 def test_convolution_power():
     table = compute_b(GonalParams(3), 4)
-    assert convolution_power(table, 0) == Series.one(4)
-    assert convolution_power(table, 1) == table.b
-    assert convolution_power(table, 3)[2] == 12
-    assert convolution_power(table, 3) == table.b.pow(3)
-    assert convolution_power(table, 3) is convolution_power(table, 3)
+    b = Series.from_coeffs(table.int_coeffs(1), 4)
+    assert table.int_coeffs(0) == [1, 0, 0, 0, 0]
+    assert table.int_coeffs(3)[2] == 12
+    assert table.int_coeffs(3) == list(b.pow(3).integer_coeffs())
+    assert table.int_coeffs(3) is table.int_coeffs(3)
+
+
+def test_table_checks_b():
+    with pytest.raises(IntegrityError):
+        BTable(GonalParams(3), 2, {1: [2, 1, 3]})
+    with pytest.raises(ValueError):
+        BTable(GonalParams(3), 3, {1: [1, 1, 3]})
 
 
 @given(st.integers(2, 8), st.integers(0, 25), st.integers(0, 10), st.data())
@@ -74,7 +93,7 @@ def test_truncate_matches_lower_order():
     table = compute_b(params, 12)
     cut = table.truncate(7)
     low = compute_b(params, 7)
-    assert cut.order == 7 and cut.b == low.b
+    assert cut.order == 7 and cut.int_coeffs(1) == low.int_coeffs(1)
     assert cut.int_coeffs(4) == low.int_coeffs(4)
     assert table.truncate(12) is table
     with pytest.raises(ValueError):
@@ -85,18 +104,18 @@ def test_truncate_matches_lower_order():
 
 def test_half_index_coeff():
     table = compute_b(GonalParams(3), 4)
-    assert half_index_coeff(table, 1, Fraction(2, 3)) == 0
-    assert half_index_coeff(table, 3, -1) == 0
-    assert half_index_coeff(table, 2, 1) == 2
-    assert half_index_coeff(table, 1, Fraction(-1, 2)) == 0
-    assert half_index_coeff(table, 1, 4) == 39
+    assert table.coeff(1, Fraction(2, 3)) == 0
+    assert table.coeff(3, -1) == 0
+    assert table.coeff(2, 1) == 2
+    assert table.coeff(1, Fraction(-1, 2)) == 0
+    assert table.coeff(1, 4) == 39
     with pytest.raises(IndexError):
-        half_index_coeff(table, 1, 5)
+        table.coeff(1, 5)
 
 
 def test_monotone():
     for k in (2, 3, 6):
-        b = compute_b(GonalParams(k), 12).b
+        b = compute_b(GonalParams(k), 12).int_coeffs(1)
         for n in range(1, 13):
             assert b[n] >= b[n - 1]
 
@@ -110,22 +129,22 @@ def _nth_difference(values):
 def test_polynomial_in_k():
     # for fixed n the count is a polynomial in k of degree n-1, so the
     # n-th difference over n+1 consecutive k values vanishes
-    tables = {k: compute_b(GonalParams(k), 8).b for k in range(2, 11)}
+    tables = {k: compute_b(GonalParams(k), 8).int_coeffs(1) for k in range(2, 11)}
     for n in range(1, 9):
-        column = [int(tables[k][n]) for k in range(2, n + 3)]
+        column = [tables[k][n] for k in range(2, n + 3)]
         assert _nth_difference(column) == 0, f"n={n}"
 
 
 def test_disk_cache_roundtrip(tmp_path):
     params = GonalParams(3)
     t1 = compute_b(params, 6, cache_dir=tmp_path)
-    assert cache.load_b(tmp_path, 3, 6) == [int(c) for c in t1.b.coeffs]
+    assert cache.load_b(tmp_path, 3, 6) == t1.int_coeffs(1)
     # shorter request served from the stored longer table
     t2 = compute_b(params, 4, cache_dir=tmp_path)
-    assert t2.b == t1.b.truncate(4)
+    assert t2.int_coeffs(1) == t1.int_coeffs(1)[:5]
     # longer request recomputes and extends the store
     t3 = compute_b(params, 8, cache_dir=tmp_path)
-    assert cache.load_b(tmp_path, 3, 8) == [int(c) for c in t3.b.coeffs]
+    assert cache.load_b(tmp_path, 3, 8) == t3.int_coeffs(1)
 
 
 def test_disk_cache_corruption_is_a_miss(tmp_path):
@@ -134,7 +153,7 @@ def test_disk_cache_corruption_is_a_miss(tmp_path):
     path = tmp_path / "b_k3.json"
     path.write_text("{ not json", encoding="utf-8")
     t = compute_b(params, 5, cache_dir=tmp_path)
-    assert t.b == Series.from_coeffs([1, 1, 3, 10, 39, 160], 5)
+    assert t.int_coeffs(1) == [1, 1, 3, 10, 39, 160]
     # the bad file was replaced by a good one
     assert cache.load_b(tmp_path, 3, 5) is not None
 
@@ -146,4 +165,4 @@ def test_disk_cache_version_skew(tmp_path):
     doc = path.read_text(encoding="utf-8").replace('"version": 1', '"version": 999')
     path.write_text(doc, encoding="utf-8")
     assert cache.load_b(tmp_path, 2, 4) is None
-    assert compute_b(params, 4, cache_dir=tmp_path).b[4] == 9
+    assert compute_b(params, 4, cache_dir=tmp_path).int_coeffs(1)[4] == 9

@@ -1,5 +1,6 @@
 """Tests for the command-line surface."""
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -141,6 +142,13 @@ class TestTable:
         with pytest.raises(Exception):
             render_table(5, 3, 4)
 
+    def test_deep_table_digest(self):
+        # sha256 of the table to n = 100, recorded before the counting
+        # layers moved from Fraction series to integer lists; it pins every
+        # count past the golden table's n <= 20
+        digest = hashlib.sha256(render_table(2, 12, 100).encode()).hexdigest()
+        assert digest == "c273f8dcf03d557299da56aa129512220717581a45070c494f2b696e05998a8f"
+
     def test_single_cell_k12(self, capsys):
         code, out, _ = run_cli(
             capsys, "count", "--k", "12", "--family", "unlabelled", "--n", "6"
@@ -192,6 +200,18 @@ class TestConstants:
         code, _, err = run_cli(capsys, "constants", "--p", "2", "--series-order", "-1")
         assert code == 1
         assert "series order must be" in err
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "-0.0", "inf"])
+    def test_rejects_bad_tol(self, capsys, tol):
+        # the first four used to run the full iteration cap before failing;
+        # inf stopped after one step and printed "tolerance": Infinity,
+        # which is not JSON
+        code, out, err = run_cli(
+            capsys, "constants", "--p", "2", "--series-order", "100", "--tol", tol
+        )
+        assert code == 1
+        assert out == ""
+        assert "tol must be > 0 and finite" in err
 
 
 class TestUniversal:
@@ -310,3 +330,32 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["counts"] == [{"n": 3, "value": "10"}]
+
+
+def _run_optimized(*argv):
+    # python -O strips assert statements, so every check must be an explicit raise
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "kgonal", *argv], capture_output=True, text=True
+    )
+
+
+def test_optimized_table_matches_golden():
+    proc = _run_optimized("table")
+    assert proc.returncode == 0
+    assert proc.stdout == GOLDEN.read_text()
+
+
+def test_optimized_verify_catches_corrupt_cache(tmp_path):
+    # a well-formed cache whose b_5 is off by one, long enough to serve
+    # every k = 3 table the quick verify level asks for
+    from kgonal.kernels import solve_b
+
+    coeffs = solve_b(2, 20)
+    coeffs[5] += 1
+    doc = {"version": 1, "k": 3, "order": 20, "coefficients": [str(c) for c in coeffs]}
+    (tmp_path / "b_k3.json").write_text(json.dumps(doc))
+    proc = _run_optimized("--cache-dir", str(tmp_path), "verify")
+    assert proc.returncode == 1
+    for name in ("kernel-vs-tuple-recurrence", "burnside-vs-kernel", "golden-table"):
+        assert f"FAIL {name}:" in proc.stdout, proc.stdout
+        assert f"PASS {name}" not in proc.stdout

@@ -92,7 +92,7 @@ def test_burnside_matches_series():
     # acceptance widens this to k <= 8, n <= 10
     for k in (2, 3, 4, 5):
         params = GonalParams(k)
-        b = compute_b(params, 8).b
+        b = compute_b(params, 8).int_coeffs(1)
         for n in range(9):
             assert burnside_b(params, n) == b[n], (k, n)
 

@@ -1,5 +1,7 @@
 """Unlabelled counts for odd k: pinned rows and route agreement."""
 
+from fractions import Fraction
+
 import pytest
 
 from kgonal.bseries import GonalParams, compute_b
@@ -11,6 +13,7 @@ from kgonal.odd import (
     odd_symmetric_series,
 )
 from kgonal.oriented import oriented_series
+from kgonal.series import Series, exp
 
 
 def test_rejects_even_k():
@@ -22,17 +25,15 @@ def test_rejects_even_k():
 
 def test_k3_row():
     got = odd_series(GonalParams(3), 6)
-    assert [int(c) for c in got.coeffs] == [1, 1, 1, 2, 5, 12, 39]
+    assert got == [1, 1, 1, 2, 5, 12, 39]
 
 
 def test_row_spot_values():
-    assert odd_series(GonalParams(5), 5).coeffs[:6] == tuple(
-        odd_recurrence(GonalParams(5), 5).coeffs[:6]
-    )
-    assert int(odd_series(GonalParams(5), 4)[4]) == 11
-    assert int(odd_series(GonalParams(7), 5)[5]) == 158
-    assert int(odd_recurrence(GonalParams(9), 4)[4]) == 32
-    assert int(odd_recurrence(GonalParams(3), 0)[0]) == 1
+    assert odd_series(GonalParams(5), 5) == odd_recurrence(GonalParams(5), 5)
+    assert odd_series(GonalParams(5), 4)[4] == 11
+    assert odd_series(GonalParams(7), 5)[5] == 158
+    assert odd_recurrence(GonalParams(9), 4)[4] == 32
+    assert odd_recurrence(GonalParams(3), 0) == [1]
 
 
 def test_omega_values():
@@ -79,6 +80,32 @@ def test_edge_rooted_counts():
     params = GonalParams(3)
     row = odd_edge_rooted_counts(params, 3)
     # b = (1, 1, 3, 10), symmetric = (1, 1, 1, 2)
-    assert [int(row[n]) for n in range(4)] == [1, 1, 2, 6]
+    assert row == [1, 1, 2, 6]
     with pytest.raises(ValueError):
         odd_edge_rooted_counts(GonalParams(4), 3)
+
+
+def _symmetric_by_fractions(params, order):
+    """exp of the symmetric-class exponent in Fraction series arithmetic."""
+    table = compute_b(params, order)
+    b_half = Series.from_coeffs(table.int_coeffs((params.k - 1) // 2), order)
+    b_full = Series.from_coeffs(table.int_coeffs(params.k - 1), order)
+    exponent = Series.zero(order)
+    for i in range(1, order + 1):
+        term = b_half.substitute_power(2 * i).shift(i).scale(Fraction(2, 2 * i))
+        if 2 * i <= order:
+            term = term + b_full.substitute_power(2 * i).shift(2 * i).scale(Fraction(1, 2 * i))
+            term = term - b_half.substitute_power(4 * i).shift(2 * i).scale(Fraction(1, 2 * i))
+        exponent = exponent + term
+    return list(exp(exponent).integer_coeffs())
+
+
+def test_symmetric_matches_fraction_route():
+    for k in (3, 5, 7, 9, 11):
+        params = GonalParams(k)
+        want = _symmetric_by_fractions(params, 60)
+        assert odd_symmetric_series(params, 60) == want, f"k={k}"
+        # a request below the table order reads shorter power prefixes
+        table = compute_b(params, 60)
+        assert odd_symmetric_series(params, 37, table) == want[:38], f"k={k}"
+        assert odd_symmetric_series(params, 0, table) == want[:1]

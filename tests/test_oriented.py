@@ -6,6 +6,7 @@ import pytest
 
 from kgonal.bseries import GonalParams, compute_b
 from kgonal.oriented import euler_phi, oriented_series
+from kgonal.series import Series
 
 
 def test_euler_phi():
@@ -19,12 +20,12 @@ def test_euler_phi():
 
 def test_k3_prefix():
     got = oriented_series(GonalParams(3), 8)
-    assert [int(c) for c in got.coeffs] == [1, 1, 1, 2, 7, 18, 68, 251, 1020]
+    assert got == [1, 1, 1, 2, 7, 18, 68, 251, 1020]
 
 
 def test_k4_prefix():
     got = oriented_series(GonalParams(4), 4)
-    assert [int(c) for c in got.coeffs] == [1, 1, 1, 3, 11]
+    assert got == [1, 1, 1, 3, 11]
 
 
 def test_single_polygon():
@@ -36,7 +37,7 @@ def test_k2_matches_free_trees():
     # with two-sided polygons orientation is invisible, so the oriented
     # counts already equal the plain unlabelled ones
     got = oriented_series(GonalParams(2), 10)
-    assert [int(c) for c in got.coeffs] == [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235]
+    assert got == [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235]
 
 
 def test_shared_table_reuse():
@@ -44,7 +45,7 @@ def test_shared_table_reuse():
     table = compute_b(params, 12)
     a = oriented_series(params, 12, table)
     b = oriented_series(params, 8, table)
-    assert a.truncate(8) == b
+    assert a[:9] == b
     with pytest.raises(ValueError):
         oriented_series(GonalParams(4), 8, table)
 
@@ -55,19 +56,19 @@ def test_bounded_by_rooted():
         table = compute_b(params, 12)
         a_o = oriented_series(params, 12, table)
         for n in range(1, 13):
-            assert 1 <= a_o[n] <= table.b[n]
+            assert 1 <= a_o[n] <= table.int_coeffs(1)[n]
 
 
 def _oriented_by_fractions(params, order):
     """The unrooting formula in Fraction series arithmetic, powers by Series.pow."""
     k = params.k
-    b = compute_b(params, order).b
+    b = Series.from_coeffs(compute_b(params, order).int_coeffs(1), order)
     acc = b
     for d in range(2, k + 1):
         if k % d == 0:
             term = b.pow(k // d).substitute_power(d).shift(1)
             acc = acc + term.scale(Fraction(euler_phi(d), k))
-    return acc - b.pow(k).shift(1).scale(Fraction(k - 1, k))
+    return list((acc - b.pow(k).shift(1).scale(Fraction(k - 1, k))).integer_coeffs())
 
 
 def test_matches_fraction_route():
@@ -77,5 +78,5 @@ def test_matches_fraction_route():
         assert oriented_series(params, 60) == want, f"k={k}"
         # a request below the table order reads shorter power prefixes
         table = compute_b(params, 60)
-        assert oriented_series(params, 37, table) == want.truncate(37), f"k={k}"
-        assert oriented_series(params, 0, table) == want.truncate(0)
+        assert oriented_series(params, 37, table) == want[:38], f"k={k}"
+        assert oriented_series(params, 0, table) == want[:1]

@@ -6,16 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgonal.series import (
-    ConstantTermError,
-    OrderMismatchError,
-    RecurrenceError,
-    Series,
-    derivative_eval_float,
-    eval_float,
-    exp,
-    log_derivative_recurrence,
-)
+from kgonal.series import ConstantTermError, OrderMismatchError, Series, exp
 
 
 def S(values, order):
@@ -81,53 +72,6 @@ def test_integer_coeffs():
     assert S([1, 4, 9], 2).integer_coeffs() == (1, 4, 9)
     with pytest.raises(ValueError):
         S([1, Fraction(1, 2)], 1).integer_coeffs()
-
-
-# fixed-point solver
-
-
-def test_solver_decoupled():
-    # y = exp(x), the exponent ignores y entirely
-    y = log_derivative_recurrence(3, lambda y: Series.x(3))
-    assert y == exp(Series.x(3))
-
-
-def _powered_self_sum(y: Series, power: int) -> Series:
-    # sum_i x^i (y^power)(x^i) / i at y's order
-    order = y.order
-    yp = y.pow(power)
-    acc = Series.zero(order)
-    for i in range(1, order + 1):
-        acc = acc + yp.substitute_power(i).shift(i).scale(Fraction(1, i))
-    return acc
-
-
-def test_solver_quadratic_pages():
-    y = log_derivative_recurrence(3, lambda y: _powered_self_sum(y, 2))
-    assert y == S([1, 1, 3, 10], 3)
-
-
-def test_solver_linear_pages():
-    y = log_derivative_recurrence(4, lambda y: _powered_self_sum(y, 1))
-    assert y == S([1, 1, 2, 4, 9], 4)
-
-
-def test_solver_detects_dependency_violation():
-    # exponent reads y_1 when forming the coefficient of x^1
-    def bad(y: Series) -> Series:
-        return Series.from_coeffs([0, y[1] + 1], y.order)
-
-    with pytest.raises(RecurrenceError):
-        log_derivative_recurrence(2, bad)
-
-
-# float evaluation
-
-
-def test_eval_float():
-    assert eval_float(S([1, 1, 1], 2), 0.0) == 1.0
-    assert eval_float(S([1, 2], 1), 0.5) == 2.0
-    assert derivative_eval_float(S([1, 0, 3], 2), 0.5) == 3.0
 
 
 # property tests
