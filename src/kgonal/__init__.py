@@ -18,8 +18,8 @@ The modules are layered:
     cli         command line front end
 
 Every layer from bseries up exchanges series as plain lists of ints.
-series, exact truncated power series over Fraction, is used by no
-layer; the tests keep it as an independent reference.
+The oriented, odd and even layers each take one bseries.BTable: k comes
+from its params and every result runs to its order.
 """
 
 __version__ = "0.1.0"

@@ -16,15 +16,12 @@ overflow 64-bit floats long before the probe orders used here (b_n for
 p=11 passes 1e308 near n = 210), and the amplitude checks want headroom
 below 1e-12.
 
-Two printed formulas for alpha_bar circulate that cannot both be exact;
-the report therefore carries the product form 2 pi p^{1+2/p} xi^{2/p}
-alpha^3, the ratio form as printed (whose parenthesis lacks the xi
-factor its alpha analogue carries), and optionally an empirical
-extrapolation from the coefficients themselves, without silently
-choosing between them.  The `alpha_bar` field repeats the product form,
-which agrees with the 3/2-power singular coefficient route
-(3/(4 sqrt(pi))) * tau_bar3 to working precision; the agreement is
-checked at report time.
+The report carries alpha_bar as the product form 2 pi p^{1+2/p}
+xi^{2/p} alpha^3 and optionally an empirical extrapolation from the
+coefficients themselves.  The product form agrees with the 3/2-power
+singular coefficient route (3/(4 sqrt(pi))) * tau_bar3 to working
+precision; the agreement is checked at report time.  The `alpha_bar`
+field repeats the product form.
 """
 
 from __future__ import annotations
@@ -75,7 +72,6 @@ class AsymptoticReport:
     alpha: float
     alpha_bar: float
     alpha_bar_product_form: float
-    alpha_bar_ratio_form: float
     alpha_bar_empirical: float | None
     iterations: int
     residual: float
@@ -212,8 +208,7 @@ def constants(
     with mp.workdps(dps):
         xi = mpf(xi)
         omega, omega_prime = omega_eval(params, table, xi, dps)
-        ratio = omega_prime / omega
-        r = xi * ratio
+        r = xi * (omega_prime / omega)
         inv_p = mpf(1) / p
         tau0 = (1 / (p * xi)) ** inv_p
         tau1 = -mp_sqrt(2) * p ** (-(1 + inv_p)) * xi ** (-inv_p) * mp_sqrt(1 + p * r)
@@ -221,9 +216,6 @@ def constants(
         tau_bar3 = -(mpf(p) / 3) * tau1**3 / tau0**2
         alpha = (1 / mp_sqrt(2 * mp_pi)) * p ** (-(1 + inv_p)) * xi ** (-inv_p) * mp_sqrt(1 + p * r)
         product_form = 2 * mp_pi * p ** (1 + 2 * inv_p) * xi ** (2 * inv_p) * alpha**3
-        ratio_form = (
-            (1 / mp_sqrt(2 * mp_pi)) * p ** (-(2 + inv_p)) * xi ** (-inv_p) * (1 + p * ratio) ** mpf("1.5")
-        )
         singular_route = 3 / (4 * mp_sqrt(mp_pi)) * tau_bar3
         if not abs(product_form - singular_route) <= mpf("1e-12") * product_form:
             raise IntegrityError("product form disagrees with the singular-coefficient route")
@@ -239,7 +231,6 @@ def constants(
             alpha=float(alpha),
             alpha_bar=float(product_form),
             alpha_bar_product_form=float(product_form),
-            alpha_bar_ratio_form=float(ratio_form),
             alpha_bar_empirical=alpha_bar_empirical,
             iterations=iterations,
             residual=float(residual),

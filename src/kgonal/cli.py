@@ -82,13 +82,13 @@ def family_counts(
     if family == "b":
         return list(table.int_coeffs(1))
     if family == "unlabelled-oriented":
-        return oriented_series(params, order, table)
+        return oriented_series(table)
     if family == "unlabelled":
-        return unlabelled_column(params, order, table)
+        return unlabelled_column(table)
     if family == "edge-rooted-unlabelled":
         if params.k % 2:
-            return odd_edge_rooted_counts(params, order, table)
-        return edge_rooted_counts(params, order, table)
+            return odd_edge_rooted_counts(table)
+        return edge_rooted_counts(table)
     raise CliError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
 
 
@@ -120,12 +120,11 @@ def cmd_series(args: argparse.Namespace, cache_dir: Path | None) -> int:
     return 0
 
 
-def unlabelled_column(
-    params: GonalParams, order: int, table: BTable | None = None
-) -> list[int]:
-    if params.k % 2:
-        return odd_series(params, order, table)
-    return even_series(params, order, table)
+def unlabelled_column(table: BTable) -> list[int]:
+    """Unlabelled counts a_0..a_order, by the parity of k."""
+    if table.params.k % 2:
+        return odd_series(table)
+    return even_series(table)
 
 
 def render_table(
@@ -136,8 +135,7 @@ def render_table(
         raise CliError("need 2 <= k-min <= k-max")
     columns: dict[int, list[int]] = {}
     for k in range(k_min, k_max + 1):
-        params = GonalParams(k)
-        columns[k] = unlabelled_column(params, order, compute_b(params, order, cache_dir))
+        columns[k] = unlabelled_column(compute_b(GonalParams(k), order, cache_dir))
     if fmt == "csv":
         lines = ["n," + ",".join(f"k{k}" for k in range(k_min, k_max + 1))]
         for n in range(order + 1):
@@ -185,7 +183,7 @@ def constants_report(
     xi, iterations, residual = solve_xi(params, table, tol)
     empirical = None
     if with_empirical:
-        oriented = oriented_series(params, probe_order, probe_table)
+        oriented = oriented_series(probe_table)
         # the square-root singularity puts n^{-5/2} in front of the
         # unrooted-type counts at every page size
         empirical = empirical_amplitude(oriented, xi, 2.5, n_probe=probe_order)
@@ -287,19 +285,15 @@ def _verify_checks(level: str, with_oracle: bool, cache_dir: Path | None):
     def check_odd_routes():
         ks, order = ((3, 5, 7, 9, 11), 20) if wide else ((3, 5, 7), 12)
         for k in ks:
-            params = GonalParams(k)
-            table = compute_b(params, order, cache_dir)
-            a = odd_series(params, order, table)
-            alt = odd_recurrence(params, order, table)
-            _require(a == alt, f"k={k}")
+            table = compute_b(GonalParams(k), order, cache_dir)
+            _require(odd_series(table) == odd_recurrence(table), f"k={k}")
 
     def check_group_average():
         k_max, order = (12, 14) if wide else (8, 12)
         for k in range(2, k_max + 1):
-            params = GonalParams(k)
-            table = compute_b(params, order, cache_dir)
-            a = unlabelled_column(params, order, table)
-            a_o = oriented_series(params, order, table)
+            table = compute_b(GonalParams(k), order, cache_dir)
+            a = unlabelled_column(table)
+            a_o = oriented_series(table)
             for n in range(order + 1):
                 _require(isinstance(a[n], int) and a[n] >= 0, f"k={k} n={n}")
                 _require(2 * a[n] - a_o[n] >= 0, f"k={k} n={n}")
@@ -314,11 +308,9 @@ def _verify_checks(level: str, with_oracle: bool, cache_dir: Path | None):
             params = GonalParams(k)
             table = compute_b(params, n_max, cache_dir)
             if params.k % 2:
-                fixed_expected = odd_symmetric_series(params, n_max, table)
+                fixed_expected = odd_symmetric_series(table)
             else:
-                fixed_expected = list(
-                    symmetric_system(params, n_max, table).alpha[: n_max + 1]
-                )
+                fixed_expected = symmetric_system(table).alpha
             for n in range(n_max + 1):
                 _require(len(enumerate_b(params, n)) == table.coeff(1, n), f"k={k} n={n}")
                 _require(count_tau_fixed(params, n) == fixed_expected[n], f"k={k} n={n}")
@@ -415,9 +407,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cache_dir = resolve_cache_dir(args.cache_dir)
+    # a failed integrity check, e.g. on a corrupt cache file, is an error
+    # line too, not a traceback
     try:
         return args.handler(args, cache_dir)
-    except CliError as exc:
+    except (CliError, IntegrityError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

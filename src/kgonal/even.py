@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from kgonal.bseries import BTable, GonalParams, compute_b
+from kgonal.bseries import BTable, GonalParams
 from kgonal.kernels import IntegrityError, convolve, exact_count, exact_div
 from kgonal.oriented import oriented_series
 
@@ -53,9 +53,12 @@ __all__ = [
 ]
 
 
-def _require_even(params: GonalParams) -> None:
-    if params.k % 2 == 1:
+def _require_even(table: BTable) -> int:
+    """The even polygon size of the table."""
+    k = table.params.k
+    if k % 2 == 1:
         raise ValueError("polygon size is odd; use the odd-parity module")
+    return k
 
 
 def _close_slot(sums: list[int], n: int, x_n: int) -> None:
@@ -93,9 +96,7 @@ class EvenSymTables:
                 raise IntegrityError(f"negative entry in {name}")
 
 
-def totally_symmetric(
-    params: GonalParams, order: int, table: BTable | None = None
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def totally_symmetric(table: BTable) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The pi and beta tables, advanced jointly in n.
 
     pi_n sums b^{(k-2)/2} at i/2 times beta_{n-1-i} over even i, so pi
@@ -106,12 +107,8 @@ def totally_symmetric(
     which needs pi up to n.  Interleaving the two recurrences per n is
     therefore mandatory, not a style choice.
     """
-    _require_even(params)
-    if table is None:
-        table = compute_b(params, order)
-    if table.params != params or table.order < order:
-        raise ValueError("table does not cover the request")
-    b_half = table.int_coeffs((params.k - 2) // 2, order // 2)
+    k, order = _require_even(table), table.order
+    b_half = table.int_coeffs((k - 2) // 2, order // 2)
     pi = [0] * (order + 1)
     beta = [0] * (order + 1)
     beta[0] = 1
@@ -129,14 +126,12 @@ def totally_symmetric(
     return tuple(pi), tuple(beta)
 
 
-def symmetric_system(params: GonalParams, order: int, table: BTable | None = None) -> EvenSymTables:
+def symmetric_system(table: BTable) -> EvenSymTables:
     """Solve the full reflection system; see the module docstring for order."""
-    _require_even(params)
-    if table is None:
-        table = compute_b(params, order)
-    pi, beta = totally_symmetric(params, order, table)
-    b_half = table.int_coeffs((params.k - 2) // 2, order // 2)
-    b_full = table.int_coeffs(params.k - 1, order // 2)
+    k, order = _require_even(table), table.order
+    pi, beta = totally_symmetric(table)
+    b_half = table.int_coeffs((k - 2) // 2, order // 2)
+    b_full = table.int_coeffs(k - 1, order // 2)
     p_m = [0] * (order + 1)
     p_al = [0] * (order + 1)
     omega = [0] * (order + 1)
@@ -162,7 +157,7 @@ def symmetric_system(params: GonalParams, order: int, table: BTable | None = Non
         alpha[n] = exact_div(s, n, f"alpha recurrence at n={n}")
     alpha_sq = convolve(alpha, alpha, order)
     return EvenSymTables(
-        params,
+        table.params,
         order,
         tuple(pi),
         tuple(beta),
@@ -174,30 +169,22 @@ def symmetric_system(params: GonalParams, order: int, table: BTable | None = Non
     )
 
 
-def edge_rooted_counts(
-    params: GonalParams, order: int, table: BTable | None = None, sym: EvenSymTables | None = None
-) -> list[int]:
+def edge_rooted_counts(table: BTable) -> list[int]:
     """Unlabelled edge-rooted counts (b_n + alpha_n)/2 for even k."""
-    _require_even(params)
-    if table is None:
-        table = compute_b(params, order)
-    if sym is None:
-        sym = symmetric_system(params, order, table)
+    alpha = symmetric_system(table).alpha
     b = table.int_coeffs(1)
     return [
-        exact_count(b[n] + sym.alpha[n], 2, f"b_n + alpha_n at n={n}") for n in range(order + 1)
+        exact_count(b[n] + alpha[n], 2, f"b_n + alpha_n at n={n}") for n in range(table.order + 1)
     ]
 
 
-def even_series(params: GonalParams, order: int, table: BTable | None = None) -> list[int]:
+def even_series(table: BTable) -> list[int]:
     """Unlabelled counts a_n for even k, from the integer 4 a_n."""
-    _require_even(params)
-    if table is None:
-        table = compute_b(params, order)
-    a_o = oriented_series(params, order, table)
-    sym = symmetric_system(params, order, table)
-    b_half = table.int_coeffs((params.k - 2) // 2, order // 2)
-    b_mid = table.int_coeffs(params.k // 2, order // 2)
+    k, order = _require_even(table), table.order
+    a_o = oriented_series(table)
+    sym = symmetric_system(table)
+    b_half = table.int_coeffs((k - 2) // 2, order // 2)
+    b_mid = table.int_coeffs(k // 2, order // 2)
     out = []
     for n in range(order + 1):
         v = 2 * (a_o[n] + sym.alpha[n])

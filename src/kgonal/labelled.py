@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from kgonal.bseries import GonalParams
 from kgonal.kernels import IntegrityError, exact_div
-from kgonal.partitions import multiplicities, partitions
+from kgonal.partitions import partitions
 
 __all__ = [
     "CycleType",
@@ -47,14 +48,6 @@ class CycleType:
             out[part - 1] += 1
         return CycleType(tuple(out))
 
-    @staticmethod
-    def identity(n: int) -> CycleType:
-        return CycleType((n,)) if n else CycleType(())
-
-    @property
-    def weight(self) -> int:
-        return sum(i * c for i, c in enumerate(self.counts, start=1))
-
     def count(self, i: int) -> int:
         return self.counts[i - 1] if 1 <= i <= len(self.counts) else 0
 
@@ -65,6 +58,13 @@ class CycleType:
             if i % d == 0 and not (drop_own and d == i):
                 acc += d * self.count(d)
         return acc
+
+    def centralizer(self) -> int:
+        """prod_i i^{n_i} n_i!, the size of the centralizer of a permutation of this type."""
+        z = 1
+        for i, n_i in enumerate(self.counts, start=1):
+            z *= i**n_i * factorial(n_i)
+        return z
 
 
 def labelled_rooted(params: GonalParams, n: int) -> int:
@@ -137,13 +137,7 @@ def burnside_b(params: GonalParams, n: int) -> int:
     total = Fraction(0)
     for parts in partitions(n):
         t = CycleType.from_parts(parts)
-        z = 1
-        for i, n_i in multiplicities(parts).items():
-            fact = 1
-            for a in range(2, n_i + 1):
-                fact *= a
-            z *= i**n_i * fact
-        total += Fraction(fixed_point_count(params, t), z)
+        total += Fraction(fixed_point_count(params, t), t.centralizer())
     if total.denominator != 1:
         raise IntegrityError(f"Burnside average not integral at n={n}")
     return int(total)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from kgonal.bseries import BTable, GonalParams, compute_b
+from kgonal.bseries import BTable
 from kgonal.kernels import IntegrityError, exact_count
 from kgonal.oriented import oriented_series
 
@@ -38,20 +38,19 @@ __all__ = [
 ]
 
 
-def _require_odd(params: GonalParams) -> None:
-    if params.k % 2 == 0:
+def _require_odd(table: BTable) -> int:
+    """The odd polygon size of the table."""
+    k = table.params.k
+    if k % 2 == 0:
         raise ValueError("polygon size is even; use the even-parity module")
+    return k
 
 
-def odd_symmetric_series(params: GonalParams, order: int, table: BTable | None = None) -> list[int]:
+def odd_symmetric_series(table: BTable) -> list[int]:
     """Reflection-symmetric classes s_0..s_order; each coefficient is a count."""
-    _require_odd(params)
-    if table is None:
-        table = compute_b(params, order)
-    if table.params != params or table.order < order:
-        raise ValueError("table does not cover the request")
-    b_h = table.int_coeffs((params.k - 1) // 2, order // 2)
-    b_f = table.int_coeffs(params.k - 1, order // 2)
+    k, order = _require_odd(table), table.order
+    b_h = table.int_coeffs((k - 1) // 2, order // 2)
+    b_f = table.int_coeffs(k - 1, order // 2)
     # c_j = j A_j, scattered term by term: (2m+1) b_h[m] at j = i(2m+1),
     # (m+1) b_f[m] at j = 2i(m+1) and -(2m+1) b_h[m] at j = 2i(2m+1)
     c = [0] * (order + 1)
@@ -71,50 +70,43 @@ def odd_symmetric_series(params: GonalParams, order: int, table: BTable | None =
     return s
 
 
-def odd_series(params: GonalParams, order: int, table: BTable | None = None) -> list[int]:
+def odd_series(table: BTable) -> list[int]:
     """Unlabelled counts a_n for odd k, as half the orbit sum."""
-    _require_odd(params)
-    if table is None:
-        table = compute_b(params, order)
-    a_o = oriented_series(params, order, table)
-    sym = odd_symmetric_series(params, order, table)
-    return [exact_count(a_o[n] + sym[n], 2, f"count at n={n}") for n in range(order + 1)]
+    _require_odd(table)
+    a_o = oriented_series(table)
+    sym = odd_symmetric_series(table)
+    return [exact_count(a_o[n] + sym[n], 2, f"count at n={n}") for n in range(table.order + 1)]
 
 
-def odd_edge_rooted_counts(
-    params: GonalParams, order: int, table: BTable | None = None
-) -> list[int]:
+def odd_edge_rooted_counts(table: BTable) -> list[int]:
     """Unlabelled edge-rooted counts (b_n + s_n)/2 for odd k.
 
     The symmetric classes double as the reversal-fixed edge-rooted
     structures: the symmetry axis pins a canonical root edge.
     """
-    _require_odd(params)
-    if table is None:
-        table = compute_b(params, order)
-    sym = odd_symmetric_series(params, order, table)
+    sym = odd_symmetric_series(table)
     b = table.int_coeffs(1)
-    return [exact_count(b[n] + sym[n], 2, f"b_n + s_n at n={n}") for n in range(order + 1)]
+    return [exact_count(b[n] + sym[n], 2, f"b_n + s_n at n={n}") for n in range(table.order + 1)]
 
 
-def odd_omega(params: GonalParams, n: int, table: BTable) -> int:
+def odd_omega(table: BTable, n: int) -> int:
     """Divisor-sum weight for the recurrence route.
 
     w_n = 2 b^{(k-1)/2} at (n-1)/2 + b^{k-1} at (n-2)/2
         - b^{(k-1)/2} at (n-2)/4, fractional indices reading zero.
     """
-    _require_odd(params)
+    k = _require_odd(table)
     if n < 1:
         raise ValueError("n must be >= 1")
-    half = (params.k - 1) // 2
+    half = (k - 1) // 2
     return (
         2 * table.coeff(half, Fraction(n - 1, 2))
-        + table.coeff(params.k - 1, Fraction(n - 2, 2))
+        + table.coeff(k - 1, Fraction(n - 2, 2))
         - table.coeff(half, Fraction(n - 2, 4))
     )
 
 
-def odd_recurrence(params: GonalParams, order: int, table: BTable | None = None) -> list[int]:
+def odd_recurrence(table: BTable) -> list[int]:
     """Same counts through the divisor-sum recurrence; test oracle.
 
     a_0 = 1 and for n >= 1
@@ -122,13 +114,12 @@ def odd_recurrence(params: GonalParams, order: int, table: BTable | None = None)
         a_n = (1/2n) sum_{j=1}^{n} (sum_{l|j} l w_l)
                       (a_{n-j} - a_{o,n-j}/2)  +  a_{o,n}/2.
     """
-    _require_odd(params)
-    if table is None:
-        table = compute_b(params, order)
-    a_o = oriented_series(params, order, table)
+    _require_odd(table)
+    order = table.order
+    a_o = oriented_series(table)
     w = [0] * (order + 1)
     for n in range(1, order + 1):
-        w[n] = odd_omega(params, n, table)
+        w[n] = odd_omega(table, n)
     divsum = [0] * (order + 1)
     for j in range(1, order + 1):
         divsum[j] = sum(l * w[l] for l in range(1, j + 1) if j % l == 0)

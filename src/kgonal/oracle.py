@@ -27,7 +27,6 @@ from kgonal.bseries import GonalParams
 __all__ = [
     "CanonicalStructure",
     "serialize",
-    "polygon_count",
     "enumerate_b",
     "reversal",
     "count_tau_fixed",
@@ -54,10 +53,6 @@ def _page_key(page: tuple) -> tuple[int, str]:
 
 def _canonical(pages) -> CanonicalStructure:
     return tuple(sorted(pages, key=_page_key))
-
-
-def polygon_count(s: CanonicalStructure) -> int:
-    return sum(1 + sum(polygon_count(c) for c in page) for page in s)
 
 
 class _Enumerator:
@@ -102,7 +97,8 @@ class _Enumerator:
         for idx in range(start, len(pool)):
             size, page = pool[idx]
             if size > budget:
-                continue
+                # the pool is sorted by page size, so no later page fits either
+                break
             for rest in self._assemble(budget - size, idx, pool):
                 yield _canonical((page,) + rest)
 

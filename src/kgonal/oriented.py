@@ -18,7 +18,7 @@ whole pipeline.
 
 from __future__ import annotations
 
-from kgonal.bseries import BTable, GonalParams, compute_b
+from kgonal.bseries import BTable
 from kgonal.kernels import exact_count
 
 __all__ = ["euler_phi", "oriented_series"]
@@ -41,16 +41,12 @@ def euler_phi(d: int) -> int:
     return result
 
 
-def oriented_series(params: GonalParams, order: int, table: BTable | None = None) -> list[int]:
-    """Series of oriented unlabelled counts a_{o,n} up to `order`."""
-    if table is None:
-        table = compute_b(params, order)
-    if table.params != params or table.order < order:
-        raise ValueError("table does not cover the request")
-    k = params.k
+def oriented_series(table: BTable) -> list[int]:
+    """Series of oriented unlabelled counts a_{o,n} up to the table order."""
+    k, order = table.params.k, table.order
     # k * a_o as integers: k b, plus phi(d) b^{k/d}(x^d) and minus
     # (k-1) b^k, the last two shifted by one place
-    acc = [k * c for c in table.int_coeffs(1)[: order + 1]]
+    acc = [k * c for c in table.int_coeffs(1)]
     if order >= 1:
         top = order - 1
         bk = table.int_coeffs(k, top)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-__all__ = ["partitions", "multiplicities"]
+__all__ = ["partitions"]
 
 
 def partitions(total: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
@@ -23,11 +23,3 @@ def partitions(total: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
                 yield (part,) + rest
 
     yield from gen(total, total)
-
-
-def multiplicities(parts: tuple[int, ...]) -> dict[int, int]:
-    """Map part value to its repetition count."""
-    out: dict[int, int] = {}
-    for part in parts:
-        out[part] = out.get(part, 0) + 1
-    return out

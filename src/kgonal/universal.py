@@ -11,7 +11,9 @@ lambda of m-1 after adding 1 to every part):
           / prod_{i>=2} i^{n_i} n_i!
 
 with n = |mu| + 1, n_i the multiplicity of i in mu, s_i the divisor sum
-over d | i of d n_d, and s*_i the same sum without d = i.  Values are
+over d | i of d n_d, and s*_i the same sum without d = i.  mu is held
+as a labelled.CycleType, whose sigma and centralizer are exactly these
+divisor sums and the product i^{n_i} n_i!.  Values are
 kept symbolically as {n: rational} maps of e^{-n} coefficients, so
 comparisons against published closed forms are exact and independent of
 float precision.
@@ -26,62 +28,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from functools import lru_cache
 
 from mpmath import exp as mp_exp
 from mpmath import mp, mpf
 
-from kgonal.partitions import multiplicities, partitions
+from kgonal.labelled import CycleType
+from kgonal.partitions import partitions
 
 __all__ = [
-    "PartitionMu",
-    "partitions_with_min_part_2",
     "UniversalConstant",
     "universal_c",
     "xi_from_expansion",
 ]
-
-
-@dataclass(frozen=True)
-class PartitionMu:
-    """A partition with all parts >= 2, in non-increasing order."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(a < 2 for a in self.parts):
-            raise ValueError("every part must be >= 2")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError("parts must be non-increasing")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    @property
-    def counts(self) -> dict[int, int]:
-        return multiplicities(self.parts)
-
-    def divisor_sum(self, i: int, drop_own: bool = False) -> int:
-        counts = self.counts
-        acc = 0
-        for d in range(2, i + 1):
-            if i % d == 0 and not (drop_own and d == i):
-                acc += d * counts.get(d, 0)
-        return acc
-
-
-def partitions_with_min_part_2(total: int) -> Iterator[PartitionMu]:
-    """All partitions of `total` into parts >= 2."""
-    if total == 0:
-        yield PartitionMu(())
-        return
-    for parts in partitions(total, min_part=2):
-        yield PartitionMu(parts)
 
 
 @dataclass(frozen=True)
@@ -90,12 +49,6 @@ class UniversalConstant:
 
     m: int
     terms: tuple[tuple[int, Fraction], ...]  # (n, coefficient), n descending
-
-    def coefficient(self, n: int) -> Fraction:
-        for key, value in self.terms:
-            if key == n:
-                return value
-        return Fraction(0)
 
     def closed_form(self) -> str:
         """Human-readable form like '1/8*exp(-5) - 1/3*exp(-4)'."""
@@ -122,25 +75,22 @@ class UniversalConstant:
         return float(self.value(dps))
 
 
+@lru_cache(maxsize=None)
 def universal_c(m: int) -> UniversalConstant:
-    """The m-th expansion coefficient, exactly."""
+    """The m-th expansion coefficient, exactly; computed once per m."""
     if m < 1:
         raise ValueError("m must be >= 1")
     acc: dict[int, Fraction] = {}
-    for small in partitions(m - 1, min_part=1):
-        mu = PartitionMu(tuple(part + 1 for part in small))
-        n = mu.size + 1
+    for small in partitions(m - 1):
+        parts = tuple(part + 1 for part in small)
+        # mu has no part 1, so its cycle-type sigma skips d = 1 for free
+        mu = CycleType.from_parts(parts)
+        n = sum(parts) + 1
         numerator = 1
-        denominator = n
-        for i, n_i in mu.counts.items():
-            s_i = mu.divisor_sum(i)
-            s_star = mu.divisor_sum(i, drop_own=True)
-            numerator *= (s_i - n) ** (n_i - 1) * (s_star - n)
-            fact = 1
-            for a in range(2, n_i + 1):
-                fact *= a
-            denominator *= i**n_i * fact
-        acc[n] = acc.get(n, Fraction(0)) + Fraction(numerator, denominator)
+        for i, n_i in enumerate(mu.counts, start=1):
+            if n_i:
+                numerator *= (mu.sigma(i) - n) ** (n_i - 1) * (mu.sigma(i, drop_own=True) - n)
+        acc[n] = acc.get(n, Fraction(0)) + Fraction(numerator, n * mu.centralizer())
     terms = tuple(sorted(((n, c) for n, c in acc.items() if c != 0), reverse=True))
     return UniversalConstant(m, terms)
 

@@ -2,8 +2,8 @@
 
 A Series of order N stores the coefficients of x^0 .. x^N and nothing
 beyond.  Coefficients are fractions.Fraction, so every operation here is
-exact.  The counting pipeline runs on integer lists and imports nothing
-from here; the tests use this module as an independent exact reference.
+exact.  The kgonal package counts on integer lists and never imports
+this module; the tests keep it as an independent exact reference.
 
 Orders never coerce silently.  Combining two series of different orders
 raises OrderMismatchError, because a mismatch is almost always a caller

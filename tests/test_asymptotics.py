@@ -195,7 +195,7 @@ class TestOrientedAmplitude:
         table = compute_b(params, order)
         xi, iterations, residual = solve_xi(params, table)
         report = constants(params, table, xi, iterations, residual)
-        oriented = oriented_series(params, order, table=table)
+        oriented = oriented_series(table)
         counts = oriented
         value = empirical_amplitude(counts, float(xi), 2.5, n_probe=order)
         assert float(value) == pytest.approx(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kgonal import cache
 from kgonal.bseries import BTable, GonalParams, compute_b, recurrence_crosscheck
 from kgonal.kernels import IntegrityError
-from kgonal.series import Series, exp
+from fraction_series import Series, exp
 
 
 def test_params():

@@ -168,7 +168,7 @@ class TestConstants:
         assert doc["beta"] == pytest.approx(5.646542616233, abs=1e-9)
         assert doc["alpha"] == pytest.approx(0.349261381742, abs=1e-6)
         assert doc["alpha_bar_empirical"] is None
-        for key in ("alpha_bar", "alpha_bar_product_form", "alpha_bar_ratio_form"):
+        for key in ("alpha_bar", "alpha_bar_product_form"):
             assert key in doc
 
     def test_empirical_candidate(self, capsys):
@@ -345,7 +345,7 @@ def test_optimized_table_matches_golden():
     assert proc.stdout == GOLDEN.read_text()
 
 
-def test_optimized_verify_catches_corrupt_cache(tmp_path):
+def _write_corrupt_k3_cache(cache_dir):
     # a well-formed cache whose b_5 is off by one, long enough to serve
     # every k = 3 table the quick verify level asks for
     from kgonal.kernels import solve_b
@@ -353,9 +353,29 @@ def test_optimized_verify_catches_corrupt_cache(tmp_path):
     coeffs = solve_b(2, 20)
     coeffs[5] += 1
     doc = {"version": 1, "k": 3, "order": 20, "coefficients": [str(c) for c in coeffs]}
-    (tmp_path / "b_k3.json").write_text(json.dumps(doc))
+    (cache_dir / "b_k3.json").write_text(json.dumps(doc))
+
+
+def test_optimized_verify_catches_corrupt_cache(tmp_path):
+    _write_corrupt_k3_cache(tmp_path)
     proc = _run_optimized("--cache-dir", str(tmp_path), "verify")
     assert proc.returncode == 1
     for name in ("kernel-vs-tuple-recurrence", "burnside-vs-kernel", "golden-table"):
         assert f"FAIL {name}:" in proc.stdout, proc.stdout
         assert f"PASS {name}" not in proc.stdout
+
+
+def test_integrity_error_is_reported_as_an_error(tmp_path):
+    # the corrupt b_5 leaves a remainder in an exact division of the
+    # unlabelled count; that must surface as an error line, not a traceback
+    _write_corrupt_k3_cache(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgonal", "--cache-dir", str(tmp_path),
+         "count", "--k", "3", "--family", "unlabelled", "--order", "6"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -11,19 +11,19 @@ from kgonal.oriented import oriented_series
 
 def test_rejects_odd_k():
     with pytest.raises(ValueError):
-        even_series(GonalParams(3), 5)
+        even_series(compute_b(GonalParams(3), 5))
     with pytest.raises(ValueError):
-        totally_symmetric(GonalParams(5), 5)
+        totally_symmetric(compute_b(GonalParams(5), 5))
 
 
 def test_k4_totally_symmetric_tables():
-    pi, beta = totally_symmetric(GonalParams(4), 4)
+    pi, beta = totally_symmetric(compute_b(GonalParams(4), 4))
     assert pi == (0, 1, 1, 3, 6)
     assert beta == (1, 1, 2, 5, 12)
 
 
 def test_k4_system_tables():
-    sym = symmetric_system(GonalParams(4), 4)
+    sym = symmetric_system(compute_b(GonalParams(4), 4))
     assert sym.alpha == (1, 1, 2, 5, 13)
     assert sym.p_m == (0, 0, 0, 0, 0)
     assert sym.p_al == (0, 0, 0, 0, 1)
@@ -32,31 +32,30 @@ def test_k4_system_tables():
 
 
 def test_k4_edge_rooted():
-    got = edge_rooted_counts(GonalParams(4), 3)
+    got = edge_rooted_counts(compute_b(GonalParams(4), 3))
     assert got == [1, 1, 3, 12]
-    assert edge_rooted_counts(GonalParams(6), 1)[1] == 1
+    assert edge_rooted_counts(compute_b(GonalParams(6), 1))[1] == 1
 
 
 def test_k4_row():
-    got = even_series(GonalParams(4), 6)
+    got = even_series(compute_b(GonalParams(4), 6))
     assert got == [1, 1, 1, 3, 8, 32, 141]
 
 
 def test_k6_row_prefix():
-    got = even_series(GonalParams(6), 5)
+    got = even_series(compute_b(GonalParams(6), 5))
     assert got == [1, 1, 1, 4, 16, 103]
 
 
 def test_k2_degenerates_to_free_trees():
-    got = even_series(GonalParams(2), 10)
+    got = even_series(compute_b(GonalParams(2), 10))
     assert got == [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235]
 
 
 def test_alpha_parity_and_bound():
     for k in (2, 4, 6, 8):
-        params = GonalParams(k)
-        table = compute_b(params, 12)
-        sym = symmetric_system(params, 12, table)
+        table = compute_b(GonalParams(k), 12)
+        sym = symmetric_system(table)
         for n in range(13):
             b_n = table.int_coeffs(1)[n]
             assert sym.alpha[n] <= b_n
@@ -68,11 +67,10 @@ def test_unrooting_identity():
     # the combination defining a_n, cleared of denominators, is an exact
     # integer identity among the tables
     for k in (2, 4, 6):
-        params = GonalParams(k)
-        table = compute_b(params, 12)
-        a = even_series(params, 12, table)
-        a_o = oriented_series(params, 12, table)
-        sym = symmetric_system(params, 12, table)
+        table = compute_b(GonalParams(k), 12)
+        a = even_series(table)
+        a_o = oriented_series(table)
+        sym = symmetric_system(table)
         half = (k - 2) // 2
         for n in range(13):
             lhs = 4 * a[n] - 2 * a_o[n] - 2 * sym.alpha[n]
@@ -86,10 +84,9 @@ def test_unrooting_identity():
 
 def test_sandwich_bounds():
     for k in (2, 4, 10):
-        params = GonalParams(k)
-        table = compute_b(params, 10)
-        a = even_series(params, 10, table)
-        a_o = oriented_series(params, 10, table)
+        table = compute_b(GonalParams(k), 10)
+        a = even_series(table)
+        a_o = oriented_series(table)
         for n in range(1, 11):
             assert a_o[n] >= a[n]
             assert 2 * a[n] >= a_o[n]

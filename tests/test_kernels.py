@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kgonal import kernels
-from kgonal.series import Series
+from fraction_series import Series
 
 
 def test_backend_reported():

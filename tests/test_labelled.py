@@ -24,8 +24,8 @@ def test_labelled_rooted():
 def test_cycle_type():
     t = CycleType.from_parts((2, 1, 1))
     assert t.counts == (2, 1)
-    assert t.weight == 4
-    assert CycleType.identity(3).counts == (3,)
+    assert sum(i * c for i, c in enumerate(t.counts, start=1)) == 4
+    assert CycleType.from_parts((1, 1, 1)).counts == (3,)
     assert t.sigma(2) == 4
     assert t.sigma(2, drop_own=True) == 2
 
@@ -33,7 +33,7 @@ def test_cycle_type():
 def test_fixed_points_identity_type():
     for k in (2, 3, 5):
         for n in range(1, 7):
-            assert fixed_point_count(GonalParams(k), CycleType.identity(n)) == labelled_rooted(
+            assert fixed_point_count(GonalParams(k), CycleType((n,))) == labelled_rooted(
                 GonalParams(k), n
             )
 

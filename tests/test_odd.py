@@ -13,52 +13,51 @@ from kgonal.odd import (
     odd_symmetric_series,
 )
 from kgonal.oriented import oriented_series
-from kgonal.series import Series, exp
+from fraction_series import Series, exp
 
 
 def test_rejects_even_k():
     with pytest.raises(ValueError):
-        odd_series(GonalParams(4), 5)
+        odd_series(compute_b(GonalParams(4), 5))
     with pytest.raises(ValueError):
-        odd_recurrence(GonalParams(2), 5)
+        odd_recurrence(compute_b(GonalParams(2), 5))
 
 
 def test_k3_row():
-    got = odd_series(GonalParams(3), 6)
+    got = odd_series(compute_b(GonalParams(3), 6))
     assert got == [1, 1, 1, 2, 5, 12, 39]
 
 
 def test_row_spot_values():
-    assert odd_series(GonalParams(5), 5) == odd_recurrence(GonalParams(5), 5)
-    assert odd_series(GonalParams(5), 4)[4] == 11
-    assert odd_series(GonalParams(7), 5)[5] == 158
-    assert odd_recurrence(GonalParams(9), 4)[4] == 32
-    assert odd_recurrence(GonalParams(3), 0) == [1]
+    table5 = compute_b(GonalParams(5), 5)
+    assert odd_series(table5) == odd_recurrence(table5)
+    assert odd_series(compute_b(GonalParams(5), 4))[4] == 11
+    assert odd_series(compute_b(GonalParams(7), 5))[5] == 158
+    assert odd_recurrence(compute_b(GonalParams(9), 4))[4] == 32
+    assert odd_recurrence(compute_b(GonalParams(3), 0)) == [1]
 
 
 def test_omega_values():
     table3 = compute_b(GonalParams(3), 6)
-    assert odd_omega(GonalParams(3), 1, table3) == 2
-    assert odd_omega(GonalParams(3), 2, table3) == 0
+    assert odd_omega(table3, 1) == 2
+    assert odd_omega(table3, 2) == 0
     table5 = compute_b(GonalParams(5), 6)
-    assert odd_omega(GonalParams(5), 3, table5) == 4
+    assert odd_omega(table5, 3) == 4
 
 
 def test_routes_agree():
     # acceptance widens this to all odd k <= 11 at order 20
     for k in (3, 5, 7):
-        params = GonalParams(k)
-        table = compute_b(params, 14)
-        assert odd_series(params, 14, table) == odd_recurrence(params, 14, table)
+        table = compute_b(GonalParams(k), 14)
+        assert odd_series(table) == odd_recurrence(table)
 
 
 def test_symmetric_series_consistency():
     for k in (3, 5):
-        params = GonalParams(k)
-        table = compute_b(params, 12)
-        sym = odd_symmetric_series(params, 12, table)
-        a = odd_series(params, 12, table)
-        a_o = oriented_series(params, 12, table)
+        table = compute_b(GonalParams(k), 12)
+        sym = odd_symmetric_series(table)
+        a = odd_series(table)
+        a_o = oriented_series(table)
         for n in range(13):
             # the symmetric classes are exactly the excess of the orbit average
             assert 2 * a[n] - a_o[n] == sym[n]
@@ -67,22 +66,20 @@ def test_symmetric_series_consistency():
 
 def test_sandwich_bounds():
     for k in (3, 7, 11):
-        params = GonalParams(k)
-        table = compute_b(params, 10)
-        a = odd_series(params, 10, table)
-        a_o = oriented_series(params, 10, table)
+        table = compute_b(GonalParams(k), 10)
+        a = odd_series(table)
+        a_o = oriented_series(table)
         for n in range(1, 11):
             assert a_o[n] >= a[n]
             assert 2 * a[n] >= a_o[n]
 
 
 def test_edge_rooted_counts():
-    params = GonalParams(3)
-    row = odd_edge_rooted_counts(params, 3)
+    row = odd_edge_rooted_counts(compute_b(GonalParams(3), 3))
     # b = (1, 1, 3, 10), symmetric = (1, 1, 1, 2)
     assert row == [1, 1, 2, 6]
     with pytest.raises(ValueError):
-        odd_edge_rooted_counts(GonalParams(4), 3)
+        odd_edge_rooted_counts(compute_b(GonalParams(4), 3))
 
 
 def _symmetric_by_fractions(params, order):
@@ -104,8 +101,8 @@ def test_symmetric_matches_fraction_route():
     for k in (3, 5, 7, 9, 11):
         params = GonalParams(k)
         want = _symmetric_by_fractions(params, 60)
-        assert odd_symmetric_series(params, 60) == want, f"k={k}"
-        # a request below the table order reads shorter power prefixes
         table = compute_b(params, 60)
-        assert odd_symmetric_series(params, 37, table) == want[:38], f"k={k}"
-        assert odd_symmetric_series(params, 0, table) == want[:1]
+        assert odd_symmetric_series(table) == want, f"k={k}"
+        # a table cut below the order reads shorter power prefixes
+        assert odd_symmetric_series(table.truncate(37)) == want[:38], f"k={k}"
+        assert odd_symmetric_series(table.truncate(0)) == want[:1]

@@ -5,7 +5,12 @@ import pytest
 from kgonal.bseries import GonalParams, compute_b
 from kgonal.even import edge_rooted_counts, symmetric_system
 from kgonal.odd import odd_edge_rooted_counts, odd_symmetric_series
-from kgonal.oracle import count_tau_fixed, enumerate_b, polygon_count, reversal
+from kgonal.oracle import count_tau_fixed, enumerate_b, reversal
+
+
+def polygon_count(s) -> int:
+    """Polygons in a canonical structure: one per page plus its children's."""
+    return sum(1 + sum(polygon_count(c) for c in page) for page in s)
 
 
 def test_single_polygon():
@@ -56,7 +61,7 @@ def test_reversal_involution_and_size():
 def test_fixed_counts_match_even_alpha():
     for k in (4, 6):
         params = GonalParams(k)
-        sym = symmetric_system(params, 5)
+        sym = symmetric_system(compute_b(params, 5))
         for n in range(6):
             assert count_tau_fixed(params, n) == sym.alpha[n], (k, n)
 
@@ -64,15 +69,16 @@ def test_fixed_counts_match_even_alpha():
 def test_fixed_counts_match_odd_symmetric():
     for k in (3, 5):
         params = GonalParams(k)
-        sym = odd_symmetric_series(params, 5)
+        sym = odd_symmetric_series(compute_b(params, 5))
         for n in range(6):
             assert count_tau_fixed(params, n) == sym[n], (k, n)
 
 
 def test_edge_rooted_identity_k4():
     params = GonalParams(4)
-    rooted = edge_rooted_counts(params, 3)
-    b = compute_b(params, 3).int_coeffs(1)
+    table = compute_b(params, 3)
+    rooted = edge_rooted_counts(table)
+    b = table.int_coeffs(1)
     count = count_tau_fixed(params, 3)
     assert (b[3] + count) // 2 == rooted[3] == 12
 
@@ -86,7 +92,7 @@ def test_edge_rooted_orbit_count_k3():
     # Orbits of reversal acting on the edge-rooted structures equal the
     # edge-rooted count: (|all| + |fixed|) / 2.
     params = GonalParams(3)
-    row = odd_edge_rooted_counts(params, 4)
+    row = odd_edge_rooted_counts(compute_b(params, 4))
     for n in range(5):
         total = len(enumerate_b(params, n))
         fixed = count_tau_fixed(params, n)

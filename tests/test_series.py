@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgonal.series import ConstantTermError, OrderMismatchError, Series, exp
+from fraction_series import ConstantTermError, OrderMismatchError, Series, exp
 
 
 def S(values, order):

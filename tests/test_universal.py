@@ -7,12 +7,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from kgonal.universal import (
-    PartitionMu,
-    partitions_with_min_part_2,
-    universal_c,
-    xi_from_expansion,
-)
+from kgonal.labelled import CycleType
+from kgonal.partitions import partitions
+from kgonal.universal import universal_c, xi_from_expansion
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -47,37 +44,30 @@ CLOSED_FORMS = {
 
 
 class TestPartitionMu:
-    def test_rejects_part_one(self):
-        with pytest.raises(ValueError):
-            PartitionMu((3, 1))
-
-    def test_rejects_increasing_order(self):
-        with pytest.raises(ValueError):
-            PartitionMu((2, 3))
+    # universal_c holds each partition mu (every part >= 2) as a cycle type
 
     def test_shape(self):
-        mu = PartitionMu((4, 2))
-        assert mu.size == 6
-        assert mu.length == 2
-        assert mu.counts == {4: 1, 2: 1}
+        mu = CycleType.from_parts((4, 2))
+        assert mu.counts == (0, 1, 0, 1)
+        assert mu.centralizer() == 4 * 2
 
     def test_divisor_sum(self):
-        mu = PartitionMu((4, 2))
-        assert mu.divisor_sum(4) == 2 * 1 + 4 * 1
-        assert mu.divisor_sum(4, drop_own=True) == 2
-        assert mu.divisor_sum(2) == 2
-        assert mu.divisor_sum(2, drop_own=True) == 0
+        mu = CycleType.from_parts((4, 2))
+        assert mu.sigma(4) == 2 * 1 + 4 * 1
+        assert mu.sigma(4, drop_own=True) == 2
+        assert mu.sigma(2) == 2
+        assert mu.sigma(2, drop_own=True) == 0
 
     def test_enumeration(self):
-        assert [mu.parts for mu in partitions_with_min_part_2(4)] == [(4,), (2, 2)]
-        assert [mu.parts for mu in partitions_with_min_part_2(6)] == [
+        assert list(partitions(4, min_part=2)) == [(4,), (2, 2)]
+        assert list(partitions(6, min_part=2)) == [
             (6,),
             (4, 2),
             (3, 3),
             (2, 2, 2),
         ]
-        assert [mu.parts for mu in partitions_with_min_part_2(0)] == [()]
-        assert [mu.parts for mu in partitions_with_min_part_2(3)] == [(3,)]
+        assert list(partitions(0, min_part=2)) == [()]
+        assert list(partitions(3, min_part=2)) == [(3,)]
 
 
 class TestSymbolic:
@@ -88,12 +78,6 @@ class TestSymbolic:
     @pytest.mark.parametrize("m", sorted(CLOSED_FORMS))
     def test_closed_form_strings(self, m):
         assert universal_c(m).closed_form() == CLOSED_FORMS[m]
-
-    def test_coefficient_accessor(self):
-        c3 = universal_c(3)
-        assert c3.coefficient(5) == Fraction(1, 8)
-        assert c3.coefficient(4) == Fraction(-1, 3)
-        assert c3.coefficient(2) == 0
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
