@@ -11,6 +11,13 @@ with p = k-1.  omega consumes b only at arguments x^i for i >= 2, whose
 tails die geometrically, so a truncated b table of moderate order pins
 xi far beyond the printed reference precision.
 
+xi is solved by Newton's method on F(x) = x - omega(x)^{-p}/(e p), the
+standard step for a Polya-type tree equation at its square-root
+singularity (Flajolet and Sedgewick, Analytic Combinatorics, VII.4).
+omega_eval returns omega' beside omega, from one pass over b per power
+x^i that sums b(t) and b'(t) together, so each Newton step costs one
+evaluation.  From rho(p+1) the solve takes 3-5 steps.
+
 All numerics run in mpmath working precision: the raw coefficients
 overflow 64-bit floats long before the probe orders used here (b_n for
 p=11 passes 1e308 near n = 210), and the amplitude checks want headroom
@@ -50,11 +57,12 @@ __all__ = [
 
 DEFAULT_DPS = 30
 DEFAULT_TOL = 1e-13
-MAX_ITERATIONS = 10_000
+# Newton converges in 3-5 steps; the cap only stops a runaway solve
+MAX_ITERATIONS = 100
 
 
 class NonConvergenceError(RuntimeError):
-    """The fixed-point iteration for xi missed its tolerance within the cap."""
+    """The Newton solve for xi missed its tolerance within the cap."""
 
 
 @dataclass(frozen=True)
@@ -88,41 +96,34 @@ def rho(q: int) -> mpf:
     return mpf(q - 1) ** (q - 1) / mpf(q) ** q
 
 
-def _forward_value(coeffs: Sequence[int], t: mpf) -> mpf:
-    """sum coeffs[n] t^n with geometric-tail cutoff; t in [0, 1)."""
-    acc = mpf(0)
+def _forward(coeffs: Sequence[int], t: mpf) -> tuple[mpf, mpf]:
+    """(b(t), b'(t)) for t in (0, 1), sharing the powers of t.
+
+    The value term is c_n t^n and the derivative term n c_n t^{n-1},
+    larger by the factor n/t, so the derivative tail decays more
+    slowly.  The loop stops only after three consecutive steps in which
+    both terms fall below mp.eps relative to their sums.  The
+    derivative is summed as t b'(t) = sum n c_n t^n and divided by t
+    at the end.
+    """
+    value = mpf(0)
+    slope = mpf(0)  # t b'(t)
     tp = mpf(1)
     tiny = 0
     for n, c in enumerate(coeffs):
         term = c * tp
-        acc += term
+        dterm = n * term
+        value += term
+        slope += dterm
         tp *= t
         if n > 8:
-            if term < mp.eps * (1 + acc):
+            if term < mp.eps * (1 + value) and dterm < mp.eps * (t + slope):
                 tiny += 1
                 if tiny >= 3:
                     break
             else:
                 tiny = 0
-    return acc
-
-
-def _forward_derivative(coeffs: Sequence[int], t: mpf) -> mpf:
-    acc = mpf(0)
-    tp = mpf(1)
-    tiny = 0
-    for n in range(1, len(coeffs)):
-        term = n * coeffs[n] * tp
-        acc += term
-        tp *= t
-        if n > 8:
-            if term < mp.eps * (1 + acc):
-                tiny += 1
-                if tiny >= 3:
-                    break
-            else:
-                tiny = 0
-    return acc
+    return value, slope / t
 
 
 def omega_eval(
@@ -141,13 +142,15 @@ def omega_eval(
         slope = mpf(0)
         tiny = 0
         i = 2
+        t = x
         while True:
-            t = x**i
-            bv = _forward_value(b, t)
-            bd = _forward_derivative(b, t)
-            piece = t * bv**p / i
+            t *= x
+            bv, bd = _forward(b, t)
+            bv_p1 = bv ** (p - 1)
+            piece = t * bv_p1 * bv / i
             exponent += piece
-            slope += t / x * bv**p + p * t * t / x * bv ** (p - 1) * bd
+            # d/dx of t b^p(t) / i with t = x^i
+            slope += t / x * bv_p1 * (bv + p * t * bd)
             if piece < mp.eps * (1 + exponent):
                 tiny += 1
                 if tiny >= 3:
@@ -165,23 +168,26 @@ def solve_xi(
     tol: float = DEFAULT_TOL,
     dps: int = DEFAULT_DPS,
 ) -> tuple[mpf, int, mpf]:
-    """Fixed point of x -> (1/(e p)) omega(x)^{-p}, with iteration stats.
+    """Root of F(x) = x - g(x), g(x) = (1/(e p)) omega(x)^{-p}, by Newton.
 
-    The map is decreasing, so plain iteration ping-pongs; averaging each
-    iterate with its image damps that and converges linearly.  Start at
-    the lower bound rho(p+1).  Returns (xi, iterations, residual).
+    F'(x) = 1 + p g(x) omega'(x)/omega(x), which is 1 + p r > 1 at the
+    root (r = xi omega'/omega), so the root is simple and Newton
+    converges quadratically.  Start at the lower bound rho(p+1) and stop
+    after the first step shorter than tol.  Returns (xi, iterations,
+    residual): iterations counts the Newton steps taken, the short last
+    one included, and residual is |F(xi)| from one more evaluation of
+    omega at the returned xi.
     """
     p = params.p
     with mp.workdps(dps):
         x = rho(p + 1)
         tol_mp = mpf(tol)
         for iteration in range(1, MAX_ITERATIONS + 1):
-            omega, _ = omega_eval(params, table, x, dps)
-            fx = omega ** (-p) / (euler_e * p)
-            x_next = (x + fx) / 2
-            delta = abs(x_next - x)
-            x = x_next
-            if delta < tol_mp:
+            omega, omega_prime = omega_eval(params, table, x, dps)
+            g = omega ** (-p) / (euler_e * p)
+            step = (x - g) / (1 + p * g * omega_prime / omega)
+            x -= step
+            if abs(step) < tol_mp:
                 omega, _ = omega_eval(params, table, x, dps)
                 residual = abs(x - omega ** (-p) / (euler_e * p))
                 upper = mpf(2) ** mpf("0.5") - 1 if p == 1 else rho(p)

@@ -1,10 +1,13 @@
 """Advisory disk cache for the edge-rooted coefficient tables.
 
 One JSON document per polygon size k, holding coefficients as decimal
-strings so arbitrary-size integers survive the round trip.  The cache is
-strictly advisory: anything missing, unreadable, version-skewed, or
-shorter than the request is treated as a miss and recomputed.  Nothing
-in this module ever raises on a bad cache file.
+strings so arbitrary-size integers survive the round trip, and a sha256
+of those strings.  The cache is strictly advisory: anything missing,
+unreadable, version-skewed, shorter than the request, or whose
+coefficients do not match the stored hash is treated as a miss and
+recomputed.  Each writer goes through its own temporary file and an
+atomic rename, so concurrent writers leave one complete document.
+Nothing in this module ever raises on a bad cache file.
 """
 
 from __future__ import annotations
@@ -13,7 +16,16 @@ import json
 import os
 from pathlib import Path
 
-CACHE_VERSION = 1
+from kgonal.kernels import long_decimals
+
+try:
+    # CPython's built-in SHA-256 gives hashlib's digest without loading
+    # OpenSSL, which adds 3.6 MB to the resident size of every process
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
+CACHE_VERSION = 2
 ENV_VAR = "KGONAL_CACHE"
 
 __all__ = ["CACHE_VERSION", "ENV_VAR", "resolve_cache_dir", "load_b", "store_b"]
@@ -33,6 +45,10 @@ def _path(cache_dir: Path, k: int) -> Path:
     return cache_dir / f"b_k{k}.json"
 
 
+def _digest(strings: list[str]) -> str:
+    return sha256(",".join(strings).encode("ascii")).hexdigest()
+
+
 def load_b(cache_dir: Path, k: int, order: int) -> list[int] | None:
     """Stored coefficients b_0..b_order, or None on any kind of miss."""
     try:
@@ -43,27 +59,40 @@ def load_b(cache_dir: Path, k: int, order: int) -> list[int] | None:
         coeffs = doc["coefficients"]
         if doc.get("order") != len(coeffs) - 1 or len(coeffs) < order + 1:
             return None
-        return [int(c) for c in coeffs[: order + 1]]
-    except (OSError, ValueError, KeyError, TypeError):
+        if doc.get("sha256") != _digest(coeffs):
+            return None
+        with long_decimals():
+            return [int(c) for c in coeffs[: order + 1]]
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
 
 
 def store_b(cache_dir: Path, k: int, coeffs: list[int]) -> None:
     """Write the table unless an equal or longer one is already stored."""
+    # imported here, not at the top, because tempfile (with shutil and
+    # random) adds about 5 ms to the start of every CLI process
+    import tempfile
+
     try:
-        existing = load_b(cache_dir, k, 0)
-        if existing is not None and load_b(cache_dir, k, len(coeffs) - 1) is not None:
+        if load_b(cache_dir, k, len(coeffs) - 1) is not None:
             return
         cache_dir.mkdir(parents=True, exist_ok=True)
+        with long_decimals():
+            strings = [str(c) for c in coeffs]
         doc = {
             "version": CACHE_VERSION,
             "k": k,
             "order": len(coeffs) - 1,
-            "coefficients": [str(c) for c in coeffs],
+            "sha256": _digest(strings),
+            "coefficients": strings,
         }
-        tmp = _path(cache_dir, k).with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp, _path(cache_dir, k))
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f"b_k{k}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            os.replace(tmp, _path(cache_dir, k))
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError:
         pass

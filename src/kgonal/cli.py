@@ -25,7 +25,7 @@ from kgonal.asymptotics import (
 from kgonal.bseries import BTable, GonalParams, compute_b, recurrence_crosscheck
 from kgonal.cache import resolve_cache_dir
 from kgonal.even import edge_rooted_counts, even_series, symmetric_system
-from kgonal.kernels import IntegrityError
+from kgonal.kernels import IntegrityError, long_decimals
 from kgonal.labelled import (
     burnside_b,
     labelled_oriented,
@@ -42,7 +42,7 @@ from kgonal.oracle import count_tau_fixed, enumerate_b
 from kgonal.oriented import oriented_series
 from kgonal.universal import universal_c, xi_from_expansion
 
-__all__ = ["main", "family_counts", "render_table", "read_bfile", "FAMILIES"]
+__all__ = ["main", "family_counts", "render_table", "read_bfile", "FAMILIES", "M_MAX_CEILING"]
 
 FAMILIES = (
     "b",
@@ -55,6 +55,11 @@ FAMILIES = (
 )
 
 EMPIRICAL_ORDER = 1000
+
+# universal_c(m) sums over the p(m-1) partitions of m-1, so the cost of
+# c_1..c_m grows by about a quarter per m: 3.2 s up to m = 36, 7.0 s up
+# to 40, 22 s up to 46 (2 vCPU, Python 3.11), and hours at m = 90
+M_MAX_CEILING = 40
 
 
 class CliError(Exception):
@@ -93,11 +98,9 @@ def family_counts(
 
 
 def _count_document(k: int, family: str, entries: list[tuple[int, int]]) -> str:
-    doc = {
-        "k": k,
-        "family": family,
-        "counts": [{"n": n, "value": str(v)} for n, v in entries],
-    }
+    with long_decimals():
+        counts = [{"n": n, "value": str(v)} for n, v in entries]
+    doc = {"k": k, "family": family, "counts": counts}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -136,26 +139,27 @@ def render_table(
     columns: dict[int, list[int]] = {}
     for k in range(k_min, k_max + 1):
         columns[k] = unlabelled_column(compute_b(GonalParams(k), order, cache_dir))
-    if fmt == "csv":
-        lines = ["n," + ",".join(f"k{k}" for k in range(k_min, k_max + 1))]
-        for n in range(order + 1):
-            lines.append(
-                str(n) + "," + ",".join(str(columns[k][n]) for k in range(k_min, k_max + 1))
-            )
-        return "\n".join(lines) + "\n"
-    doc = {
-        "k_min": k_min,
-        "k_max": k_max,
-        "order": order,
-        "columns": [f"k{k}" for k in range(k_min, k_max + 1)],
-        "rows": [
-            {
-                "n": n,
-                "values": [str(columns[k][n]) for k in range(k_min, k_max + 1)],
-            }
-            for n in range(order + 1)
-        ],
-    }
+    with long_decimals():
+        if fmt == "csv":
+            lines = ["n," + ",".join(f"k{k}" for k in range(k_min, k_max + 1))]
+            for n in range(order + 1):
+                lines.append(
+                    str(n) + "," + ",".join(str(columns[k][n]) for k in range(k_min, k_max + 1))
+                )
+            return "\n".join(lines) + "\n"
+        doc = {
+            "k_min": k_min,
+            "k_max": k_max,
+            "order": order,
+            "columns": [f"k{k}" for k in range(k_min, k_max + 1)],
+            "rows": [
+                {
+                    "n": n,
+                    "values": [str(columns[k][n]) for k in range(k_min, k_max + 1)],
+                }
+                for n in range(order + 1)
+            ],
+        }
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -219,6 +223,11 @@ def cmd_constants(args: argparse.Namespace, cache_dir: Path | None) -> int:
 def cmd_universal(args: argparse.Namespace, cache_dir: Path | None) -> int:
     if args.m_max < 1:
         raise CliError("m-max must be >= 1")
+    if args.m_max > M_MAX_CEILING:
+        raise CliError(
+            f"m-max must be <= {M_MAX_CEILING}: c_m sums over the partitions of m-1, "
+            "whose number grows exponentially in sqrt(m)"
+        )
     entries = []
     with mp.workdps(40):
         for m in range(1, args.m_max + 1):
@@ -247,12 +256,13 @@ def packaged_golden_table() -> str:
 def read_bfile(path: Path) -> dict[int, int]:
     """Parse 'index value' lines; '#' starts a comment; blanks ignored."""
     out: dict[int, int] = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        index_text, value_text = line.split()
-        out[int(index_text)] = int(value_text)
+    with long_decimals():
+        for raw in Path(path).read_text().splitlines():
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            index_text, value_text = line.split()
+            out[int(index_text)] = int(value_text)
     return out
 
 
@@ -385,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     consts.set_defaults(handler=cmd_constants)
 
     universal = sub.add_parser("universal", help="size-independent expansion coefficients")
-    universal.add_argument("--m-max", type=int, default=5)
+    universal.add_argument(
+        "--m-max", type=int, default=5, help=f"last coefficient to report (at most {M_MAX_CEILING})"
+    )
     universal.add_argument(
         "--p", type=int, default=None, help="also report the partial sum at this p"
     )

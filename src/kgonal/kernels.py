@@ -5,10 +5,15 @@ edge-rooted series to large order, convolving big-integer coefficient
 lists and raising them to powers.  Every division is checked with
 divmod, and every integrity condition raises one of the two errors
 below instead of relying on assert, so the checks also run under
-python -O.
+python -O.  long_decimals is the one scope in which counts are written
+as or read from decimal text, past the interpreter's digit limit.
 """
 
 from __future__ import annotations
+
+import sys
+from contextlib import contextmanager
+from typing import Iterator
 
 __all__ = [
     "BACKEND",
@@ -19,6 +24,7 @@ __all__ = [
     "solve_b",
     "convolve",
     "power",
+    "long_decimals",
 ]
 
 # the kernels are plain Python; benchmarks report this name
@@ -47,6 +53,29 @@ def exact_count(num: int, den: int, what: str) -> int:
     if q < 0:
         raise IntegrityError(f"{what} is negative")
     return q
+
+
+@contextmanager
+def long_decimals() -> Iterator[None]:
+    """Lift the interpreter's limit on int <-> decimal string conversions.
+
+    Since CPython 3.11 (and the security releases of 3.7-3.10), str(n)
+    and int(s) refuse numbers past 4300 digits.  Exact counts pass that
+    size, so every conversion of a count to or from decimal text runs
+    inside this block.  The previous limit is restored on exit, so no
+    setting outlives the block.  The limit is process-wide: another
+    thread converting while the block is open runs without it too.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    previous = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def solve_b(p: int, order: int) -> list[int]:

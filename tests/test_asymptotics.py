@@ -1,10 +1,12 @@
 """Tests for the growth-constant solver."""
 
 import csv
+import functools
 import math
 import pathlib
 
 import pytest
+from mpmath import e as mp_e
 from mpmath import mp, mpf
 
 from kgonal.asymptotics import (
@@ -117,6 +119,69 @@ class TestXi:
         first = solve_xi(table.params, table)
         second = solve_xi(table.params, table)
         assert float(first[0]) == float(second[0])
+
+
+NEWTON_ORDERS = (0, 1, 2, 5, 500)
+
+
+@functools.lru_cache(maxsize=None)
+def shared_table(p, order):
+    return table_for(p, order)
+
+
+def damped_xi(table, tol=1e-13):
+    """Oracle: the damped fixed-point iteration x <- (x + g(x))/2.
+
+    g(x) = omega(x)^{-p}/(e p) is decreasing, so plain iteration
+    ping-pongs; averaging each iterate with its image converges
+    linearly, in 30-35 steps from rho(p+1).
+    """
+    p = table.params.p
+    with mp.workdps(30):
+        x = rho(p + 1)
+        for _ in range(10_000):
+            omega, _ = omega_eval(table.params, table, x)
+            x_next = (x + omega ** (-p) / (mp_e * p)) / 2
+            if abs(x_next - x) < tol:
+                return x_next
+            x = x_next
+    raise AssertionError("the damped iteration did not converge")
+
+
+class TestNewton:
+    @pytest.mark.parametrize("order", NEWTON_ORDERS)
+    def test_few_iterations(self, order):
+        for p in range(1, 12):
+            table = shared_table(p, order)
+            _, iterations, residual = solve_xi(table.params, table)
+            assert 1 <= iterations <= 8, f"p={p}"
+            assert float(residual) < 1e-20, f"p={p}"
+
+    @pytest.mark.parametrize("order", NEWTON_ORDERS)
+    def test_matches_damped_iteration(self, order):
+        for p in range(1, 12):
+            table = shared_table(p, order)
+            xi, _, _ = solve_xi(table.params, table)
+            assert abs(float(xi - damped_xi(table))) < 1e-12, f"p={p}"
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr("kgonal.asymptotics.MAX_ITERATIONS", 1)
+        table = shared_table(3, 5)
+        with pytest.raises(NonConvergenceError):
+            solve_xi(table.params, table)
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 11])
+    def test_slope_matches_central_difference(self, p):
+        table = shared_table(p, 500)
+        xi = float(solve_xi(table.params, table)[0])
+        with mp.workdps(40):
+            h = mpf("1e-12")
+            for x in (mpf(xi) / 3, mpf(xi)):
+                _, slope = omega_eval(table.params, table, x, dps=40)
+                up, _ = omega_eval(table.params, table, x + h, dps=40)
+                down, _ = omega_eval(table.params, table, x - h, dps=40)
+                difference = (up - down) / (2 * h)
+                assert abs(slope - difference) < mpf("1e-15") * slope, f"x={x}"
 
 
 class TestConstants:

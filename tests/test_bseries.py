@@ -1,15 +1,24 @@
 """Edge-rooted series: anchors, cross-route agreement, index conventions."""
 
+import hashlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kgonal
 from kgonal import cache
 from kgonal.bseries import BTable, GonalParams, compute_b, recurrence_crosscheck
 from kgonal.kernels import IntegrityError
 from fraction_series import Series, exp
+
+DEFAULT_LIMIT = sys.get_int_max_str_digits()
 
 
 def test_params():
@@ -162,7 +171,62 @@ def test_disk_cache_version_skew(tmp_path):
     params = GonalParams(2)
     compute_b(params, 4, cache_dir=tmp_path)
     path = tmp_path / "b_k2.json"
-    doc = path.read_text(encoding="utf-8").replace('"version": 1', '"version": 999')
+    doc = path.read_text(encoding="utf-8").replace(
+        f'"version": {cache.CACHE_VERSION}', '"version": 999'
+    )
     path.write_text(doc, encoding="utf-8")
     assert cache.load_b(tmp_path, 2, 4) is None
     assert compute_b(params, 4, cache_dir=tmp_path).int_coeffs(1)[4] == 9
+
+
+def test_disk_cache_stores_sha256(tmp_path):
+    compute_b(GonalParams(4), 10, cache_dir=tmp_path)
+    doc = json.loads((tmp_path / "b_k4.json").read_text(encoding="utf-8"))
+    joined = ",".join(doc["coefficients"]).encode("ascii")
+    assert doc["sha256"] == hashlib.sha256(joined).hexdigest()
+
+
+def test_disk_cache_long_integers(tmp_path):
+    # past 4300 digits, where CPython's default str/int limit would refuse
+    big = 10**4400 + 1
+    cache.store_b(tmp_path, 3, [1, big])
+    assert cache.load_b(tmp_path, 3, 1) == [1, big]
+    assert sys.get_int_max_str_digits() == DEFAULT_LIMIT
+
+
+_WRITER = """
+import sys, time
+from pathlib import Path
+from kgonal.cache import load_b, store_b
+from kgonal.kernels import solve_b
+
+cache_dir = Path(sys.argv[1])
+b = solve_b(1, 500)
+while not (cache_dir / "go").exists():
+    time.sleep(0.005)
+for n in range(501):
+    store_b(cache_dir, 2, b[: n + 1])
+    if load_b(cache_dir, 2, 0) is None:
+        sys.exit(f"the cache file did not load after writing order {n}")
+"""
+
+
+def test_disk_cache_concurrent_writers(tmp_path):
+    # each writer renames its own complete temporary file into place, so
+    # at no moment does any writer find a file that fails to load; three
+    # writers, more than the two cores of a small runner
+    src = str(pathlib.Path(kgonal.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    writers = [
+        subprocess.Popen([sys.executable, "-c", _WRITER, str(tmp_path)], env=env)
+        for _ in range(3)
+    ]
+    try:
+        (tmp_path / "go").touch()
+        codes = [w.wait(timeout=120) for w in writers]
+    finally:
+        for w in writers:
+            w.kill()
+    assert codes == [0, 0, 0]
+    assert cache.load_b(tmp_path, 2, 500) == compute_b(GonalParams(2), 500).int_coeffs(1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b_k2.json", "go"]

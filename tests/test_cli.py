@@ -8,10 +8,19 @@ import sys
 
 import pytest
 
-from kgonal.cli import family_counts, main, packaged_golden_table, read_bfile, render_table
+from kgonal.cli import (
+    M_MAX_CEILING,
+    family_counts,
+    main,
+    packaged_golden_table,
+    read_bfile,
+    render_table,
+)
+from kgonal.kernels import long_decimals
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = pathlib.Path(__file__).parents[1] / "src" / "kgonal" / "data" / "unlabelled_golden.csv"
+DEFAULT_LIMIT = sys.get_int_max_str_digits()
 
 
 def run_cli(capsys, *argv):
@@ -232,6 +241,19 @@ class TestUniversal:
         doc = json.loads(out)
         assert doc["xi_partial_sum"] == pytest.approx(0.119674100436, abs=1e-6)
 
+    def test_rejects_m_max_above_ceiling(self, capsys):
+        # the partition sum behind c_m grows like p(m-1); past the ceiling
+        # the command would run for minutes to hours, so it fails at once
+        code, out, err = run_cli(
+            capsys, "universal", "--m-max", str(M_MAX_CEILING + 1), "--p", "3"
+        )
+        assert code == 1
+        assert out == ""
+        assert f"m-max must be <= {M_MAX_CEILING}" in err
+        code, _, err = run_cli(capsys, "universal", "--m-max", "90")
+        assert code == 1
+        assert "m-max" in err
+
 
 class TestVerify:
     def test_quick_passes(self, capsys):
@@ -274,6 +296,22 @@ class TestCache:
         stored = json.loads((tmp_path / "b_k4.json").read_text())
         assert stored["coefficients"][:5] == ["1", "1", "4", "19", "107"]
 
+    def test_altered_value_is_a_miss(self, capsys, tmp_path):
+        # a well-formed file whose b_5 was changed no longer matches its
+        # hash, so the count is recomputed instead of served
+        run_cli(capsys, "--cache-dir", str(tmp_path), "count", "--k", "3", "--family", "b", "--n", "5")
+        path = tmp_path / "b_k3.json"
+        doc = json.loads(path.read_text())
+        assert doc["coefficients"][5] == "160"
+        doc["coefficients"][5] = "161"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(
+            capsys, "--cache-dir", str(tmp_path), "count", "--k", "3", "--family", "b", "--n", "5"
+        )
+        assert code == 0
+        assert json.loads(out)["counts"] == [{"n": 5, "value": "160"}]
+        assert json.loads(path.read_text())["coefficients"][5] == "160"
+
     def test_env_variable(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("KGONAL_CACHE", str(tmp_path))
         code, _, _ = run_cli(
@@ -306,6 +344,43 @@ class TestDeterminism:
             "count", "--k", "4", "--family", "unlabelled", "--order", "15",
         )[1]
         assert with_cache == without
+
+
+class TestLongIntegers:
+    # CPython refuses int <-> str conversions past 4300 digits by default;
+    # counts are exact, so the output must not stop there
+    BIG = 10**4400 + 12345
+
+    def test_count_document(self, capsys):
+        code, out, err = run_cli(
+            capsys, "count", "--k", "3", "--family", "labelled-rooted", "--n", "2000"
+        )
+        assert code == 0, err
+        value = json.loads(out)["counts"][0]["value"]
+        assert len(value) > 4300
+        assert sys.get_int_max_str_digits() == DEFAULT_LIMIT
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_render_table(self, monkeypatch, fmt):
+        monkeypatch.setattr(
+            "kgonal.cli.unlabelled_column",
+            lambda table: [self.BIG + n for n in range(table.order + 1)],
+        )
+        out = render_table(3, 4, 2, fmt)
+        assert sys.get_int_max_str_digits() == DEFAULT_LIMIT
+        with long_decimals():
+            want = [str(self.BIG + n) for n in range(3)]
+        if fmt == "csv":
+            assert out.splitlines()[3] == f"2,{want[2]},{want[2]}"
+        else:
+            assert json.loads(out)["rows"][1]["values"] == [want[1]] * 2
+
+    def test_read_bfile(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        with long_decimals():
+            path.write_text(f"0 1\n1 {self.BIG}\n")
+        assert read_bfile(path) == {0: 1, 1: self.BIG}
+        assert sys.get_int_max_str_digits() == DEFAULT_LIMIT
 
 
 class TestBfileParser:
@@ -346,14 +421,16 @@ def test_optimized_table_matches_golden():
 
 
 def _write_corrupt_k3_cache(cache_dir):
-    # a well-formed cache whose b_5 is off by one, long enough to serve
-    # every k = 3 table the quick verify level asks for
+    # a cache whose b_5 is off by one, long enough to serve every k = 3
+    # table the quick verify level asks for; it is written through
+    # store_b, so its hash matches and only the checks downstream of the
+    # cache can catch it
+    from kgonal.cache import store_b
     from kgonal.kernels import solve_b
 
     coeffs = solve_b(2, 20)
     coeffs[5] += 1
-    doc = {"version": 1, "k": 3, "order": 20, "coefficients": [str(c) for c in coeffs]}
-    (cache_dir / "b_k3.json").write_text(json.dumps(doc))
+    store_b(cache_dir, 3, coeffs)
 
 
 def test_optimized_verify_catches_corrupt_cache(tmp_path):
