@@ -24,25 +24,20 @@ from kgonal.asymptotics import (
 )
 from kgonal.bseries import BTable, GonalParams, compute_b, recurrence_crosscheck
 from kgonal.cache import resolve_cache_dir
-from kgonal.even import edge_rooted_counts, even_series, symmetric_system
-from kgonal.kernels import IntegrityError, long_decimals
+from kgonal.even import even_series, symmetric_system
+from kgonal.kernels import IntegrityError, exact_count, long_decimals
 from kgonal.labelled import (
     burnside_b,
     labelled_oriented,
     labelled_rooted,
     labelled_unoriented,
 )
-from kgonal.odd import (
-    odd_edge_rooted_counts,
-    odd_recurrence,
-    odd_series,
-    odd_symmetric_series,
-)
+from kgonal.odd import odd_recurrence, odd_series, odd_symmetric_series
 from kgonal.oracle import count_tau_fixed, enumerate_b
 from kgonal.oriented import oriented_series
 from kgonal.universal import universal_c, xi_from_expansion
 
-__all__ = ["main", "family_counts", "render_table", "read_bfile", "FAMILIES", "M_MAX_CEILING"]
+__all__ = ["main", "family_counts", "render_table", "FAMILIES", "M_MAX_CEILING"]
 
 FAMILIES = (
     "b",
@@ -70,6 +65,8 @@ def family_counts(
     k: int, family: str, order: int, cache_dir: Path | None = None
 ) -> list[int]:
     """Counts for n = 0..order of one family at one polygon size."""
+    if family not in FAMILIES:
+        raise CliError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
     if order < 0:
         raise CliError("order must be >= 0")
     try:
@@ -90,11 +87,9 @@ def family_counts(
         return oriented_series(table)
     if family == "unlabelled":
         return unlabelled_column(table)
-    if family == "edge-rooted-unlabelled":
-        if params.k % 2:
-            return odd_edge_rooted_counts(table)
-        return edge_rooted_counts(table)
-    raise CliError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
+    # edge-rooted-unlabelled: the orbits of root reversal
+    b, fixed = table.int_coeffs(1), reversal_fixed(table)
+    return [exact_count(b[n] + fixed[n], 2, f"b_n + fixed_n at n={n}") for n in range(order + 1)]
 
 
 def _count_document(k: int, family: str, entries: list[tuple[int, int]]) -> str:
@@ -128,6 +123,17 @@ def unlabelled_column(table: BTable) -> list[int]:
     if table.params.k % 2:
         return odd_series(table)
     return even_series(table)
+
+
+def reversal_fixed(table: BTable) -> list[int]:
+    """Edge-rooted structures fixed by reversing the root, by the parity of k.
+
+    For odd k these are the symmetric classes s, for even k the
+    reflection-fixed series alpha.
+    """
+    if table.params.k % 2:
+        return odd_symmetric_series(table)
+    return list(symmetric_system(table).alpha)
 
 
 def render_table(
@@ -253,19 +259,6 @@ def packaged_golden_table() -> str:
     return (resources.files("kgonal") / "data" / "unlabelled_golden.csv").read_text()
 
 
-def read_bfile(path: Path) -> dict[int, int]:
-    """Parse 'index value' lines; '#' starts a comment; blanks ignored."""
-    out: dict[int, int] = {}
-    with long_decimals():
-        for raw in Path(path).read_text().splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            index_text, value_text = line.split()
-            out[int(index_text)] = int(value_text)
-    return out
-
-
 def _require(ok: bool, what: str) -> None:
     """Fail a verify check; unlike assert this also runs under python -O."""
     if not ok:
@@ -317,10 +310,7 @@ def _verify_checks(level: str, with_oracle: bool, cache_dir: Path | None):
         for k in (3, 4, 5, 6):
             params = GonalParams(k)
             table = compute_b(params, n_max, cache_dir)
-            if params.k % 2:
-                fixed_expected = odd_symmetric_series(table)
-            else:
-                fixed_expected = symmetric_system(table).alpha
+            fixed_expected = reversal_fixed(table)
             for n in range(n_max + 1):
                 _require(len(enumerate_b(params, n)) == table.coeff(1, n), f"k={k} n={n}")
                 _require(count_tau_fixed(params, n) == fixed_expected[n], f"k={k} n={n}")

@@ -17,9 +17,10 @@ uses alpha below n, p_al at n uses p_m at n/2, omega closes over both,
 and alpha at n consumes omega up to n.  Any other order would read a
 slot before it is written.
 
-Edge-rooted counts are then (b_n + alpha_n)/2, and the unrooted counts
-combine the oriented series, alpha, and two correction convolutions
-that cancel the per-edge and per-vertex overcounts:
+Edge-rooted counts are then (b_n + alpha_n)/2 (cli.family_counts), and
+the unrooted counts combine the oriented series, alpha, and two
+correction convolutions that cancel the per-edge and per-vertex
+overcounts:
 
     a_n = a_{o,n}/2 + alpha_n/2 + b^{(k/2)}_{(n-1)/2}/4
           - (1/4) sum_{i+j=n-1} (alpha^2)_i b^{((k-2)/2)}_{j/2}.
@@ -27,9 +28,10 @@ that cancel the per-edge and per-vertex overcounts:
 Every table holds plain integers.  b^{(k-2)/2}, b^{k/2} and b^{k-1}
 are read only at half indices, so each is built only to index order/2,
 and a_n is accumulated as the integer 4 a_n with one checked division
-at the end.  The divisor sums sum_{d|m} d x_d that drive the beta and
-alpha recurrences are memoized as each slot closes, so the whole system
-costs O(order^2) big-integer products.
+at the end.  beta and alpha are Polya exponentials with weights pi and
+omega, so each of their coefficients is one kernels.polya_step, which
+keeps the divisor sums sum_{d|m} d x_d as each weight arrives; the whole
+system costs O(order^2) big-integer products.
 
 k = 2 degenerates gracefully: the exponent (k-2)/2 = 0 makes the half
 power the constant series 1, and the outputs become the counts of free
@@ -41,14 +43,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from kgonal.bseries import BTable, GonalParams
-from kgonal.kernels import IntegrityError, convolve, exact_count, exact_div
+from kgonal.kernels import IntegrityError, convolve, exact_count, polya_step
 from kgonal.oriented import oriented_series
 
 __all__ = [
     "EvenSymTables",
     "totally_symmetric",
     "symmetric_system",
-    "edge_rooted_counts",
     "even_series",
 ]
 
@@ -59,17 +60,6 @@ def _require_even(table: BTable) -> int:
     if k % 2 == 1:
         raise ValueError("polygon size is odd; use the odd-parity module")
     return k
-
-
-def _close_slot(sums: list[int], n: int, x_n: int) -> None:
-    """Add n x_n to the divisor sum of every multiple of n up to the table end.
-
-    Called for n = 1, 2, ... in turn, after which sums[n] holds
-    sum_{d|n} d x_d in full: every divisor of n is at most n.
-    """
-    w = n * x_n
-    for m in range(n, len(sums), n):
-        sums[m] += w
 
 
 @dataclass(frozen=True)
@@ -84,14 +74,13 @@ class EvenSymTables:
     p_al: tuple[int, ...]
     omega: tuple[int, ...]
     alpha: tuple[int, ...]
-    alpha_sq: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not (self.pi[0] == 0 and self.beta[0] == 1 and self.alpha[0] == 1):
             raise IntegrityError("pi_0, beta_0 and alpha_0 must be 0, 1 and 1")
         if any(self.p_al[n] for n in range(1, self.order + 1, 2)):
             raise IntegrityError("alternated pairs at an odd size")
-        for name in ("pi", "beta", "p_m", "p_al", "omega", "alpha", "alpha_sq"):
+        for name in ("pi", "beta", "p_m", "p_al", "omega", "alpha"):
             if any(v < 0 for v in getattr(self, name)):
                 raise IntegrityError(f"negative entry in {name}")
 
@@ -118,11 +107,7 @@ def totally_symmetric(table: BTable) -> tuple[tuple[int, ...], tuple[int, ...]]:
         for m in range((n + 1) // 2):
             acc += b_half[m] * beta[n - 1 - 2 * m]
         pi[n] = acc
-        _close_slot(pi_sums, n, acc)
-        s = 0
-        for j in range(n):
-            s += beta[j] * pi_sums[n - j]
-        beta[n] = exact_div(s, n, f"beta recurrence at n={n}")
+        beta[n] = polya_step(pi_sums, beta, n, acc, f"beta recurrence at n={n}")
     return tuple(pi), tuple(beta)
 
 
@@ -150,12 +135,7 @@ def symmetric_system(table: BTable) -> EvenSymTables:
             v = b_full[h - 1] - pi[h] - p_m[h]
             p_al[n] = exact_count(v, 2, f"alternated-pair count at n={n}")
         omega[n] = pi[n] + p_al[n] + p_m[n]
-        _close_slot(omega_sums, n, omega[n])
-        s = 0
-        for i in range(1, n + 1):
-            s += omega_sums[i] * alpha[n - i]
-        alpha[n] = exact_div(s, n, f"alpha recurrence at n={n}")
-    alpha_sq = convolve(alpha, alpha, order)
+        alpha[n] = polya_step(omega_sums, alpha, n, omega[n], f"alpha recurrence at n={n}")
     return EvenSymTables(
         table.params,
         order,
@@ -165,33 +145,24 @@ def symmetric_system(table: BTable) -> EvenSymTables:
         tuple(p_al),
         tuple(omega),
         tuple(alpha),
-        tuple(alpha_sq),
     )
-
-
-def edge_rooted_counts(table: BTable) -> list[int]:
-    """Unlabelled edge-rooted counts (b_n + alpha_n)/2 for even k."""
-    alpha = symmetric_system(table).alpha
-    b = table.int_coeffs(1)
-    return [
-        exact_count(b[n] + alpha[n], 2, f"b_n + alpha_n at n={n}") for n in range(table.order + 1)
-    ]
 
 
 def even_series(table: BTable) -> list[int]:
     """Unlabelled counts a_n for even k, from the integer 4 a_n."""
     k, order = _require_even(table), table.order
     a_o = oriented_series(table)
-    sym = symmetric_system(table)
+    alpha = symmetric_system(table).alpha
+    alpha_sq = convolve(alpha, alpha, order)
     b_half = table.int_coeffs((k - 2) // 2, order // 2)
     b_mid = table.int_coeffs(k // 2, order // 2)
     out = []
     for n in range(order + 1):
-        v = 2 * (a_o[n] + sym.alpha[n])
+        v = 2 * (a_o[n] + alpha[n])
         if n % 2:
             v += b_mid[(n - 1) // 2]
         # alpha^2 at i against b^{(k-2)/2} at (n-1-i)/2, for n-1-i even
         for m in range((n + 1) // 2):
-            v -= sym.alpha_sq[n - 1 - 2 * m] * b_half[m]
+            v -= alpha_sq[n - 1 - 2 * m] * b_half[m]
         out.append(exact_count(v, 4, f"count at n={n}"))
     return out

@@ -1,12 +1,14 @@
 """Integer kernels, and the errors every exact computation raises.
 
-These are the innermost loops of the whole package: solving the
-edge-rooted series to large order, convolving big-integer coefficient
-lists and raising them to powers.  Every division is checked with
-divmod, and every integrity condition raises one of the two errors
-below instead of relying on assert, so the checks also run under
-python -O.  long_decimals is the one scope in which counts are written
-as or read from decimal text, past the interpreter's digit limit.
+These are the innermost loops of the whole package: the one step of
+every Polya exponential (the edge-rooted series and the symmetric
+series of the odd and even layers), solving the edge-rooted series to
+large order, convolving big-integer coefficient lists and raising them
+to powers.  Every division is checked with divmod, and every integrity
+condition raises one of the two errors below instead of relying on
+assert, so the checks also run under python -O.  long_decimals is the
+one scope in which counts are written as or read from decimal text,
+past the interpreter's digit limit.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ __all__ = [
     "InexactDivisionError",
     "exact_div",
     "exact_count",
+    "polya_step",
     "solve_b",
     "convolve",
     "power",
@@ -78,22 +81,45 @@ def long_decimals() -> Iterator[None]:
         sys.set_int_max_str_digits(previous)
 
 
+def polya_step(
+    sums: list[int], y: list[int], n: int, w_n: int, what: str, den: int = 1
+) -> int:
+    """Coefficient y_n of a Polya exponential y = exp(sum_i W(x^i)/(den i)).
+
+    Logarithmic differentiation gives x y'/y = sum_m sums_m x^m / den
+    with sums_m = sum_{d|m} d W_d, so
+
+        den n y_n = sum_{m=1}^{n} sums_m y_{n-m}.
+
+    Called for n = 1, 2, ... in turn with the weight w_n = W_n, it first
+    adds n w_n to sums at every multiple of n; sums[1..n] are then
+    complete, since every divisor of m <= n is at most n.  y_0..y_{n-1}
+    must already be in y.  The division goes through exact_count, so a
+    remainder or a negative count raises an error naming `what`.
+    """
+    w = n * w_n
+    for m in range(n, len(sums), n):
+        sums[m] += w
+    acc = 0
+    for m in range(1, n + 1):
+        acc += sums[m] * y[n - m]
+    return exact_count(acc, den * n, what)
+
+
 def solve_b(p: int, order: int) -> list[int]:
     """Coefficients y_0..y_order of the series y with y = exp(sum_i x^i y^p(x^i)/i).
 
-    Writing C = y^p, logarithmic differentiation of the defining equation
-    gives x y'/y = sum_m h_m x^m with h_m = sum_{e|m} e * C_{e-1}, so
-
-        n y_n = sum_{m=1}^{n} h_m y_{n-m}.
-
-    C itself is carried along without a power ladder: y C' = p y' C is
-    the power rule, and its coefficient of x^{n-1} rearranges to
+    This is a Polya exponential with weight W_n = C_{n-1}, writing
+    C = y^p, so each y_n is one polya_step.  C itself is carried along
+    without a power ladder: y C' = p y' C is the power rule, and its
+    coefficient of x^{n-1} rearranges to
 
         n C_n = sum_{i=1}^{n} ((p+1) i - n) y_i C_{n-i}.
 
     Two O(n) convolution steps per coefficient, all in exact integers.
     A remainder in either division would mean the recurrence is wired
-    wrong and raises InexactDivisionError.
+    wrong and raises InexactDivisionError, and a negative y_n raises
+    IntegrityError.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -103,17 +129,9 @@ def solve_b(p: int, order: int) -> list[int]:
     c = [0] * (order + 1)
     y[0] = 1
     c[0] = 1
-    h = [0] * (order + 1)
+    sums = [0] * (order + 1)
     for n in range(1, order + 1):
-        hn = 0
-        for e in range(1, n + 1):
-            if n % e == 0:
-                hn += e * c[e - 1]
-        h[n] = hn
-        acc = 0
-        for m in range(1, n + 1):
-            acc += h[m] * y[n - m]
-        y[n] = exact_div(acc, n, f"y recurrence at n={n}")
+        y[n] = polya_step(sums, y, n, c[n - 1], f"y recurrence at n={n}")
         acc = 0
         for i in range(1, n + 1):
             acc += ((p + 1) * i - n) * y[i] * c[n - i]

@@ -3,16 +3,15 @@
 For odd k each polygon has one edge-to-vertex symmetry axis, and the
 reflection-symmetric structures admit their own product form: pages off
 the axis pair up, pages on the axis split into half-page combinations
-of size (k-1)/2.  That makes the symmetric classes s(x) = exp(A(x)) with
+of size (k-1)/2.  That makes the symmetric classes a Polya exponential
 
-    A(x) = sum_{i>=1} [ x^i b_h(x^{2i}) / i
-                        + (x^{2i} b_f(x^{2i}) - x^{2i} b_h(x^{4i})) / (2i) ],
+    s(x) = exp(sum_{i>=1} W(x^i) / (2i)),
+    W(x) = 2x b_h(x^2) + x^2 b_f(x^2) - x^2 b_h(x^4),
 
-b_h = b^{(k-1)/2} and b_f = b^{k-1}.  A has fractional coefficients, but
-c_j = j A_j is an integer, so s follows in integers from
-n s_n = sum_{j=1}^{n} c_j s_{n-j}, one checked division per
-coefficient.  Both powers are read only up to index order/2.  The
-final count is the usual group average
+b_h = b^{(k-1)/2} and b_f = b^{k-1}.  W has integer coefficients, so
+s follows from one kernels.polya_step per coefficient, with den = 2 for
+the 1/(2i).  Both powers are read only up to index order/2.  The final
+count is the usual group average
 
     a(x) = (a_o(x) + s(x)) / 2.
 
@@ -26,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from kgonal.bseries import BTable
-from kgonal.kernels import IntegrityError, exact_count
+from kgonal.kernels import IntegrityError, exact_count, polya_step
 from kgonal.oriented import oriented_series
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "odd_symmetric_series",
     "odd_series",
     "odd_recurrence",
-    "odd_edge_rooted_counts",
 ]
 
 
@@ -51,22 +49,16 @@ def odd_symmetric_series(table: BTable) -> list[int]:
     k, order = _require_odd(table), table.order
     b_h = table.int_coeffs((k - 1) // 2, order // 2)
     b_f = table.int_coeffs(k - 1, order // 2)
-    # c_j = j A_j, scattered term by term: (2m+1) b_h[m] at j = i(2m+1),
-    # (m+1) b_f[m] at j = 2i(m+1) and -(2m+1) b_h[m] at j = 2i(2m+1)
-    c = [0] * (order + 1)
-    for i in range(1, order + 1):
-        for m, j in enumerate(range(i, order + 1, 2 * i)):
-            c[j] += (2 * m + 1) * b_h[m]
-        for m, j in enumerate(range(2 * i, order + 1, 2 * i)):
-            c[j] += (m + 1) * b_f[m]
-        for m, j in enumerate(range(2 * i, order + 1, 4 * i)):
-            c[j] -= (2 * m + 1) * b_h[m]
     s = [1] + [0] * order
+    sums = [0] * (order + 1)
     for n in range(1, order + 1):
-        acc = 0
-        for j in range(1, n + 1):
-            acc += c[j] * s[n - j]
-        s[n] = exact_count(acc, n, f"symmetric count at n={n}")
+        if n % 2:
+            w = 2 * b_h[(n - 1) // 2]
+        else:
+            w = b_f[(n - 2) // 2]
+            if n % 4 == 2:
+                w -= b_h[(n - 2) // 4]
+        s[n] = polya_step(sums, s, n, w, f"symmetric count at n={n}", den=2)
     return s
 
 
@@ -76,17 +68,6 @@ def odd_series(table: BTable) -> list[int]:
     a_o = oriented_series(table)
     sym = odd_symmetric_series(table)
     return [exact_count(a_o[n] + sym[n], 2, f"count at n={n}") for n in range(table.order + 1)]
-
-
-def odd_edge_rooted_counts(table: BTable) -> list[int]:
-    """Unlabelled edge-rooted counts (b_n + s_n)/2 for odd k.
-
-    The symmetric classes double as the reversal-fixed edge-rooted
-    structures: the symmetry axis pins a canonical root edge.
-    """
-    sym = odd_symmetric_series(table)
-    b = table.int_coeffs(1)
-    return [exact_count(b[n] + sym[n], 2, f"b_n + s_n at n={n}") for n in range(table.order + 1)]
 
 
 def odd_omega(table: BTable, n: int) -> int:

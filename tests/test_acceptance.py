@@ -22,13 +22,14 @@ from mpmath import mp, mpf
 
 from kgonal.asymptotics import constants, empirical_amplitude, solve_xi
 from kgonal.bseries import GonalParams, compute_b, recurrence_crosscheck
-from kgonal.cli import packaged_golden_table, read_bfile, render_table, unlabelled_column
+from kgonal.cli import packaged_golden_table, render_table, unlabelled_column
 from kgonal.even import symmetric_system
 from kgonal.labelled import burnside_b
 from kgonal.odd import odd_recurrence, odd_series, odd_symmetric_series
 from kgonal.oracle import count_tau_fixed, enumerate_b, reversal
 from kgonal.oriented import oriented_series
 from kgonal.universal import universal_c
+from bfile import read_bfile
 
 DATA = pathlib.Path(__file__).parent / "data"
 ARTIFACTS = pathlib.Path(__file__).parents[1] / "artifacts"

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -9,16 +10,16 @@ import sys
 import pytest
 
 from kgonal.cli import (
+    CliError,
     M_MAX_CEILING,
     family_counts,
     main,
     packaged_golden_table,
-    read_bfile,
     render_table,
 )
+import kgonal
 from kgonal.kernels import long_decimals
 
-DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = pathlib.Path(__file__).parents[1] / "src" / "kgonal" / "data" / "unlabelled_golden.csv"
 DEFAULT_LIMIT = sys.get_int_max_str_digits()
 
@@ -109,6 +110,16 @@ class TestFamilies:
     def test_unlabelled_parity_dispatch(self):
         assert family_counts(3, "unlabelled", 5) == [1, 1, 1, 2, 5, 12]
         assert family_counts(4, "unlabelled", 5) == [1, 1, 1, 3, 8, 32]
+
+    def test_unknown_family_rejected_before_solving(self, monkeypatch, tmp_path):
+        # a bad name must fail before b is solved or a cache file written
+        def no_solve(*args):
+            raise AssertionError("compute_b called for an unknown family")
+
+        monkeypatch.setattr("kgonal.cli.compute_b", no_solve)
+        with pytest.raises(CliError, match="unknown family 'bogus'"):
+            family_counts(3, "bogus", 5, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSeries:
@@ -375,43 +386,24 @@ class TestLongIntegers:
         else:
             assert json.loads(out)["rows"][1]["values"] == [want[1]] * 2
 
-    def test_read_bfile(self, tmp_path):
-        path = tmp_path / "seq.txt"
-        with long_decimals():
-            path.write_text(f"0 1\n1 {self.BIG}\n")
-        assert read_bfile(path) == {0: 1, 1: self.BIG}
-        assert sys.get_int_max_str_digits() == DEFAULT_LIMIT
 
-
-class TestBfileParser:
-    def test_parses_fixture(self):
-        table = read_bfile(DATA / "bfiles" / "A000081.txt")
-        assert table[0] == 0
-        assert table[1] == 1
-        assert table[9] == 286
-        assert len(table) == 21
-
-    def test_skips_comments_and_blanks(self, tmp_path):
-        path = tmp_path / "seq.txt"
-        path.write_text("# header\n\n0 1\n1 42\n# trailing\n")
-        assert read_bfile(path) == {0: 1, 1: 42}
+def _run_python(*args):
+    # the child must import the same kgonal as this test, installed or not
+    src = str(pathlib.Path(kgonal.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "kgonal", "count", "--k", "3", "--family", "b", "--n", "3"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_python("-m", "kgonal", "count", "--k", "3", "--family", "b", "--n", "3")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["counts"] == [{"n": 3, "value": "10"}]
 
 
 def _run_optimized(*argv):
     # python -O strips assert statements, so every check must be an explicit raise
-    return subprocess.run(
-        [sys.executable, "-O", "-m", "kgonal", *argv], capture_output=True, text=True
-    )
+    return _run_python("-O", "-m", "kgonal", *argv)
 
 
 def test_optimized_table_matches_golden():
@@ -446,11 +438,9 @@ def test_integrity_error_is_reported_as_an_error(tmp_path):
     # the corrupt b_5 leaves a remainder in an exact division of the
     # unlabelled count; that must surface as an error line, not a traceback
     _write_corrupt_k3_cache(tmp_path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "kgonal", "--cache-dir", str(tmp_path),
-         "count", "--k", "3", "--family", "unlabelled", "--order", "6"],
-        capture_output=True,
-        text=True,
+    proc = _run_python(
+        "-m", "kgonal", "--cache-dir", str(tmp_path),
+        "count", "--k", "3", "--family", "unlabelled", "--order", "6",
     )
     assert proc.returncode == 1
     assert proc.stdout == ""

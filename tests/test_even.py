@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from kgonal.bseries import GonalParams, compute_b
-from kgonal.even import edge_rooted_counts, even_series, symmetric_system, totally_symmetric
+from kgonal.cli import family_counts
+from kgonal.even import even_series, symmetric_system, totally_symmetric
+from kgonal.kernels import convolve
 from kgonal.oriented import oriented_series
 
 
@@ -28,13 +30,13 @@ def test_k4_system_tables():
     assert sym.p_m == (0, 0, 0, 0, 0)
     assert sym.p_al == (0, 0, 0, 0, 1)
     assert sym.omega == (0, 1, 1, 3, 7)
-    assert sym.alpha_sq == (1, 2, 5, 14, 40)
+    assert tuple(convolve(sym.alpha, sym.alpha, 4)) == (1, 2, 5, 14, 40)
 
 
 def test_k4_edge_rooted():
-    got = edge_rooted_counts(compute_b(GonalParams(4), 3))
+    got = family_counts(4, "edge-rooted-unlabelled", 3)
     assert got == [1, 1, 3, 12]
-    assert edge_rooted_counts(compute_b(GonalParams(6), 1))[1] == 1
+    assert family_counts(6, "edge-rooted-unlabelled", 1)[1] == 1
 
 
 def test_k4_row():
@@ -71,12 +73,13 @@ def test_unrooting_identity():
         a = even_series(table)
         a_o = oriented_series(table)
         sym = symmetric_system(table)
+        alpha_sq = convolve(sym.alpha, sym.alpha, 12)
         half = (k - 2) // 2
         for n in range(13):
             lhs = 4 * a[n] - 2 * a_o[n] - 2 * sym.alpha[n]
             lhs -= table.coeff(k // 2, Fraction(n - 1, 2))
             lhs += sum(
-                sym.alpha_sq[i] * table.coeff(half, Fraction(n - 1 - i, 2))
+                alpha_sq[i] * table.coeff(half, Fraction(n - 1 - i, 2))
                 for i in range(n)
             )
             assert lhs == 0, (k, n)

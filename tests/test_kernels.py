@@ -79,3 +79,29 @@ def test_power_checks_its_division():
     with pytest.raises(kernels.InexactDivisionError):
         kernels.power([1, Fraction(1, 3)], 1, 2)
 
+
+
+def _polya(weights, den=1):
+    """y_0..y_len(weights) of exp(sum_i W(x^i)/(den i)), W_n = weights[n-1]."""
+    order = len(weights)
+    y = [1] + [0] * order
+    sums = [0] * (order + 1)
+    for n in range(1, order + 1):
+        y[n] = kernels.polya_step(sums, y, n, weights[n - 1], f"step {n}", den)
+    return y
+
+
+def test_polya_step_partition_numbers():
+    # W_n = 1 for every n is prod 1/(1 - x^n), the partition numbers
+    assert _polya([1] * 10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+
+
+def test_polya_step_checks_its_division():
+    # exp(x/2) has y_1 = 1/2
+    with pytest.raises(kernels.InexactDivisionError, match="step 1"):
+        _polya([1], den=2)
+
+
+def test_polya_step_rejects_a_negative_count():
+    with pytest.raises(kernels.IntegrityError, match="step 1 is negative"):
+        _polya([-1])

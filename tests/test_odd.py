@@ -5,13 +5,8 @@ from fractions import Fraction
 import pytest
 
 from kgonal.bseries import GonalParams, compute_b
-from kgonal.odd import (
-    odd_edge_rooted_counts,
-    odd_omega,
-    odd_recurrence,
-    odd_series,
-    odd_symmetric_series,
-)
+from kgonal.cli import family_counts
+from kgonal.odd import odd_omega, odd_recurrence, odd_series, odd_symmetric_series
 from kgonal.oriented import oriented_series
 from fraction_series import Series, exp
 
@@ -75,11 +70,9 @@ def test_sandwich_bounds():
 
 
 def test_edge_rooted_counts():
-    row = odd_edge_rooted_counts(compute_b(GonalParams(3), 3))
+    row = family_counts(3, "edge-rooted-unlabelled", 3)
     # b = (1, 1, 3, 10), symmetric = (1, 1, 1, 2)
     assert row == [1, 1, 2, 6]
-    with pytest.raises(ValueError):
-        odd_edge_rooted_counts(compute_b(GonalParams(4), 3))
 
 
 def _symmetric_by_fractions(params, order):

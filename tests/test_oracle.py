@@ -3,8 +3,9 @@
 import pytest
 
 from kgonal.bseries import GonalParams, compute_b
-from kgonal.even import edge_rooted_counts, symmetric_system
-from kgonal.odd import odd_edge_rooted_counts, odd_symmetric_series
+from kgonal.cli import family_counts
+from kgonal.even import symmetric_system
+from kgonal.odd import odd_symmetric_series
 from kgonal.oracle import count_tau_fixed, enumerate_b, reversal
 
 
@@ -77,7 +78,7 @@ def test_fixed_counts_match_odd_symmetric():
 def test_edge_rooted_identity_k4():
     params = GonalParams(4)
     table = compute_b(params, 3)
-    rooted = edge_rooted_counts(table)
+    rooted = family_counts(4, "edge-rooted-unlabelled", 3)
     b = table.int_coeffs(1)
     count = count_tau_fixed(params, 3)
     assert (b[3] + count) // 2 == rooted[3] == 12
@@ -92,7 +93,7 @@ def test_edge_rooted_orbit_count_k3():
     # Orbits of reversal acting on the edge-rooted structures equal the
     # edge-rooted count: (|all| + |fixed|) / 2.
     params = GonalParams(3)
-    row = odd_edge_rooted_counts(compute_b(params, 4))
+    row = family_counts(3, "edge-rooted-unlabelled", 4)
     for n in range(5):
         total = len(enumerate_b(params, n))
         fixed = count_tau_fixed(params, n)
