@@ -34,7 +34,7 @@ field repeats the product form.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from mpmath import e as euler_e
 from mpmath import exp as mp_exp
@@ -52,6 +52,7 @@ __all__ = [
     "solve_xi",
     "constants",
     "empirical_amplitude",
+    "probe_indices",
     "rho",
 ]
 
@@ -244,8 +245,13 @@ def constants(
         )
 
 
+def probe_indices(n: int) -> tuple[int, int, int]:
+    """The indices n, n/2 and n/4, largest first, that empirical_amplitude reads."""
+    return n, n // 2, n // 4
+
+
 def empirical_amplitude(
-    counts: Sequence[int | float],
+    counts: Sequence[int | float] | Mapping[int, int | float],
     xi: float | mpf,
     exponent: float,
     n_probe: int | None = None,
@@ -255,18 +261,23 @@ def empirical_amplitude(
 
     Probes at n, n/2 and n/4; two extrapolation stages cancel the 1/n
     and 1/n^2 corrections of the square-root singularity expansion.
+    counts is either the whole sequence or a mapping that holds only
+    the probe_indices(n_probe) entries; a missing entry raises
+    ValueError.
     """
     n = n_probe if n_probe is not None else len(counts) - 1
     if n // 4 < 2:
         raise ValueError("need a probe index of at least 8")
-    if n >= len(counts):
-        raise ValueError("probe index beyond the computed counts")
+    try:
+        at = {m: counts[m] for m in probe_indices(n)}
+    except (IndexError, KeyError):
+        raise ValueError("probe index beyond the computed counts") from None
     with mp.workdps(dps):
         x = mpf(xi)
         e = mpf(exponent)
 
         def s(m: int) -> mpf:
-            return mpf(counts[m]) * x**m * mpf(m) ** e
+            return mpf(at[m]) * x**m * mpf(m) ** e
 
         r1_full = 2 * s(n) - s(n // 2)
         r1_half = 2 * s(n // 2) - s(n // 4)

@@ -5,6 +5,8 @@ built from n polygons.  Every other counting module consumes b through
 the BTable produced here, as plain integer lists: b itself, prefixes of
 its powers b^j (BTable.int_coeffs), and the half-index coefficient
 convention (BTable.coeff: fractional or negative indices read as zero).
+A freshly solved table also keeps b^{k-1}, which the kernel builds on
+the way to b, so the layers that read b^{k-1} need no power pass.
 
 Two independent routes to b are provided.  compute_b solves the
 exponential fixed point y = exp(sum_i x^i y^{k-1}(x^i)/i) through the
@@ -55,12 +57,14 @@ class BTable:
     """b to a fixed order plus memoized prefixes of its powers.
 
     powers maps exponent j to the longest prefix of b^j built so far;
-    powers[1] is b itself, always to the full order.  Every other b^j is
-    one power-rule pass over b (kernels.power), never built from
-    b^{j-1}, and a request past the stored prefix rebuilds it to the new
-    length.  Every stored value is a correct prefix of b^j, so
-    concurrent lookup and insert under the interpreter lock can at worst
-    repeat work.
+    powers[1] is b itself, always to the full order.  compute_b also
+    stores b^{k-1} to the full order when it solves b, since the kernel
+    carries that power anyway; a table read from the cache starts with
+    b alone.  Any other b^j, and b^{k-1} when it is missing, is one
+    power-rule pass over b (kernels.power), never built from b^{j-1},
+    and a request past the stored prefix rebuilds it to the new length.
+    Every stored value is a correct prefix of b^j, so concurrent lookup
+    and insert under the interpreter lock can at worst repeat work.
     """
 
     params: GonalParams
@@ -123,15 +127,22 @@ class BTable:
 
 
 def compute_b(params: GonalParams, order: int, cache_dir: Path | None = None) -> BTable:
-    """Build the table, optionally through the advisory disk cache."""
+    """Build the table, optionally through the advisory disk cache.
+
+    A solve keeps the b^{k-1} that kernels.solve_b hands out beside b;
+    a cache hit, which stores b alone, builds it on demand.
+    """
     coeffs: list[int] | None = None
     if cache_dir is not None:
         coeffs = cache.load_b(cache_dir, params.k, order)
-    if coeffs is None:
-        coeffs = kernels.solve_b(params.p, order)
-        if cache_dir is not None:
-            cache.store_b(cache_dir, params.k, coeffs)
-    return BTable(params, order, {1: coeffs})
+    if coeffs is not None:
+        return BTable(params, order, {1: coeffs})
+    bp: list[int] = []
+    coeffs = kernels.solve_b(params.p, order, bp)
+    if cache_dir is not None:
+        cache.store_b(cache_dir, params.k, coeffs)
+    # for k = 2, b^{k-1} is b itself
+    return BTable(params, order, {params.p: bp, 1: coeffs})
 
 
 def recurrence_crosscheck(params: GonalParams, order: int) -> list[int]:

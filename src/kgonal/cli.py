@@ -14,12 +14,13 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from mpmath import mp, nstr
+from mpmath import mp, mpf, nstr
 
 from kgonal.asymptotics import (
     NonConvergenceError,
     constants,
     empirical_amplitude,
+    probe_indices,
     solve_xi,
 )
 from kgonal.bseries import BTable, GonalParams, compute_b, recurrence_crosscheck
@@ -34,10 +35,17 @@ from kgonal.labelled import (
 )
 from kgonal.odd import odd_recurrence, odd_series, odd_symmetric_series
 from kgonal.oracle import count_tau_fixed, enumerate_b
-from kgonal.oriented import oriented_series
+from kgonal.oriented import oriented_count, oriented_series
 from kgonal.universal import universal_c, xi_from_expansion
 
-__all__ = ["main", "family_counts", "render_table", "FAMILIES", "M_MAX_CEILING"]
+__all__ = [
+    "main",
+    "family_counts",
+    "render_table",
+    "FAMILIES",
+    "M_MAX_CEILING",
+    "ORDER_CEILING",
+]
 
 FAMILIES = (
     "b",
@@ -56,9 +64,24 @@ EMPIRICAL_ORDER = 1000
 # to 40, 22 s up to 46 (2 vCPU, Python 3.11), and hours at m = 90
 M_MAX_CEILING = 40
 
+# solving b and the layers on it cost about order^4 in time at fixed k:
+# at k = 12 the slowest family, count --family unlabelled, takes 65 s
+# at order 1600 and 99 s at 1800, and constants --series-order 1800
+# 43 s (2 vCPU, Python 3.11)
+ORDER_CEILING = 1600
+
 
 class CliError(Exception):
     """User-facing failure: message goes to standard error, exit is nonzero."""
+
+
+def _check_order(order: int, what: str = "order") -> None:
+    """Reject an order of b past ORDER_CEILING before any work starts."""
+    if order > ORDER_CEILING:
+        raise CliError(
+            f"{what} must be <= {ORDER_CEILING}: solving b grows like the fourth "
+            "power of the order"
+        )
 
 
 def family_counts(
@@ -80,6 +103,7 @@ def family_counts(
             "labelled": labelled_unoriented,
         }[family]
         return [fn(params, n) for n in range(order + 1)]
+    _check_order(order)
     table = compute_b(params, order, cache_dir)
     if family == "b":
         return list(table.int_coeffs(1))
@@ -142,6 +166,7 @@ def render_table(
     """The unlabelled-count matrix, one column per polygon size."""
     if not 2 <= k_min <= k_max:
         raise CliError("need 2 <= k-min <= k-max")
+    _check_order(order)
     columns: dict[int, list[int]] = {}
     for k in range(k_min, k_max + 1):
         columns[k] = unlabelled_column(compute_b(GonalParams(k), order, cache_dir))
@@ -176,6 +201,20 @@ def cmd_table(args: argparse.Namespace, cache_dir: Path | None) -> int:
     return 0
 
 
+def alpha_bar_probe(table: BTable, xi: float | mpf) -> float:
+    """Richardson estimate of alpha_bar from the oriented counts at the table order.
+
+    Only the three counts empirical_amplitude reads are built, through
+    oriented_count, largest index first so that each power prefix is
+    built once.
+    """
+    n = table.order
+    counts = {m: oriented_count(table, m) for m in probe_indices(n)}
+    # the square-root singularity puts n^{-5/2} in front of the
+    # unrooted-type counts at every page size
+    return empirical_amplitude(counts, xi, 2.5, n_probe=n)
+
+
 def constants_report(
     p: int,
     series_order: int,
@@ -183,7 +222,12 @@ def constants_report(
     with_empirical: bool,
     cache_dir: Path | None = None,
 ) -> dict:
-    """The full constant report for one p, as a JSON-ready dict."""
+    """The full constant report for one p, as a JSON-ready dict.
+
+    With with_empirical, b is solved to EMPIRICAL_ORDER (or series_order
+    if larger) and alpha_bar_probe reads three oriented counts from it;
+    the xi solve and the report use the same b cut at series_order.
+    """
     params = GonalParams(p + 1)
     probe_order = max(series_order, EMPIRICAL_ORDER) if with_empirical else series_order
     # solve_b is prefix-stable, so one solve at the probe order also
@@ -193,10 +237,7 @@ def constants_report(
     xi, iterations, residual = solve_xi(params, table, tol)
     empirical = None
     if with_empirical:
-        oriented = oriented_series(probe_table)
-        # the square-root singularity puts n^{-5/2} in front of the
-        # unrooted-type counts at every page size
-        empirical = empirical_amplitude(oriented, xi, 2.5, n_probe=probe_order)
+        empirical = alpha_bar_probe(probe_table, xi)
     report = constants(
         params,
         table,
@@ -214,6 +255,7 @@ def cmd_constants(args: argparse.Namespace, cache_dir: Path | None) -> int:
         raise CliError("p must be >= 1")
     if args.series_order < 0:
         raise CliError("series order must be >= 0")
+    _check_order(args.series_order, "series order")
     if not 0 < args.tol < float("inf"):
         raise CliError("tol must be > 0 and finite")
     try:

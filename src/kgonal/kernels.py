@@ -106,7 +106,7 @@ def polya_step(
     return exact_count(acc, den * n, what)
 
 
-def solve_b(p: int, order: int) -> list[int]:
+def solve_b(p: int, order: int, power_out: list[int] | None = None) -> list[int]:
     """Coefficients y_0..y_order of the series y with y = exp(sum_i x^i y^p(x^i)/i).
 
     This is a Polya exponential with weight W_n = C_{n-1}, writing
@@ -120,13 +120,18 @@ def solve_b(p: int, order: int) -> list[int]:
     A remainder in either division would mean the recurrence is wired
     wrong and raises InexactDivisionError, and a negative y_n raises
     IntegrityError.
+
+    The return value is y alone.  A caller that also wants C = y^p
+    passes a list as power_out; it is filled in place with
+    C_0..C_order, the power the recurrence has built anyway.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     if order < 0:
         raise ValueError("order must be >= 0")
     y = [0] * (order + 1)
-    c = [0] * (order + 1)
+    c = [] if power_out is None else power_out
+    c[:] = [0] * (order + 1)
     y[0] = 1
     c[0] = 1
     sums = [0] * (order + 1)

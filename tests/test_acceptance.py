@@ -22,7 +22,12 @@ from mpmath import mp, mpf
 
 from kgonal.asymptotics import constants, empirical_amplitude, solve_xi
 from kgonal.bseries import GonalParams, compute_b, recurrence_crosscheck
-from kgonal.cli import packaged_golden_table, render_table, unlabelled_column
+from kgonal.cli import (
+    alpha_bar_probe,
+    packaged_golden_table,
+    render_table,
+    unlabelled_column,
+)
 from kgonal.even import symmetric_system
 from kgonal.labelled import burnside_b
 from kgonal.odd import odd_recurrence, odd_series, odd_symmetric_series
@@ -122,10 +127,8 @@ def test_criterion_3_amplitudes(capsys):
         params = GonalParams(p + 1)
         table = table_for(p + 1, 1000)
         xi, iterations, residual = solve_xi(params, table)
-        oriented = oriented_series(table)
-        empirical = empirical_amplitude(
-            oriented, xi, 2.5, n_probe=1000
-        )
+        # the CLI's probe: the oriented counts at n = 1000, 500 and 250
+        empirical = alpha_bar_probe(table, xi)
         rep = constants(
             params, table, xi, iterations, residual, alpha_bar_empirical=empirical
         )

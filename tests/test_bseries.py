@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kgonal
-from kgonal import cache
+from kgonal import cache, kernels
 from kgonal.bseries import BTable, GonalParams, compute_b, recurrence_crosscheck
 from kgonal.kernels import IntegrityError
 from fraction_series import Series, exp
@@ -27,6 +27,23 @@ def test_params():
     assert params.m(3) == 10
     with pytest.raises(ValueError):
         GonalParams(1)
+
+
+@pytest.mark.parametrize("p", range(1, 12))
+def test_solve_keeps_true_power(p):
+    # the b^p the kernel carries is kept in the table; it must be the
+    # true power of b, and for p = 1 b itself
+    table = compute_b(GonalParams(p + 1), 80)
+    b = table.int_coeffs(1)
+    assert table.powers[p] == kernels.power(b, p, 80)
+    assert table.int_coeffs(p) is table.powers[p]
+
+
+def test_cache_hit_holds_b_alone(tmp_path):
+    compute_b(GonalParams(5), 10, cache_dir=tmp_path)
+    hit = compute_b(GonalParams(5), 10, cache_dir=tmp_path)
+    assert list(hit.powers) == [1]
+    assert hit.int_coeffs(4) == compute_b(GonalParams(5), 10).powers[4]
 
 
 def test_compute_b_anchors():

@@ -12,12 +12,15 @@ import pytest
 from kgonal.cli import (
     CliError,
     M_MAX_CEILING,
+    ORDER_CEILING,
+    constants_report,
     family_counts,
     main,
     packaged_golden_table,
     render_table,
 )
 import kgonal
+from kgonal import kernels
 from kgonal.kernels import long_decimals
 
 GOLDEN = pathlib.Path(__file__).parents[1] / "src" / "kgonal" / "data" / "unlabelled_golden.csv"
@@ -232,6 +235,62 @@ class TestConstants:
         assert code == 1
         assert out == ""
         assert "tol must be > 0 and finite" in err
+
+
+class TestAmplitudeProbe:
+    def test_probe_builds_only_short_powers(self, monkeypatch):
+        # the probe reads a_o at n = 1000, 500 and 250 from the b^11 the
+        # solve keeps; building b^12, or any power past index 499, means
+        # the full oriented series is back
+        calls = []
+        power = kernels.power
+
+        def recording_power(a, e, order):
+            calls.append((e, order))
+            return power(a, e, order)
+
+        monkeypatch.setattr(kernels, "power", recording_power)
+        doc = constants_report(11, 500, 1e-13, True)
+        assert doc["alpha_bar_empirical"] == pytest.approx(
+            doc["alpha_bar_product_form"], rel=1e-4
+        )
+        assert all(e != 12 for e, _ in calls), calls
+        assert all(order <= (1000 - 1) // 2 for _, order in calls), calls
+
+
+class TestOrderCeiling:
+    # solving b grows like order^4; past the ceiling a command fails at
+    # once instead of running for minutes
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--k", "12", "--family", "b", "--order"),
+            ("count", "--k", "3", "--family", "unlabelled", "--n"),
+            ("series", "--k", "4", "--family", "unlabelled-oriented", "--order"),
+            ("table", "--order"),
+            ("constants", "--p", "11", "--series-order"),
+        ],
+    )
+    def test_rejects_order_above_ceiling(self, capsys, monkeypatch, argv):
+        def no_solve(*args):
+            raise AssertionError("b solved past the ceiling")
+
+        monkeypatch.setattr("kgonal.cli.compute_b", no_solve)
+        code, out, err = run_cli(capsys, *argv, str(ORDER_CEILING + 1))
+        assert code == 1
+        assert out == ""
+        assert f"order must be <= {ORDER_CEILING}" in err
+
+    def test_api_rejects_order_above_ceiling(self):
+        with pytest.raises(CliError, match="order must be <="):
+            family_counts(3, "b", ORDER_CEILING + 1)
+        with pytest.raises(CliError, match="order must be <="):
+            render_table(2, 3, ORDER_CEILING + 1)
+
+    def test_labelled_families_have_no_ceiling(self):
+        # labelled counts are closed forms and never solve b
+        assert len(family_counts(3, "labelled", ORDER_CEILING + 1)) == ORDER_CEILING + 2
 
 
 class TestUniversal:

@@ -20,6 +20,14 @@ def test_solve_b_anchors():
     assert kernels.solve_b(3, 4) == [1, 1, 4, 19, 107]
 
 
+def test_solve_b_hands_out_its_power():
+    # power_out receives b^p in place, whatever the list held before
+    c = [7, 7]
+    b = kernels.solve_b(2, 8, c)
+    assert b == [1, 1, 3, 10, 39, 160, 702, 3177, 14830]
+    assert c == kernels.power(b, 2, 8)
+
+
 def test_solve_b_validation():
     with pytest.raises(ValueError):
         kernels.solve_b(0, 5)

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from kgonal.bseries import GonalParams, compute_b
-from kgonal.oriented import euler_phi, oriented_series
+from kgonal.bseries import BTable, GonalParams, compute_b
+from kgonal.oriented import euler_phi, oriented_count, oriented_series
 from fraction_series import Series
 
 
@@ -77,3 +77,29 @@ def test_matches_fraction_route():
         # a table cut below the order reads shorter power prefixes
         assert oriented_series(table.truncate(37)) == want[:38], f"k={k}"
         assert oriented_series(table.truncate(0)) == want[:1]
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_single_count_matches_series(k):
+    table = compute_b(GonalParams(k), 60)
+    want = oriented_series(table)
+    assert [oriented_count(table, n) for n in range(61)] == want
+    # a cache hit yields b alone; every power is then built on demand,
+    # here smallest index first so that each prefix is rebuilt longer
+    bare = BTable(table.params, 60, {1: table.int_coeffs(1)})
+    assert [oriented_count(bare, n) for n in range(61)] == want
+
+
+def test_single_count_reads_short_prefixes():
+    table = BTable(GonalParams(12), 60, {1: compute_b(GonalParams(12), 60).int_coeffs(1)})
+    oriented_count(table, 46)
+    # b^11 to 45 for the product; 45 = 3 * 15 is divisible by d = 3 only
+    assert {j: len(c) - 1 for j, c in table.powers.items()} == {1: 60, 11: 45, 4: 15}
+
+
+def test_single_count_index_range():
+    table = compute_b(GonalParams(4), 5)
+    with pytest.raises(IndexError):
+        oriented_count(table, 6)
+    with pytest.raises(IndexError):
+        oriented_count(table, -1)
