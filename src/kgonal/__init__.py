@@ -10,8 +10,10 @@ The modules are layered:
     kernels     integer kernels and the errors every exact check raises
     bseries     the fundamental edge-rooted series b(x) and its powers
     labelled    closed-form labelled counts and cycle-type fixed points
-    oriented    unlabelled counts up to orientation-preserving maps
-    odd, even   unlabelled counts with reflections, split by parity of k
+    oriented    unlabelled counts up to orientation-preserving maps, and
+                the structures fixed by reversing the root edge
+    odd, even   unlabelled counts with reflections, split by parity of k;
+                both average the oriented and the reversal-fixed series
     oracle      brute-force enumeration of small structures
     asymptotics growth rate and amplitude constants
     universal   coefficients of the large-k expansion of the singularity

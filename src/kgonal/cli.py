@@ -25,7 +25,7 @@ from kgonal.asymptotics import (
 )
 from kgonal.bseries import BTable, GonalParams, compute_b, recurrence_crosscheck
 from kgonal.cache import resolve_cache_dir
-from kgonal.even import even_series, symmetric_system
+from kgonal.even import even_series
 from kgonal.kernels import IntegrityError, exact_count, long_decimals
 from kgonal.labelled import (
     burnside_b,
@@ -33,9 +33,9 @@ from kgonal.labelled import (
     labelled_rooted,
     labelled_unoriented,
 )
-from kgonal.odd import odd_recurrence, odd_series, odd_symmetric_series
+from kgonal.odd import odd_recurrence, odd_series
 from kgonal.oracle import count_tau_fixed, enumerate_b
-from kgonal.oriented import oriented_count, oriented_series
+from kgonal.oriented import oriented_count, oriented_series, reversal_fixed
 from kgonal.universal import universal_c, xi_from_expansion
 
 __all__ = [
@@ -76,7 +76,9 @@ class CliError(Exception):
 
 
 def _check_order(order: int, what: str = "order") -> None:
-    """Reject an order of b past ORDER_CEILING before any work starts."""
+    """Reject a negative order of b, or one past ORDER_CEILING, before any work starts."""
+    if order < 0:
+        raise CliError(f"{what} must be >= 0")
     if order > ORDER_CEILING:
         raise CliError(
             f"{what} must be <= {ORDER_CEILING}: solving b grows like the fourth "
@@ -147,17 +149,6 @@ def unlabelled_column(table: BTable) -> list[int]:
     if table.params.k % 2:
         return odd_series(table)
     return even_series(table)
-
-
-def reversal_fixed(table: BTable) -> list[int]:
-    """Edge-rooted structures fixed by reversing the root, by the parity of k.
-
-    For odd k these are the symmetric classes s, for even k the
-    reflection-fixed series alpha.
-    """
-    if table.params.k % 2:
-        return odd_symmetric_series(table)
-    return list(symmetric_system(table).alpha)
 
 
 def render_table(
@@ -253,8 +244,6 @@ def constants_report(
 def cmd_constants(args: argparse.Namespace, cache_dir: Path | None) -> int:
     if args.p < 1:
         raise CliError("p must be >= 1")
-    if args.series_order < 0:
-        raise CliError("series order must be >= 0")
     _check_order(args.series_order, "series order")
     if not 0 < args.tol < float("inf"):
         raise CliError("tol must be > 0 and finite")
@@ -276,6 +265,8 @@ def cmd_universal(args: argparse.Namespace, cache_dir: Path | None) -> int:
             f"m-max must be <= {M_MAX_CEILING}: c_m sums over the partitions of m-1, "
             "whose number grows exponentially in sqrt(m)"
         )
+    if args.p is not None and args.p < 1:
+        raise CliError("p must be >= 1")
     entries = []
     with mp.workdps(40):
         for m in range(1, args.m_max + 1):
@@ -289,8 +280,6 @@ def cmd_universal(args: argparse.Namespace, cache_dir: Path | None) -> int:
             )
     doc: dict = {"m_max": args.m_max, "constants": entries}
     if args.p is not None:
-        if args.p < 1:
-            raise CliError("p must be >= 1")
         doc["p"] = args.p
         doc["xi_partial_sum"] = xi_from_expansion(args.p, args.m_max)
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")

@@ -1,8 +1,8 @@
 """Integer kernels, and the errors every exact computation raises.
 
 These are the innermost loops of the whole package: the one step of
-every Polya exponential (the edge-rooted series and the symmetric
-series of the odd and even layers), solving the edge-rooted series to
+every Polya exponential (the edge-rooted series b and the series of
+structures fixed by reversing the root edge), solving the edge-rooted series to
 large order, convolving big-integer coefficient lists and raising them
 to powers.  Every division is checked with divmod, and every integrity
 condition raises one of the two errors below instead of relying on
@@ -81,15 +81,13 @@ def long_decimals() -> Iterator[None]:
         sys.set_int_max_str_digits(previous)
 
 
-def polya_step(
-    sums: list[int], y: list[int], n: int, w_n: int, what: str, den: int = 1
-) -> int:
-    """Coefficient y_n of a Polya exponential y = exp(sum_i W(x^i)/(den i)).
+def polya_step(sums: list[int], y: list[int], n: int, w_n: int, what: str) -> int:
+    """Coefficient y_n of a Polya exponential y = exp(sum_i W(x^i)/i).
 
-    Logarithmic differentiation gives x y'/y = sum_m sums_m x^m / den
-    with sums_m = sum_{d|m} d W_d, so
+    Logarithmic differentiation gives x y'/y = sum_m sums_m x^m with
+    sums_m = sum_{d|m} d W_d, so
 
-        den n y_n = sum_{m=1}^{n} sums_m y_{n-m}.
+        n y_n = sum_{m=1}^{n} sums_m y_{n-m}.
 
     Called for n = 1, 2, ... in turn with the weight w_n = W_n, it first
     adds n w_n to sums at every multiple of n; sums[1..n] are then
@@ -103,7 +101,7 @@ def polya_step(
     acc = 0
     for m in range(1, n + 1):
         acc += sums[m] * y[n - m]
-    return exact_count(acc, den * n, what)
+    return exact_count(acc, n, what)
 
 
 def solve_b(p: int, order: int, power_out: list[int] | None = None) -> list[int]:

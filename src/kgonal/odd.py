@@ -1,17 +1,10 @@
 """Unlabelled counts for odd polygon size, reflections included.
 
-For odd k each polygon has one edge-to-vertex symmetry axis, and the
-reflection-symmetric structures admit their own product form: pages off
-the axis pair up, pages on the axis split into half-page combinations
-of size (k-1)/2.  That makes the symmetric classes a Polya exponential
-
-    s(x) = exp(sum_{i>=1} W(x^i) / (2i)),
-    W(x) = 2x b_h(x^2) + x^2 b_f(x^2) - x^2 b_h(x^4),
-
-b_h = b^{(k-1)/2} and b_f = b^{k-1}.  W has integer coefficients, so
-s follows from one kernels.polya_step per coefficient, with den = 2 for
-the 1/(2i).  Both powers are read only up to index order/2.  The final
-count is the usual group average
+For odd k each polygon has one edge-to-vertex symmetry axis.  The
+structures fixed by reversing the root edge, s = oriented.reversal_fixed,
+have pages off the axis paired with their mirror images and pages on
+the axis split into two halves of (k-1)/2 edges each.  The final count
+is the usual group average
 
     a(x) = (a_o(x) + s(x)) / 2.
 
@@ -25,12 +18,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from kgonal.bseries import BTable
-from kgonal.kernels import IntegrityError, exact_count, polya_step
-from kgonal.oriented import oriented_series
+from kgonal.kernels import IntegrityError, exact_count
+from kgonal.oriented import oriented_series, reversal_fixed
 
 __all__ = [
     "odd_omega",
-    "odd_symmetric_series",
     "odd_series",
     "odd_recurrence",
 ]
@@ -44,29 +36,11 @@ def _require_odd(table: BTable) -> int:
     return k
 
 
-def odd_symmetric_series(table: BTable) -> list[int]:
-    """Reflection-symmetric classes s_0..s_order; each coefficient is a count."""
-    k, order = _require_odd(table), table.order
-    b_h = table.int_coeffs((k - 1) // 2, order // 2)
-    b_f = table.int_coeffs(k - 1, order // 2)
-    s = [1] + [0] * order
-    sums = [0] * (order + 1)
-    for n in range(1, order + 1):
-        if n % 2:
-            w = 2 * b_h[(n - 1) // 2]
-        else:
-            w = b_f[(n - 2) // 2]
-            if n % 4 == 2:
-                w -= b_h[(n - 2) // 4]
-        s[n] = polya_step(sums, s, n, w, f"symmetric count at n={n}", den=2)
-    return s
-
-
 def odd_series(table: BTable) -> list[int]:
     """Unlabelled counts a_n for odd k, as half the orbit sum."""
     _require_odd(table)
     a_o = oriented_series(table)
-    sym = odd_symmetric_series(table)
+    sym = reversal_fixed(table)
     return [exact_count(a_o[n] + sym[n], 2, f"count at n={n}") for n in range(table.order + 1)]
 
 

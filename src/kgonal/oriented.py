@@ -23,14 +23,30 @@ builds each of those prefixes once.  Both routes share the rotation
 term.  Every coefficient must come out a non-negative integer; the
 division by k has no remainder exactly when b is correct, so the check
 doubles as a consistency check on the whole pipeline.
+
+The unoriented counts of both parities of k average a_o with the
+structures fixed by reversing the root edge, and reversal_fixed builds
+that series for every k at once.  A page on the reversal axis swaps
+h = floor((k-1)/2) pairs of its edges and, for even k, keeps its middle
+edge, which is itself reversal-fixed.  The pages off the axis pair up
+with their mirror images, so at even n the weight also counts, one per
+pair, the pages of size n/2 that are not their own mirror image.  The
+fixed series is therefore the Polya exponential
+y = exp(sum_i Omega(x^i)/i) with
+
+    Omega_n = Q_n + [n even] (b^{k-1}_{n/2-1} - Q_{n/2}) / 2,
+    Q(x)    = x b^h(x^2) F(x),  F = 1 for odd k, F = y for even k,
+
+one kernels.polya_step per coefficient.  Both powers are read only to
+index order/2, and the halving is checked like every other division.
 """
 
 from __future__ import annotations
 
 from kgonal.bseries import BTable
-from kgonal.kernels import exact_count
+from kgonal.kernels import exact_count, polya_step
 
-__all__ = ["euler_phi", "oriented_series", "oriented_count"]
+__all__ = ["euler_phi", "oriented_series", "oriented_count", "reversal_fixed"]
 
 
 def euler_phi(d: int) -> int:
@@ -55,11 +71,16 @@ def _rotation_term(table: BTable, m: int, top: int) -> int:
 
     The rotations of order d of the root polygon, placed at x^{m+1}.
     Each power is built through index top // d, so callers reading every
-    m <= top, or the largest m first, build each prefix once.
+    m <= top, or the largest m first, build each prefix once.  A divisor
+    of m > 0 is at most m, so the scan stops there, not at k.
     """
     k = table.params.k
+    if m == 0:
+        # every d divides 0, each power starts with 1, and the phi(d)
+        # over the divisors d of k sum to k
+        return k - 1
     acc = 0
-    for d in range(2, k + 1):
+    for d in range(2, min(k, m) + 1):
         if k % d == 0 and m % d == 0:
             acc += euler_phi(d) * table.int_coeffs(k // d, top // d)[m // d]
     return acc
@@ -96,3 +117,28 @@ def oriented_count(table: BTable, n: int) -> int:
         bk = sum(b[i] * c[m - i] for i in range(n))
         acc += _rotation_term(table, m, m) - (k - 1) * bk
     return exact_count(acc, k, f"oriented count at n={n}")
+
+
+def reversal_fixed(table: BTable) -> list[int]:
+    """Edge-rooted structures fixed by reversing the root, y_0..y_order.
+
+    The Polya exponential of the module docstring: the weight at n is
+    the on-axis pages Q_n plus, at even n, the mirror pairs of size n/2.
+    """
+    k, order = table.params.k, table.order
+    b_h = table.int_coeffs((k - 1) // 2, order // 2)
+    b_f = table.int_coeffs(k - 1, order // 2)
+    y = [1] + [0] * order
+    # F of the module docstring: the middle edge of an even-k axis page
+    # carries a fixed structure of its own
+    f = y if k % 2 == 0 else [1] + [0] * order
+    q = [0] * (order + 1)
+    sums = [0] * (order + 1)
+    for n in range(1, order + 1):
+        q[n] = sum(b_h[m] * f[n - 1 - 2 * m] for m in range((n + 1) // 2))
+        w = q[n]
+        if n % 2 == 0:
+            h = n // 2
+            w += exact_count(b_f[h - 1] - q[h], 2, f"mirror-pair count at n={n}")
+        y[n] = polya_step(sums, y, n, w, f"reversal-fixed count at n={n}")
+    return y

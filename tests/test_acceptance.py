@@ -28,11 +28,10 @@ from kgonal.cli import (
     render_table,
     unlabelled_column,
 )
-from kgonal.even import symmetric_system
 from kgonal.labelled import burnside_b
-from kgonal.odd import odd_recurrence, odd_series, odd_symmetric_series
+from kgonal.odd import odd_recurrence, odd_series
 from kgonal.oracle import count_tau_fixed, enumerate_b, reversal
-from kgonal.oriented import oriented_series
+from kgonal.oriented import oriented_series, reversal_fixed
 from kgonal.universal import universal_c
 from bfile import read_bfile
 
@@ -346,11 +345,7 @@ def test_criterion_6_oracle_equivalence(capsys):
     for k in (3, 4, 5, 6):
         params = GonalParams(k)
         table = table_for(k, 6)
-        if k % 2:
-            fixed_reference = odd_symmetric_series(table)
-            fixed_expected = [int(fixed_reference[n]) for n in range(7)]
-        else:
-            fixed_expected = list(symmetric_system(table).alpha[:7])
+        fixed_expected = reversal_fixed(table)
         for n in range(7):
             structures = enumerate_b(params, n)
             assert len(structures) == table.coeff(1, n), f"k={k} n={n}"

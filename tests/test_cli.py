@@ -88,6 +88,16 @@ class TestCount:
         assert code == 0
         assert [entry["value"] for entry in json.loads(out)["counts"]] == ["1", "1", "1"]
 
+    def test_huge_k_returns_promptly(self):
+        # the rotation term scans the divisors d <= n - 1, not every d <= k,
+        # which at k = 10^10 would not finish
+        proc = _run_python(
+            "-m", "kgonal", "count", "--k", str(10**10), "--family", "unlabelled-oriented",
+            "--n", "2", timeout=60,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["counts"] == [{"n": 2, "value": "1"}]
+
     def test_values_round_trip(self, capsys):
         code, out, _ = run_cli(
             capsys, "count", "--k", "4", "--family", "labelled-rooted", "--order", "25"
@@ -164,6 +174,14 @@ class TestTable:
     def test_rejects_bad_range(self):
         with pytest.raises(Exception):
             render_table(5, 3, 4)
+
+    def test_rejects_negative_order(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--order", "-1")
+        assert code == 1
+        assert out == ""
+        assert "order must be >= 0" in err
+        with pytest.raises(CliError, match="order must be >= 0"):
+            render_table(2, 3, -1)
 
     def test_deep_table_digest(self):
         # sha256 of the table to n = 100, recorded before the counting
@@ -311,6 +329,17 @@ class TestUniversal:
         doc = json.loads(out)
         assert doc["xi_partial_sum"] == pytest.approx(0.119674100436, abs=1e-6)
 
+    def test_rejects_bad_p_before_computing(self, capsys, monkeypatch):
+        # --p is checked before c_1..c_{m-max}, which take seconds to compute
+        def no_c(*args):
+            raise AssertionError("universal_c called before --p was checked")
+
+        monkeypatch.setattr("kgonal.cli.universal_c", no_c)
+        code, out, err = run_cli(capsys, "universal", "--m-max", "34", "--p", "0")
+        assert code == 1
+        assert out == ""
+        assert "p must be >= 1" in err
+
     def test_rejects_m_max_above_ceiling(self, capsys):
         # the partition sum behind c_m grows like p(m-1); past the ceiling
         # the command would run for minutes to hours, so it fails at once
@@ -446,12 +475,14 @@ class TestLongIntegers:
             assert json.loads(out)["rows"][1]["values"] == [want[1]] * 2
 
 
-def _run_python(*args):
+def _run_python(*args, timeout=None):
     # the child must import the same kgonal as this test, installed or not
     src = str(pathlib.Path(kgonal.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
 
 
 def test_module_entry_point():

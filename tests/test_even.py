@@ -1,4 +1,4 @@
-"""Unlabelled counts for even k: system tables, pinned rows, identities."""
+"""Unlabelled counts for even k: the paper's case split, pinned rows, identities."""
 
 from fractions import Fraction
 
@@ -6,31 +6,81 @@ import pytest
 
 from kgonal.bseries import GonalParams, compute_b
 from kgonal.cli import family_counts
-from kgonal.even import even_series, symmetric_system, totally_symmetric
-from kgonal.kernels import convolve
-from kgonal.oriented import oriented_series
+from kgonal.even import even_series
+from kgonal.kernels import convolve, polya_step
+from kgonal.oriented import oriented_series, reversal_fixed
+
+
+def _case_split(table):
+    """The paper's even-k case split of the reflection-fixed structures.
+
+    Six integer tables, advanced jointly in n:
+
+        pi    polygon-rooted totally symmetric structures
+        beta  auxiliary series with x beta'/beta matching pi's divisor sums
+        p_m   mixed pages at the root
+        p_al  alternated page pairs at the root (even n only)
+        omega pi + p_al + p_m, the per-size page weight
+        alpha reflection-fixed edge-rooted structures
+
+    pi at n needs beta below n and beta at n needs pi up to n; p_m at n
+    uses alpha below n, p_al at n uses p_m at n/2, and alpha at n
+    consumes omega up to n.  A reference for reversal_fixed, which
+    reaches alpha without pi, beta or p_m.
+    """
+    k, order = table.params.k, table.order
+    b_half = table.int_coeffs((k - 2) // 2, order // 2)
+    b_full = table.int_coeffs(k - 1, order // 2)
+    tables = {name: [0] * (order + 1) for name in ("pi", "beta", "p_m", "p_al", "omega", "alpha")}
+    pi, beta, p_m, p_al, omega, alpha = tables.values()
+    beta[0] = alpha[0] = 1
+    pi_sums = [0] * (order + 1)
+    omega_sums = [0] * (order + 1)
+    for n in range(1, order + 1):
+        pi[n] = sum(b_half[m] * beta[n - 1 - 2 * m] for m in range((n + 1) // 2))
+        beta[n] = polya_step(pi_sums, beta, n, pi[n], f"beta at n={n}")
+        p_m[n] = sum(b_half[m] * alpha[n - 1 - 2 * m] for m in range((n + 1) // 2)) - pi[n]
+        assert p_m[n] >= 0, f"mixed-page count at n={n} is negative"
+        if n % 2 == 0:
+            h = n // 2
+            p_al[n], rem = divmod(b_full[h - 1] - pi[h] - p_m[h], 2)
+            assert rem == 0, f"alternated-pair count at n={n} is not an integer"
+        omega[n] = pi[n] + p_al[n] + p_m[n]
+        assert pi[n] <= omega[n]
+        alpha[n] = polya_step(omega_sums, alpha, n, omega[n], f"alpha at n={n}")
+    assert not any(p_al[1::2])
+    for name, values in tables.items():
+        assert min(values) >= 0, f"negative entry in {name}"
+    return {name: tuple(values) for name, values in tables.items()}
 
 
 def test_rejects_odd_k():
     with pytest.raises(ValueError):
         even_series(compute_b(GonalParams(3), 5))
-    with pytest.raises(ValueError):
-        totally_symmetric(compute_b(GonalParams(5), 5))
 
 
 def test_k4_totally_symmetric_tables():
-    pi, beta = totally_symmetric(compute_b(GonalParams(4), 4))
-    assert pi == (0, 1, 1, 3, 6)
-    assert beta == (1, 1, 2, 5, 12)
+    tables = _case_split(compute_b(GonalParams(4), 4))
+    assert tables["pi"] == (0, 1, 1, 3, 6)
+    assert tables["beta"] == (1, 1, 2, 5, 12)
 
 
 def test_k4_system_tables():
-    sym = symmetric_system(compute_b(GonalParams(4), 4))
-    assert sym.alpha == (1, 1, 2, 5, 13)
-    assert sym.p_m == (0, 0, 0, 0, 0)
-    assert sym.p_al == (0, 0, 0, 0, 1)
-    assert sym.omega == (0, 1, 1, 3, 7)
-    assert tuple(convolve(sym.alpha, sym.alpha, 4)) == (1, 2, 5, 14, 40)
+    table = compute_b(GonalParams(4), 4)
+    tables = _case_split(table)
+    assert tables["alpha"] == (1, 1, 2, 5, 13)
+    assert tables["p_m"] == (0, 0, 0, 0, 0)
+    assert tables["p_al"] == (0, 0, 0, 0, 1)
+    assert tables["omega"] == (0, 1, 1, 3, 7)
+    alpha = reversal_fixed(table)
+    assert alpha == [1, 1, 2, 5, 13]
+    assert tuple(convolve(alpha, alpha, 4)) == (1, 2, 5, 14, 40)
+
+
+@pytest.mark.parametrize("k", range(2, 13, 2))
+def test_reversal_fixed_matches_case_split(k):
+    table = compute_b(GonalParams(k), 60)
+    assert reversal_fixed(table) == list(_case_split(table)["alpha"])
 
 
 def test_k4_edge_rooted():
@@ -57,12 +107,13 @@ def test_k2_degenerates_to_free_trees():
 def test_alpha_parity_and_bound():
     for k in (2, 4, 6, 8):
         table = compute_b(GonalParams(k), 12)
-        sym = symmetric_system(table)
+        alpha = reversal_fixed(table)
+        tables = _case_split(table)
         for n in range(13):
             b_n = table.int_coeffs(1)[n]
-            assert sym.alpha[n] <= b_n
-            assert (b_n + sym.alpha[n]) % 2 == 0
-            assert sym.pi[n] <= sym.omega[n]
+            assert alpha[n] <= b_n
+            assert (b_n + alpha[n]) % 2 == 0
+            assert tables["pi"][n] <= tables["omega"][n]
 
 
 def test_unrooting_identity():
@@ -72,11 +123,11 @@ def test_unrooting_identity():
         table = compute_b(GonalParams(k), 12)
         a = even_series(table)
         a_o = oriented_series(table)
-        sym = symmetric_system(table)
-        alpha_sq = convolve(sym.alpha, sym.alpha, 12)
+        alpha = reversal_fixed(table)
+        alpha_sq = convolve(alpha, alpha, 12)
         half = (k - 2) // 2
         for n in range(13):
-            lhs = 4 * a[n] - 2 * a_o[n] - 2 * sym.alpha[n]
+            lhs = 4 * a[n] - 2 * a_o[n] - 2 * alpha[n]
             lhs -= table.coeff(k // 2, Fraction(n - 1, 2))
             lhs += sum(
                 alpha_sq[i] * table.coeff(half, Fraction(n - 1 - i, 2))

@@ -89,13 +89,13 @@ def test_power_checks_its_division():
 
 
 
-def _polya(weights, den=1):
-    """y_0..y_len(weights) of exp(sum_i W(x^i)/(den i)), W_n = weights[n-1]."""
+def _polya(weights):
+    """y_0..y_len(weights) of exp(sum_i W(x^i)/i), W_n = weights[n-1]."""
     order = len(weights)
     y = [1] + [0] * order
     sums = [0] * (order + 1)
     for n in range(1, order + 1):
-        y[n] = kernels.polya_step(sums, y, n, weights[n - 1], f"step {n}", den)
+        y[n] = kernels.polya_step(sums, y, n, weights[n - 1], f"step {n}")
     return y
 
 
@@ -105,9 +105,10 @@ def test_polya_step_partition_numbers():
 
 
 def test_polya_step_checks_its_division():
-    # exp(x/2) has y_1 = 1/2
-    with pytest.raises(kernels.InexactDivisionError, match="step 1"):
-        _polya([1], den=2)
+    # W_1 = 1 gives y_1 = 1 and sums = [0, 1, 1]; with the scatter to
+    # m = 2 lost, 2 y_2 = 1 leaves a remainder
+    with pytest.raises(kernels.InexactDivisionError, match="step 2"):
+        kernels.polya_step([0, 1, 0], [1, 1, 0], 2, 0, "step 2")
 
 
 def test_polya_step_rejects_a_negative_count():

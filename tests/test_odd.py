@@ -6,8 +6,8 @@ import pytest
 
 from kgonal.bseries import GonalParams, compute_b
 from kgonal.cli import family_counts
-from kgonal.odd import odd_omega, odd_recurrence, odd_series, odd_symmetric_series
-from kgonal.oriented import oriented_series
+from kgonal.odd import odd_omega, odd_recurrence, odd_series
+from kgonal.oriented import oriented_series, reversal_fixed
 from fraction_series import Series, exp
 
 
@@ -50,7 +50,7 @@ def test_routes_agree():
 def test_symmetric_series_consistency():
     for k in (3, 5):
         table = compute_b(GonalParams(k), 12)
-        sym = odd_symmetric_series(table)
+        sym = reversal_fixed(table)
         a = odd_series(table)
         a_o = oriented_series(table)
         for n in range(13):
@@ -95,7 +95,7 @@ def test_symmetric_matches_fraction_route():
         params = GonalParams(k)
         want = _symmetric_by_fractions(params, 60)
         table = compute_b(params, 60)
-        assert odd_symmetric_series(table) == want, f"k={k}"
+        assert reversal_fixed(table) == want, f"k={k}"
         # a table cut below the order reads shorter power prefixes
-        assert odd_symmetric_series(table.truncate(37)) == want[:38], f"k={k}"
-        assert odd_symmetric_series(table.truncate(0)) == want[:1]
+        assert reversal_fixed(table.truncate(37)) == want[:38], f"k={k}"
+        assert reversal_fixed(table.truncate(0)) == want[:1]

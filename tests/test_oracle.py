@@ -4,9 +4,8 @@ import pytest
 
 from kgonal.bseries import GonalParams, compute_b
 from kgonal.cli import family_counts
-from kgonal.even import symmetric_system
-from kgonal.odd import odd_symmetric_series
 from kgonal.oracle import count_tau_fixed, enumerate_b, reversal
+from kgonal.oriented import reversal_fixed
 
 
 def polygon_count(s) -> int:
@@ -62,15 +61,15 @@ def test_reversal_involution_and_size():
 def test_fixed_counts_match_even_alpha():
     for k in (4, 6):
         params = GonalParams(k)
-        sym = symmetric_system(compute_b(params, 5))
+        alpha = reversal_fixed(compute_b(params, 5))
         for n in range(6):
-            assert count_tau_fixed(params, n) == sym.alpha[n], (k, n)
+            assert count_tau_fixed(params, n) == alpha[n], (k, n)
 
 
 def test_fixed_counts_match_odd_symmetric():
     for k in (3, 5):
         params = GonalParams(k)
-        sym = odd_symmetric_series(compute_b(params, 5))
+        sym = reversal_fixed(compute_b(params, 5))
         for n in range(6):
             assert count_tau_fixed(params, n) == sym[n], (k, n)
 
