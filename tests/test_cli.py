@@ -11,6 +11,7 @@ import pytest
 
 from kgonal.cli import (
     CliError,
+    K_RANGE_CEILING,
     M_MAX_CEILING,
     ORDER_CEILING,
     constants_report,
@@ -98,6 +99,40 @@ class TestCount:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["counts"] == [{"n": 2, "value": "1"}]
 
+    @pytest.mark.parametrize("family", ["labelled-rooted", "labelled-oriented", "labelled", "unlabelled"])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_single_index_is_the_order_row(self, capsys, k, family):
+        code, out_n, _ = run_cli(capsys, "count", "--k", str(k), "--family", family, "--n", "9")
+        assert code == 0
+        code, out_order, _ = run_cli(
+            capsys, "count", "--k", str(k), "--family", family, "--order", "9"
+        )
+        row = json.loads(out_order)["counts"][9]
+        expected = {"k": k, "family": family, "counts": [row]}
+        assert out_n == json.dumps(expected, indent=2) + "\n"
+
+    def test_labelled_single_index_evaluates_one_form(self, capsys, monkeypatch):
+        # count --n N of a labelled family is one closed form, not N + 1
+        from kgonal.labelled import labelled_unoriented
+
+        seen = []
+
+        def recording(params, n):
+            seen.append(n)
+            return labelled_unoriented(params, n)
+
+        monkeypatch.setattr("kgonal.cli.labelled_unoriented", recording)
+        code, out, _ = run_cli(capsys, "count", "--k", "3", "--family", "labelled", "--n", "4000")
+        assert code == 0
+        assert seen == [4000]
+        assert json.loads(out)["counts"][0]["n"] == 4000
+
+    def test_labelled_single_index_rejects_negative_n(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--k", "3", "--family", "labelled", "--n", "-1")
+        assert code == 1
+        assert out == ""
+        assert "order must be >= 0" in err
+
     def test_values_round_trip(self, capsys):
         code, out, _ = run_cli(
             capsys, "count", "--k", "4", "--family", "labelled-rooted", "--order", "25"
@@ -182,6 +217,25 @@ class TestTable:
         assert "order must be >= 0" in err
         with pytest.raises(CliError, match="order must be >= 0"):
             render_table(2, 3, -1)
+
+    @pytest.mark.parametrize("k_max", [str(2 + K_RANGE_CEILING), "1000000000"])
+    def test_rejects_wide_k_range(self, capsys, monkeypatch, k_max):
+        # table solves b once per column; a huge range fails before any solve
+        def no_solve(*args):
+            raise AssertionError("b solved for a range past the ceiling")
+
+        monkeypatch.setattr("kgonal.cli.compute_b", no_solve)
+        code, out, err = run_cli(capsys, "table", "--k-min", "2", "--k-max", k_max, "--order", "3")
+        assert code == 1
+        assert out == ""
+        assert f"must be <= {K_RANGE_CEILING}" in err
+        with pytest.raises(CliError, match=f"must be <= {K_RANGE_CEILING}"):
+            render_table(2, int(k_max), 3)
+
+    def test_widest_k_range_accepted(self):
+        rows = render_table(2, 1 + K_RANGE_CEILING, 0).splitlines()
+        assert len(rows[0].split(",")) == 1 + K_RANGE_CEILING
+        assert rows[1] == "0" + ",1" * K_RANGE_CEILING
 
     def test_deep_table_digest(self):
         # sha256 of the table to n = 100, recorded before the counting

@@ -4,7 +4,8 @@ import pytest
 
 from kgonal.bseries import GonalParams, compute_b
 from kgonal.cli import family_counts
-from kgonal.oracle import count_tau_fixed, enumerate_b, reversal
+from kgonal import oracle
+from kgonal.oracle import count_tau_fixed, enumerate_b, reversal, serialize
 from kgonal.oriented import reversal_fixed
 
 
@@ -98,3 +99,48 @@ def test_edge_rooted_orbit_count_k3():
         fixed = count_tau_fixed(params, n)
         assert (total + fixed) % 2 == 0
         assert (total + fixed) // 2 == int(row[n])
+
+
+def _page_text(page) -> str:
+    return "[" + "".join("(" + "".join(map(_page_text, c)) + ")" for c in page) + "]"
+
+
+def _plain_reversal(s):
+    """Reversal with no memo and no cache: flip, recurse, sort the pages."""
+    pages = (tuple(_plain_reversal(c) for c in reversed(page)) for page in s)
+    return tuple(sorted(pages, key=lambda page: (len(_page_text(page)), _page_text(page))))
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_memoized_count_matches_plain_reversal(k):
+    params = GonalParams(k)
+    for n in range(6):
+        structures = enumerate_b(params, n)
+        fixed = sum(reversal(s) == s for s in structures)
+        assert count_tau_fixed(params, n) == fixed, (k, n)
+        assert fixed == sum(_plain_reversal(s) == s for s in structures), (k, n)
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_enumeration_is_canonical_as_drawn(k):
+    # a page of s polygons serializes to 2k*s characters, so the pool
+    # sorted size by size is in global page order and no structure
+    # needs a sort of its own
+    params = GonalParams(k)
+    for size in range(1, 6):
+        for page in oracle._enum(params).pages(size):
+            assert len(oracle._serialize_page(page)) == 2 * k * size
+    for n in range(6):
+        for s in enumerate_b(params, n):
+            assert s == oracle._canonical(s)
+
+
+def test_count_leaves_no_module_level_memo():
+    # the reversal memo lives for one call; the serialization caches only
+    # grow with the enumeration itself
+    params = GonalParams(6)
+    enumerate_b(params, 5)
+    before = (serialize.cache_info().currsize, oracle._serialize_page.cache_info().currsize)
+    count_tau_fixed(params, 5)
+    after = (serialize.cache_info().currsize, oracle._serialize_page.cache_info().currsize)
+    assert after == before
