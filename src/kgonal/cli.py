@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -46,6 +47,7 @@ __all__ = [
     "M_MAX_CEILING",
     "ORDER_CEILING",
     "K_RANGE_CEILING",
+    "TABLE_COST_CEILING",
 ]
 
 FAMILIES = (
@@ -65,10 +67,11 @@ EMPIRICAL_ORDER = 1000
 # to 40, 22 s up to 46 (2 vCPU, Python 3.11), and hours at m = 90
 M_MAX_CEILING = 40
 
-# solving b and the layers on it cost about order^4 in time at fixed k:
-# at k = 12 the slowest family, count --family unlabelled, takes 65 s
-# at order 1600 and 99 s at 1800, and constants --series-order 1800
-# 43 s (2 vCPU, Python 3.11)
+# b and the layers on it cost about order^3 in time at fixed k (a table
+# column of k = 12 took 0.87 s at order 500 and 7.6 s at 1000).  At
+# order 1600 and k = 12 the slowest family, count --family unlabelled,
+# takes 48 s, count --family b 16 s, and constants --p 11 --series-order
+# 1600 15 s (2 vCPU, Python 3.11)
 ORDER_CEILING = 1600
 
 # table solves b once per polygon size, so its time grows linearly in the
@@ -76,6 +79,13 @@ ORDER_CEILING = 1600
 # 20 and 4.8 s at order 60, and 20000 columns 1.4 s at order 3 (2 vCPU,
 # Python 3.11)
 K_RANGE_CEILING = 1000
+
+# a table column costs about order^3 log10(e (k - 1)) work units: k - 1
+# sets the digits per coefficient.  table --k-min 2 --k-max 12 --order
+# 1600 is 5.1e10 units and took 270 s; k = 12 alone took 0.09 s at order
+# 250, 0.87 s at 500 and 7.6 s at 1000, and k = 1001 0.17 s at 250
+# (2 vCPU, Python 3.11)
+TABLE_COST_CEILING = 6e10
 
 
 class CliError(Exception):
@@ -88,8 +98,8 @@ def _check_order(order: int, what: str = "order") -> None:
         raise CliError(f"{what} must be >= 0")
     if order > ORDER_CEILING:
         raise CliError(
-            f"{what} must be <= {ORDER_CEILING}: solving b grows like the fourth "
-            "power of the order"
+            f"{what} must be <= {ORDER_CEILING}: counting through b grows like the "
+            "cube of the order"
         )
 
 
@@ -185,6 +195,13 @@ def render_table(
             "per polygon size"
         )
     _check_order(order)
+    cost = order**3 * sum(math.log10(math.e * (k - 1)) for k in range(k_min, k_max + 1))
+    if cost > TABLE_COST_CEILING:
+        raise CliError(
+            f"table of {k_max - k_min + 1} columns to order {order} is too large: "
+            f"order^3 log10(e (k - 1)) summed over its columns is {cost:.2g}, past "
+            f"the limit of {TABLE_COST_CEILING:.2g} (about five minutes)"
+        )
     columns: dict[int, list[int]] = {}
     for k in range(k_min, k_max + 1):
         columns[k] = unlabelled_column(compute_b(GonalParams(k), order, cache_dir))

@@ -232,6 +232,34 @@ class TestTable:
         with pytest.raises(CliError, match=f"must be <= {K_RANGE_CEILING}"):
             render_table(2, int(k_max), 3)
 
+    @pytest.mark.parametrize(("k_max", "order"), [(1001, ORDER_CEILING), (1001, 400), (14, 1600)])
+    def test_rejects_costly_table(self, capsys, monkeypatch, k_max, order):
+        # columns and order each within their ceiling, but not together
+        def no_solve(*args):
+            raise AssertionError("b solved for a table past the cost ceiling")
+
+        monkeypatch.setattr("kgonal.cli.compute_b", no_solve)
+        argv = ("table", "--k-min", "2", "--k-max", str(k_max), "--order", str(order))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "too large" in err
+        with pytest.raises(CliError, match="too large"):
+            render_table(2, k_max, order)
+
+    @pytest.mark.parametrize(("k_max", "order"), [(12, ORDER_CEILING), (1001, 60)])
+    def test_costly_table_within_ceiling_accepted(self, monkeypatch, k_max, order):
+        # the check passes and the solve starts, which is as far as a test runs
+        class Started(Exception):
+            pass
+
+        def started(*args):
+            raise Started
+
+        monkeypatch.setattr("kgonal.cli.compute_b", started)
+        with pytest.raises(Started):
+            render_table(2, k_max, order)
+
     def test_widest_k_range_accepted(self):
         rows = render_table(2, 1 + K_RANGE_CEILING, 0).splitlines()
         assert len(rows[0].split(",")) == 1 + K_RANGE_CEILING
@@ -331,8 +359,8 @@ class TestAmplitudeProbe:
 
 
 class TestOrderCeiling:
-    # solving b grows like order^4; past the ceiling a command fails at
-    # once instead of running for minutes
+    # past the ceiling a command fails at once instead of running for
+    # minutes
 
     @pytest.mark.parametrize(
         "argv",

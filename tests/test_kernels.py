@@ -1,4 +1,5 @@
-"""Integer kernels: anchors, the power rule and the division checks."""
+"""Integer kernels: anchors, the solve against its reference, block
+products, the power rule and the division checks."""
 
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from kgonal import kernels
 from fraction_series import Series
+from reference_solve import solve_b_reference
 
 
 def test_backend_reported():
@@ -33,6 +35,78 @@ def test_solve_b_validation():
         kernels.solve_b(0, 5)
     with pytest.raises(ValueError):
         kernels.solve_b(2, -1)
+
+
+@pytest.mark.parametrize("p", range(1, 12))
+@pytest.mark.parametrize("crossover", [0, 10**18])
+@pytest.mark.parametrize("piece", [5, 8])
+def test_solve_b_matches_reference(p, crossover, piece, monkeypatch):
+    # at the default width, order 120 is all band; narrow squares of odd
+    # and even width tile it, and a crossover of 0 sends every square
+    # through Decimal, one of 10^18 none
+    monkeypatch.setattr(kernels, "DECIMAL_CROSSOVER", crossover)
+    monkeypatch.setattr(kernels, "PIECE", piece)
+    want_c, got_c = [], []
+    assert kernels.solve_b(p, 120, got_c) == solve_b_reference(p, 120, want_c)
+    assert got_c == want_c
+
+
+def test_solve_b_matches_reference_at_size(monkeypatch):
+    # at order 600 the widest squares of p = 11 pass the crossover
+    # with the shipped settings
+    calls = []
+    at_plus_minus = kernels._at_plus_minus
+    monkeypatch.setattr(
+        kernels, "_at_plus_minus", lambda *args: calls.append(1) or at_plus_minus(*args)
+    )
+    want_c, got_c = [], []
+    assert kernels.solve_b(11, 600, got_c) == solve_b_reference(11, 600, want_c)
+    assert got_c == want_c
+    assert calls
+
+
+# non-negative coefficients: small and large, zeros, all nines, and
+# values past the interpreter's 4300-digit limit for int <-> str
+_coeffs = st.lists(
+    st.one_of(
+        st.integers(0, 10**40),
+        st.just(0),
+        st.integers(1, 60).map(lambda d: 10**d - 1),
+        st.integers(4290, 4400).map(lambda d: 10**d - 1),
+        st.integers(10**4300, 10**4400),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(_coeffs, _coeffs, st.data())
+def test_block_product_matches_int_loop(a, b, data):
+    # a second term, of other lengths, summed into the same slots
+    a2 = data.draw(st.lists(st.integers(0, 10**40), max_size=len(a)))
+    b2 = data.draw(st.lists(st.integers(0, 10**4400), max_size=len(b)))
+    base = data.draw(st.integers(0, 3))
+    size = base + len(a) + len(b) - 1
+    start = data.draw(st.integers(0, size))
+    stop = data.draw(st.integers(start, size))
+    top = len(a) + len(b) - 2
+    for terms in ([(a, b)], [(a, b), (a2, b2)]):
+        want = [0] * base + [sum(h) for h in zip(*(kernels.convolve(x, z, top) for x, z in terms))]
+        for crossover in (0, 10**18):
+            out = [1] * size
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "DECIMAL_CROSSOVER", crossover)
+                kernels.add_products(out, start, stop, base, terms)
+            expected = [1 + want[n] if start <= n < stop else 1 for n in range(size)]
+            # indices, not values: the values can pass the 4300-digit limit of repr
+            assert [n for n in range(size) if out[n] != expected[n]] == []
+
+
+@pytest.mark.parametrize("crossover", [0, 10**18])
+def test_block_product_rejects_a_negative_input(crossover, monkeypatch):
+    monkeypatch.setattr(kernels, "DECIMAL_CROSSOVER", crossover)
+    with pytest.raises(kernels.IntegrityError, match="negative"):
+        kernels.add_products([0] * 3, 0, 3, 0, [([1, 1], [1, 1]), ([1, -1], [1, 1])])
 
 
 def test_convolve_short_operands():
