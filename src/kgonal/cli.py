@@ -26,7 +26,6 @@ from kgonal.asymptotics import (
 )
 from kgonal.bseries import BTable, GonalParams, compute_b, recurrence_crosscheck
 from kgonal.cache import resolve_cache_dir
-from kgonal.even import even_series
 from kgonal.kernels import IntegrityError, exact_count, long_decimals
 from kgonal.labelled import (
     burnside_b,
@@ -34,9 +33,9 @@ from kgonal.labelled import (
     labelled_rooted,
     labelled_unoriented,
 )
-from kgonal.odd import odd_recurrence, odd_series
+from kgonal.odd import odd_recurrence
 from kgonal.oracle import count_tau_fixed, enumerate_b
-from kgonal.oriented import oriented_count, oriented_series, reversal_fixed
+from kgonal.oriented import oriented_count, oriented_series, reversal_fixed, unlabelled_series
 from kgonal.universal import universal_c, xi_from_expansion
 
 __all__ = [
@@ -138,7 +137,7 @@ def family_counts(
     if family == "unlabelled-oriented":
         return oriented_series(table)
     if family == "unlabelled":
-        return unlabelled_column(table)
+        return unlabelled_series(table)
     # edge-rooted-unlabelled: the orbits of root reversal
     b, fixed = table.int_coeffs(1), reversal_fixed(table)
     return [exact_count(b[n] + fixed[n], 2, f"b_n + fixed_n at n={n}") for n in range(order + 1)]
@@ -176,13 +175,6 @@ def cmd_series(args: argparse.Namespace, cache_dir: Path | None) -> int:
     return 0
 
 
-def unlabelled_column(table: BTable) -> list[int]:
-    """Unlabelled counts a_0..a_order, by the parity of k."""
-    if table.params.k % 2:
-        return odd_series(table)
-    return even_series(table)
-
-
 def render_table(
     k_min: int, k_max: int, order: int, fmt: str = "csv", cache_dir: Path | None = None
 ) -> str:
@@ -204,7 +196,7 @@ def render_table(
         )
     columns: dict[int, list[int]] = {}
     for k in range(k_min, k_max + 1):
-        columns[k] = unlabelled_column(compute_b(GonalParams(k), order, cache_dir))
+        columns[k] = unlabelled_series(compute_b(GonalParams(k), order, cache_dir))
     with long_decimals():
         if fmt == "csv":
             lines = ["n," + ",".join(f"k{k}" for k in range(k_min, k_max + 1))]
@@ -364,13 +356,13 @@ def _verify_checks(level: str, with_oracle: bool, cache_dir: Path | None):
         ks, order = ((3, 5, 7, 9, 11), 20) if wide else ((3, 5, 7), 12)
         for k in ks:
             table = compute_b(GonalParams(k), order, cache_dir)
-            _require(odd_series(table) == odd_recurrence(table), f"k={k}")
+            _require(unlabelled_series(table) == odd_recurrence(table), f"k={k}")
 
     def check_group_average():
         k_max, order = (12, 14) if wide else (8, 12)
         for k in range(2, k_max + 1):
             table = compute_b(GonalParams(k), order, cache_dir)
-            a = unlabelled_column(table)
+            a = unlabelled_series(table)
             a_o = oriented_series(table)
             for n in range(order + 1):
                 _require(isinstance(a[n], int) and a[n] >= 0, f"k={k} n={n}")

@@ -1,16 +1,10 @@
-"""Unlabelled counts for odd polygon size, reflections included.
+"""A divisor-sum recurrence for the unlabelled counts at odd polygon size.
 
-For odd k each polygon has one edge-to-vertex symmetry axis.  The
-structures fixed by reversing the root edge, s = oriented.reversal_fixed,
-have pages off the axis paired with their mirror images and pages on
-the axis split into two halves of (k-1)/2 edges each.  The final count
-is the usual group average
-
-    a(x) = (a_o(x) + s(x)) / 2.
-
-A divisor-sum recurrence for the same numbers is implemented
-independently as a cross-check; the two routes share nothing past the
-b table.
+oriented.unlabelled_series builds a_n for every k from the oriented
+series a_o and the reversal-fixed series.  For odd k the same numbers
+also satisfy a divisor-sum recurrence driven by a_o and a weight read
+straight off the b^j tables; it shares nothing with the reversal-fixed
+loop, so the two routes check each other.
 """
 
 from __future__ import annotations
@@ -18,30 +12,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 from kgonal.bseries import BTable
-from kgonal.kernels import IntegrityError, exact_count
-from kgonal.oriented import oriented_series, reversal_fixed
+from kgonal.kernels import IntegrityError
+from kgonal.oriented import oriented_series
 
-__all__ = [
-    "odd_omega",
-    "odd_series",
-    "odd_recurrence",
-]
+__all__ = ["odd_omega", "odd_recurrence"]
 
 
 def _require_odd(table: BTable) -> int:
     """The odd polygon size of the table."""
     k = table.params.k
     if k % 2 == 0:
-        raise ValueError("polygon size is even; use the even-parity module")
+        raise ValueError("polygon size is even; oriented.unlabelled_series counts every k")
     return k
-
-
-def odd_series(table: BTable) -> list[int]:
-    """Unlabelled counts a_n for odd k, as half the orbit sum."""
-    _require_odd(table)
-    a_o = oriented_series(table)
-    sym = reversal_fixed(table)
-    return [exact_count(a_o[n] + sym[n], 2, f"count at n={n}") for n in range(table.order + 1)]
 
 
 def odd_omega(table: BTable, n: int) -> int:
@@ -62,7 +44,7 @@ def odd_omega(table: BTable, n: int) -> int:
 
 
 def odd_recurrence(table: BTable) -> list[int]:
-    """Same counts through the divisor-sum recurrence; test oracle.
+    """The odd-k counts of oriented.unlabelled_series by the recurrence.
 
     a_0 = 1 and for n >= 1
 

@@ -1,4 +1,4 @@
-"""Unlabelled counts up to orientation-preserving symmetry.
+"""Unlabelled counts: oriented, fixed by root reversal, and unrooted with reflections.
 
 Unrooting the edge-rooted series costs a cyclic-group average over the
 k rotations of a polygon plus a correction that cancels structures
@@ -39,14 +39,43 @@ y = exp(sum_i Omega(x^i)/i) with
 
 one kernels.polya_step per coefficient.  Both powers are read only to
 index order/2, and the halving is checked like every other division.
+
+unlabelled_series unroots by the dissymmetry theorem for 2-trees,
+a = a_edge + a_polygon - a_(polygon, edge) (Bergeron, Labelle and
+Leroux, Combinatorial Species and Tree-like Structures, 1998).  Each
+unoriented term averages its oriented count with its count fixed by a
+reflection; the oriented terms sum to a_o, and the fixed ones are:
+
+    edge-rooted:            y;
+    (polygon, edge)-rooted: y Q, the one reflection reversing the marked
+                            edge, whose page is an axis page;
+    polygon-rooted:         the mean over the k reflections of the root.
+
+Every axis of an odd polygon runs through one vertex and one edge, so
+each reflection fixes y Q and the last two terms cancel.  Half the axes
+of an even polygon run through two edges (y Q again), half through two
+vertices, swapping k/2 pairs of edges (x b^{k/2}(x^2)).  Hence
+
+    4 a_n = 2 (a_{o,n} + y_n)
+          + [k even] ([n odd] b^{k/2}_{(n-1)/2} - (y Q)_n),
+
+one convolution of y with the Q the reversal_fixed loop already
+builds, and one checked division by 4.  Re-rooting every enumerated
+structure (tests/unrooted_oracle.py) gives the same a_n for k = 3..6.
 """
 
 from __future__ import annotations
 
 from kgonal.bseries import BTable
-from kgonal.kernels import exact_count, polya_step
+from kgonal.kernels import convolve, exact_count, polya_step
 
-__all__ = ["euler_phi", "oriented_series", "oriented_count", "reversal_fixed"]
+__all__ = [
+    "euler_phi",
+    "oriented_series",
+    "oriented_count",
+    "reversal_fixed",
+    "unlabelled_series",
+]
 
 
 def euler_phi(d: int) -> int:
@@ -119,12 +148,8 @@ def oriented_count(table: BTable, n: int) -> int:
     return exact_count(acc, k, f"oriented count at n={n}")
 
 
-def reversal_fixed(table: BTable) -> list[int]:
-    """Edge-rooted structures fixed by reversing the root, y_0..y_order.
-
-    The Polya exponential of the module docstring: the weight at n is
-    the on-axis pages Q_n plus, at even n, the mirror pairs of size n/2.
-    """
+def _fixed_and_axis_pages(table: BTable) -> tuple[list[int], list[int]]:
+    """reversal_fixed's y together with the on-axis page series Q of its loop."""
     k, order = table.params.k, table.order
     b_h = table.int_coeffs((k - 1) // 2, order // 2)
     b_f = table.int_coeffs(k - 1, order // 2)
@@ -141,4 +166,31 @@ def reversal_fixed(table: BTable) -> list[int]:
             h = n // 2
             w += exact_count(b_f[h - 1] - q[h], 2, f"mirror-pair count at n={n}")
         y[n] = polya_step(sums, y, n, w, f"reversal-fixed count at n={n}")
-    return y
+    return y, q
+
+
+def reversal_fixed(table: BTable) -> list[int]:
+    """Edge-rooted structures fixed by reversing the root, y_0..y_order.
+
+    The Polya exponential of the module docstring: the weight at n is
+    the on-axis pages Q_n plus, at even n, the mirror pairs of size n/2.
+    """
+    return _fixed_and_axis_pages(table)[0]
+
+
+def unlabelled_series(table: BTable) -> list[int]:
+    """Unlabelled counts a_0..a_order with reflections included, any k.
+
+    The integer 4 a_n of the module docstring, divided once and checked.
+    """
+    k, order = table.params.k, table.order
+    a_o = oriented_series(table)
+    y, q = _fixed_and_axis_pages(table)
+    acc = [2 * (a + f) for a, f in zip(a_o, y)]
+    if k % 2 == 0:
+        # the vertex-vertex axes of the root polygon minus its edge-edge axes
+        b_mid = table.int_coeffs(k // 2, order // 2)
+        yq = convolve(y, q, order)
+        for n in range(order + 1):
+            acc[n] += (b_mid[(n - 1) // 2] if n % 2 else 0) - yq[n]
+    return [exact_count(v, 4, f"count at n={n}") for n, v in enumerate(acc)]

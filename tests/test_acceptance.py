@@ -22,16 +22,11 @@ from mpmath import mp, mpf
 
 from kgonal.asymptotics import constants, empirical_amplitude, solve_xi
 from kgonal.bseries import GonalParams, compute_b, recurrence_crosscheck
-from kgonal.cli import (
-    alpha_bar_probe,
-    packaged_golden_table,
-    render_table,
-    unlabelled_column,
-)
+from kgonal.cli import alpha_bar_probe, packaged_golden_table, render_table
 from kgonal.labelled import burnside_b
-from kgonal.odd import odd_recurrence, odd_series
+from kgonal.odd import odd_recurrence
 from kgonal.oracle import count_tau_fixed, enumerate_b, reversal
-from kgonal.oriented import oriented_series, reversal_fixed
+from kgonal.oriented import oriented_series, reversal_fixed, unlabelled_series
 from kgonal.universal import universal_c
 from bfile import read_bfile
 
@@ -322,10 +317,10 @@ def test_criterion_5_cross_method_identities(capsys):
             assert burnside_b(params, n) == table.coeff(1, n), f"k={k} n={n}"
     for k in (3, 5, 7, 9, 11):
         table = table_for(k, 20)
-        assert odd_series(table) == odd_recurrence(table), f"k={k}"
+        assert unlabelled_series(table) == odd_recurrence(table), f"k={k}"
     for k in range(2, 13):
         table = table_for(k, 20)
-        a = unlabelled_column(table)
+        a = unlabelled_series(table)
         a_o = oriented_series(table)
         for n in range(21):
             assert a[n].denominator == 1 and a[n] >= 0, f"k={k} n={n}"
@@ -382,7 +377,7 @@ def test_criterion_7_polynomiality(capsys):
 def test_criterion_8_asymptotic_regime(capsys):
     params = GonalParams(3)
     table = table_for(3, 50)
-    a = odd_series(table)
+    a = unlabelled_series(table)
     a_o = oriented_series(table)
     ratio_defect = abs(2 * a[50] / a_o[50] - 1)
     defect_ok = ratio_defect < Fraction(1, 10**8)

@@ -267,10 +267,15 @@ class TestTable:
 
     def test_deep_table_digest(self):
         # sha256 of the table to n = 100, recorded before the counting
-        # layers moved from Fraction series to integer lists; it pins every
-        # count past the golden table's n <= 20
-        digest = hashlib.sha256(render_table(2, 12, 100).encode()).hexdigest()
-        assert digest == "c273f8dcf03d557299da56aa129512220717581a45070c494f2b696e05998a8f"
+        # layers moved from Fraction series to integer lists, and to
+        # n = 250, the table perfbench's table-deep workload checks; they
+        # pin every count past the golden table's n <= 20
+        for order, want in (
+            (100, "c273f8dcf03d557299da56aa129512220717581a45070c494f2b696e05998a8f"),
+            (250, "dfc6183c24f50cb367a5cd33632f3eca7ea254c264fd71776f265b14368eef7d"),
+        ):
+            digest = hashlib.sha256(render_table(2, 12, order).encode()).hexdigest()
+            assert digest == want, f"order {order}"
 
     def test_single_cell_k12(self, capsys):
         code, out, _ = run_cli(
@@ -544,7 +549,7 @@ class TestLongIntegers:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_render_table(self, monkeypatch, fmt):
         monkeypatch.setattr(
-            "kgonal.cli.unlabelled_column",
+            "kgonal.cli.unlabelled_series",
             lambda table: [self.BIG + n for n in range(table.order + 1)],
         )
         out = render_table(3, 4, 2, fmt)

@@ -6,9 +6,8 @@ import pytest
 
 from kgonal.bseries import GonalParams, compute_b
 from kgonal.cli import family_counts
-from kgonal.even import even_series
 from kgonal.kernels import convolve, polya_step
-from kgonal.oriented import oriented_series, reversal_fixed
+from kgonal.oriented import oriented_series, reversal_fixed, unlabelled_series
 
 
 def _case_split(table):
@@ -54,11 +53,6 @@ def _case_split(table):
     return {name: tuple(values) for name, values in tables.items()}
 
 
-def test_rejects_odd_k():
-    with pytest.raises(ValueError):
-        even_series(compute_b(GonalParams(3), 5))
-
-
 def test_k4_totally_symmetric_tables():
     tables = _case_split(compute_b(GonalParams(4), 4))
     assert tables["pi"] == (0, 1, 1, 3, 6)
@@ -90,17 +84,17 @@ def test_k4_edge_rooted():
 
 
 def test_k4_row():
-    got = even_series(compute_b(GonalParams(4), 6))
+    got = unlabelled_series(compute_b(GonalParams(4), 6))
     assert got == [1, 1, 1, 3, 8, 32, 141]
 
 
 def test_k6_row_prefix():
-    got = even_series(compute_b(GonalParams(6), 5))
+    got = unlabelled_series(compute_b(GonalParams(6), 5))
     assert got == [1, 1, 1, 4, 16, 103]
 
 
 def test_k2_degenerates_to_free_trees():
-    got = even_series(compute_b(GonalParams(2), 10))
+    got = unlabelled_series(compute_b(GonalParams(2), 10))
     assert got == [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235]
 
 
@@ -117,16 +111,16 @@ def test_alpha_parity_and_bound():
 
 
 def test_unrooting_identity():
-    # the combination defining a_n, cleared of denominators, is an exact
-    # integer identity among the tables
-    for k in (2, 4, 6):
-        table = compute_b(GonalParams(k), 12)
-        a = even_series(table)
+    # the paper's combination defining a_n, cleared of denominators, is an
+    # exact integer identity among the tables
+    for k in range(2, 13, 2):
+        table = compute_b(GonalParams(k), 40)
+        a = unlabelled_series(table)
         a_o = oriented_series(table)
         alpha = reversal_fixed(table)
-        alpha_sq = convolve(alpha, alpha, 12)
+        alpha_sq = convolve(alpha, alpha, 40)
         half = (k - 2) // 2
-        for n in range(13):
+        for n in range(41):
             lhs = 4 * a[n] - 2 * a_o[n] - 2 * alpha[n]
             lhs -= table.coeff(k // 2, Fraction(n - 1, 2))
             lhs += sum(
@@ -139,7 +133,7 @@ def test_unrooting_identity():
 def test_sandwich_bounds():
     for k in (2, 4, 10):
         table = compute_b(GonalParams(k), 10)
-        a = even_series(table)
+        a = unlabelled_series(table)
         a_o = oriented_series(table)
         for n in range(1, 11):
             assert a_o[n] >= a[n]

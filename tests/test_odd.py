@@ -6,28 +6,26 @@ import pytest
 
 from kgonal.bseries import GonalParams, compute_b
 from kgonal.cli import family_counts
-from kgonal.odd import odd_omega, odd_recurrence, odd_series
-from kgonal.oriented import oriented_series, reversal_fixed
+from kgonal.odd import odd_omega, odd_recurrence
+from kgonal.oriented import oriented_series, reversal_fixed, unlabelled_series
 from fraction_series import Series, exp
 
 
 def test_rejects_even_k():
     with pytest.raises(ValueError):
-        odd_series(compute_b(GonalParams(4), 5))
-    with pytest.raises(ValueError):
         odd_recurrence(compute_b(GonalParams(2), 5))
 
 
 def test_k3_row():
-    got = odd_series(compute_b(GonalParams(3), 6))
+    got = unlabelled_series(compute_b(GonalParams(3), 6))
     assert got == [1, 1, 1, 2, 5, 12, 39]
 
 
 def test_row_spot_values():
     table5 = compute_b(GonalParams(5), 5)
-    assert odd_series(table5) == odd_recurrence(table5)
-    assert odd_series(compute_b(GonalParams(5), 4))[4] == 11
-    assert odd_series(compute_b(GonalParams(7), 5))[5] == 158
+    assert unlabelled_series(table5) == odd_recurrence(table5)
+    assert unlabelled_series(compute_b(GonalParams(5), 4))[4] == 11
+    assert unlabelled_series(compute_b(GonalParams(7), 5))[5] == 158
     assert odd_recurrence(compute_b(GonalParams(9), 4))[4] == 32
     assert odd_recurrence(compute_b(GonalParams(3), 0)) == [1]
 
@@ -44,14 +42,14 @@ def test_routes_agree():
     # acceptance widens this to all odd k <= 11 at order 20
     for k in (3, 5, 7):
         table = compute_b(GonalParams(k), 14)
-        assert odd_series(table) == odd_recurrence(table)
+        assert unlabelled_series(table) == odd_recurrence(table)
 
 
 def test_symmetric_series_consistency():
     for k in (3, 5):
         table = compute_b(GonalParams(k), 12)
         sym = reversal_fixed(table)
-        a = odd_series(table)
+        a = unlabelled_series(table)
         a_o = oriented_series(table)
         for n in range(13):
             # the symmetric classes are exactly the excess of the orbit average
@@ -62,7 +60,7 @@ def test_symmetric_series_consistency():
 def test_sandwich_bounds():
     for k in (3, 7, 11):
         table = compute_b(GonalParams(k), 10)
-        a = odd_series(table)
+        a = unlabelled_series(table)
         a_o = oriented_series(table)
         for n in range(1, 11):
             assert a_o[n] >= a[n]

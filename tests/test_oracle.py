@@ -6,7 +6,8 @@ from kgonal.bseries import GonalParams, compute_b
 from kgonal.cli import family_counts
 from kgonal import oracle
 from kgonal.oracle import count_tau_fixed, enumerate_b, reversal, serialize
-from kgonal.oriented import reversal_fixed
+from kgonal.oriented import reversal_fixed, unlabelled_series
+from unrooted_oracle import unrooted_count
 
 
 def polygon_count(s) -> int:
@@ -144,3 +145,12 @@ def test_count_leaves_no_module_level_memo():
     count_tau_fixed(params, 5)
     after = (serialize.cache_info().currsize, oracle._serialize_page.cache_info().currsize)
     assert after == before
+
+
+@pytest.mark.parametrize("k", range(3, 7))
+def test_unrooted_count_matches_unlabelled_series(k):
+    # the only check of a_n against enumeration; n <= 6 also matched, in
+    # 1.6 s for the four k
+    params = GonalParams(k)
+    want = unlabelled_series(compute_b(params, 5))
+    assert [unrooted_count(params, n) for n in range(6)] == want
