@@ -47,6 +47,7 @@ __all__ = [
     "ORDER_CEILING",
     "K_RANGE_CEILING",
     "TABLE_COST_CEILING",
+    "LABELLED_COST_CEILING",
 ]
 
 FAMILIES = (
@@ -86,6 +87,14 @@ K_RANGE_CEILING = 1000
 # (2 vCPU, Python 3.11)
 TABLE_COST_CEILING = 6e10
 
+# the labelled families are closed forms, so printing them in decimal,
+# which is quadratic in the digits, is the work: a count of D digits
+# costs about D^2 units.  count --k 3 --family labelled --n 100000
+# (2.8e11 units) took 5.3 s, and --family labelled-rooted --order 3000
+# (1.2e11 units summed over the rows, 16 MB of output) 2.7 s and a peak
+# RSS of 75 MB (2 vCPU, Python 3.11)
+LABELLED_COST_CEILING = 5e11
+
 
 class CliError(Exception):
     """User-facing failure: message goes to standard error, exit is nonzero."""
@@ -111,6 +120,26 @@ def _labelled_form(family: str):
     }.get(family)
 
 
+def _check_printed_digits(params: GonalParams, family: str, indices: range) -> None:
+    """Reject labelled counts at these indices whose decimal printing would be too slow.
+
+    The counts near m^(n-2), m = (k - 1) n + 1, have about (n - 2) log10 m
+    digits.  Their squares are summed from the largest index down, so an
+    index far past the ceiling fails at its first term, before any loop
+    over the indices below it.
+    """
+    cost = 0.0
+    for n in reversed(indices):
+        if n > 2:
+            cost += ((n - 2) * math.log10(params.m(n))) ** 2
+        if cost > LABELLED_COST_CEILING:
+            raise CliError(
+                f"{family} counts up to n={indices[-1]} are too large to print: "
+                f"their squared decimal digits sum past {LABELLED_COST_CEILING:.2g} "
+                "(about ten seconds)"
+            )
+
+
 def _checked_params(k: int, family: str, order: int) -> GonalParams:
     if family not in FAMILIES:
         raise CliError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
@@ -129,6 +158,7 @@ def family_counts(
     params = _checked_params(k, family, order)
     form = _labelled_form(family)
     if form is not None:
+        _check_printed_digits(params, family, range(order + 1))
         return [form(params, n) for n in range(order + 1)]
     _check_order(order)
     table = compute_b(params, order, cache_dir)
@@ -154,7 +184,9 @@ def _single_count(k: int, family: str, n: int, cache_dir: Path | None) -> int:
     """One count; a labelled closed form is evaluated at n alone."""
     form = _labelled_form(family)
     if form is not None:
-        return form(_checked_params(k, family, n), n)
+        params = _checked_params(k, family, n)
+        _check_printed_digits(params, family, range(n, n + 1))
+        return form(params, n)
     return family_counts(k, family, n, cache_dir)[n]
 
 
@@ -166,12 +198,6 @@ def cmd_count(args: argparse.Namespace, cache_dir: Path | None) -> int:
     else:
         entries = list(enumerate(family_counts(args.k, args.family, args.order, cache_dir)))
     sys.stdout.write(_count_document(args.k, args.family, entries))
-    return 0
-
-
-def cmd_series(args: argparse.Namespace, cache_dir: Path | None) -> int:
-    values = family_counts(args.k, args.family, args.order, cache_dir)
-    sys.stdout.write(_count_document(args.k, args.family, list(enumerate(values))))
     return 0
 
 
@@ -431,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     series.add_argument("--k", type=int, required=True)
     series.add_argument("--family", choices=FAMILIES, required=True)
     series.add_argument("--order", type=int, required=True)
-    series.set_defaults(handler=cmd_series)
+    # the same document as count --order
+    series.set_defaults(handler=cmd_count, n=None)
 
     table = sub.add_parser("table", help="unlabelled-count matrix over a range of polygon sizes")
     table.add_argument("--k-min", type=int, default=2)

@@ -3,8 +3,8 @@
 These are the innermost loops of the whole package: the one step of a
 Polya exponential (the series of structures fixed by reversing the root
 edge), solving the edge-rooted series b together with b^(k-1) to large
-order, block products of big-integer coefficient lists, convolving them
-and raising them to powers.
+order, block products of big-integer coefficient lists, and raising
+them to powers.
 
 solve_b is the costliest of them.  It tiles its two online convolutions
 into PIECE-wide squares and multiplies the squares whose packed product
@@ -38,7 +38,6 @@ __all__ = [
     "polya_step",
     "solve_b",
     "add_products",
-    "convolve",
     "power",
     "long_decimals",
 ]
@@ -294,22 +293,6 @@ def solve_b(p: int, order: int, power_out: list[int] | None = None) -> list[int]
                     terms.append((sums[j : j + PIECE], out[i:t]))
                 add_products(out, i + j, stop, i + j, terms)
     return y
-
-
-def convolve(a: list[int], b: list[int], order: int) -> list[int]:
-    """Truncated Cauchy product of integer coefficient lists."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    la, lb = len(a), len(b)
-    out = [0] * (order + 1)
-    for n in range(order + 1):
-        acc = 0
-        lo = max(0, n - lb + 1)
-        hi = min(n, la - 1)
-        for i in range(lo, hi + 1):
-            acc += a[i] * b[n - i]
-        out[n] = acc
-    return out
 
 
 def power(a: list[int], e: int, order: int) -> list[int]:

@@ -8,21 +8,20 @@ counted once per edge.  On series level:
              phi(d) * b^{k/d}(x^d)
            - ((k-1)/k) * x * b^k(x)
 
-The sum runs on k * a_{o,n} in plain integers.  oriented_series
-builds the whole prefix: b^{k/d}(x^d) is read only up to x^{order-1},
-so each power is built only to index (order-1)//d, and b^k alone to
-order-1.  oriented_count builds one coefficient,
+The sum runs on k * a_{o,n} in plain integers, one coefficient at a time:
 
     k a_{o,n} = k b_n - (k-1) sum_{i<n} b_i b^{k-1}_{n-1-i}
               + sum over d>1 dividing both k and n-1 of
-                phi(d) b^{k/d}_{(n-1)/d},
+                phi(d) b^{k/d}_{(n-1)/d}.
 
-from the b^{k-1} a freshly solved table already holds and from powers
-b^{k/d} built only to (n-1)/d; asking for the largest index first
-builds each of those prefixes once.  Both routes share the rotation
-term.  Every coefficient must come out a non-negative integer; the
-division by k has no remainder exactly when b is correct, so the check
-doubles as a consistency check on the whole pipeline.
+The product term is [x^{n-1}] b^k, read as one dot product of b with
+the b^{k-1} that a freshly solved table already holds, so b^k itself is
+never built.  The rotation term reads each b^{k/d} only to (n-1)/d.
+oriented_count evaluates this formula, and oriented_series asks it for
+every index, largest first, so that each power prefix is built once.
+Every coefficient must come out a non-negative integer; the division by
+k has no remainder exactly when b is correct, so the check doubles as a
+consistency check on the whole pipeline.
 
 The unoriented counts of both parities of k average a_o with the
 structures fixed by reversing the root edge, and reversal_fixed builds
@@ -59,15 +58,18 @@ vertices, swapping k/2 pairs of edges (x b^{k/2}(x^2)).  Hence
     4 a_n = 2 (a_{o,n} + y_n)
           + [k even] ([n odd] b^{k/2}_{(n-1)/2} - (y Q)_n),
 
-one convolution of y with the Q the reversal_fixed loop already
-builds, and one checked division by 4.  Re-rooting every enumerated
-structure (tests/unrooted_oracle.py) gives the same a_n for k = 3..6.
+one dot product per coefficient of y with the Q the reversal_fixed
+loop already builds, and one checked division by 4.  Re-rooting every
+enumerated structure (tests/unrooted_oracle.py) gives the same a_n for
+k = 3..6.
 """
 
 from __future__ import annotations
 
+from operator import mul
+
 from kgonal.bseries import BTable
-from kgonal.kernels import convolve, exact_count, polya_step
+from kgonal.kernels import exact_count, polya_step
 
 __all__ = [
     "euler_phi",
@@ -95,13 +97,13 @@ def euler_phi(d: int) -> int:
     return result
 
 
-def _rotation_term(table: BTable, m: int, top: int) -> int:
+def _rotation_term(table: BTable, m: int) -> int:
     """sum over divisors d > 1 of k that divide m of phi(d) [x^{m/d}] b^{k/d}.
 
     The rotations of order d of the root polygon, placed at x^{m+1}.
-    Each power is built through index top // d, so callers reading every
-    m <= top, or the largest m first, build each prefix once.  A divisor
-    of m > 0 is at most m, so the scan stops there, not at k.
+    Each power is built through index m // d, so callers reading the
+    largest m first build each prefix once.  A divisor of m > 0 is at
+    most m, so the scan stops there, not at k.
     """
     k = table.params.k
     if m == 0:
@@ -111,26 +113,21 @@ def _rotation_term(table: BTable, m: int, top: int) -> int:
     acc = 0
     for d in range(2, min(k, m) + 1):
         if k % d == 0 and m % d == 0:
-            acc += euler_phi(d) * table.int_coeffs(k // d, top // d)[m // d]
+            acc += euler_phi(d) * table.int_coeffs(k // d, m // d)[m // d]
     return acc
 
 
 def oriented_series(table: BTable) -> list[int]:
-    """Series of oriented unlabelled counts a_{o,n} up to the table order."""
-    k, order = table.params.k, table.order
-    # k * a_o as integers: k b, plus phi(d) b^{k/d}(x^d) and minus
-    # (k-1) b^k, the last two shifted by one place
-    acc = [k * c for c in table.int_coeffs(1)]
-    if order >= 1:
-        top = order - 1
-        bk = table.int_coeffs(k, top)
-        for m in range(top + 1):
-            acc[m + 1] += _rotation_term(table, m, top) - (k - 1) * bk[m]
-    return [exact_count(v, k, f"oriented count at n={n}") for n, v in enumerate(acc)]
+    """Series of oriented unlabelled counts a_{o,n} up to the table order.
+
+    oriented_count at every index, largest first, so that each power
+    prefix is built once.
+    """
+    return [oriented_count(table, n) for n in range(table.order, -1, -1)][::-1]
 
 
 def oriented_count(table: BTable, n: int) -> int:
-    """The oriented unlabelled count a_{o,n} alone, equal to oriented_series(table)[n].
+    """The oriented unlabelled count a_{o,n} of the module docstring.
 
     Costs one O(n) product with b^{k-1} and reads every other power
     only to index (n-1)/d.
@@ -143,8 +140,7 @@ def oriented_count(table: BTable, n: int) -> int:
     if n >= 1:
         m = n - 1
         c = table.int_coeffs(k - 1, m)
-        bk = sum(b[i] * c[m - i] for i in range(n))
-        acc += _rotation_term(table, m, m) - (k - 1) * bk
+        acc += _rotation_term(table, m) - (k - 1) * sum(map(mul, b[:n], c[m::-1]))
     return exact_count(acc, k, f"oriented count at n={n}")
 
 
@@ -190,7 +186,7 @@ def unlabelled_series(table: BTable) -> list[int]:
     if k % 2 == 0:
         # the vertex-vertex axes of the root polygon minus its edge-edge axes
         b_mid = table.int_coeffs(k // 2, order // 2)
-        yq = convolve(y, q, order)
         for n in range(order + 1):
-            acc[n] += (b_mid[(n - 1) // 2] if n % 2 else 0) - yq[n]
+            yq = sum(map(mul, y[: n + 1], q[n::-1]))
+            acc[n] += (b_mid[(n - 1) // 2] if n % 2 else 0) - yq
     return [exact_count(v, 4, f"count at n={n}") for n, v in enumerate(acc)]

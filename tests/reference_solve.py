@@ -1,17 +1,19 @@
-"""The edge-rooted series solved coefficient by coefficient, as a test oracle.
+"""Plain integer loops kept as test oracles for the kernels.
 
 kgonal.kernels.solve_b tiles its convolutions into blocks and multiplies
-the large ones through Decimal.  This is the plain O(order^2) loop it
-replaced, kept unchanged: one polya_step for y_n and J.C.P. Miller's
-power rule for C_n = (y^p)_n.  The tests compare the two on every
-coefficient of y and of C.
+the large ones through Decimal.  solve_b_reference is the plain
+O(order^2) loop it replaced, kept unchanged: one polya_step for y_n and
+J.C.P. Miller's power rule for C_n = (y^p)_n.  The tests compare the two
+on every coefficient of y and of C.  convolve is the schoolbook
+truncated product that kernels.add_products and kernels.power are
+checked against.
 """
 
 from __future__ import annotations
 
 from kgonal.kernels import exact_div, polya_step
 
-__all__ = ["solve_b_reference"]
+__all__ = ["convolve", "solve_b_reference"]
 
 
 def solve_b_reference(p: int, order: int, power_out: list[int] | None = None) -> list[int]:
@@ -43,3 +45,19 @@ def solve_b_reference(p: int, order: int, power_out: list[int] | None = None) ->
             acc += ((p + 1) * i - n) * y[i] * c[n - i]
         c[n] = exact_div(acc, n, f"power update at n={n}")
     return y
+
+
+def convolve(a: list[int], b: list[int], order: int) -> list[int]:
+    """Truncated Cauchy product of integer coefficient lists."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    la, lb = len(a), len(b)
+    out = [0] * (order + 1)
+    for n in range(order + 1):
+        acc = 0
+        lo = max(0, n - lb + 1)
+        hi = min(n, la - 1)
+        for i in range(lo, hi + 1):
+            acc += a[i] * b[n - i]
+        out[n] = acc
+    return out

@@ -81,8 +81,8 @@ class TestCount:
         assert "k" in err
 
     def test_large_k_oriented(self, capsys):
-        # the exponent 2003 lies past the interpreter's recursion limit,
-        # so building b^k must not recurse on the exponent
+        # the exponent 2002 lies past the interpreter's recursion limit,
+        # so building b^{k-1} must not recurse on the exponent
         code, out, _ = run_cli(
             capsys, "count", "--k", "2003", "--family", "unlabelled-oriented", "--order", "2"
         )
@@ -394,8 +394,44 @@ class TestOrderCeiling:
             render_table(2, 3, ORDER_CEILING + 1)
 
     def test_labelled_families_have_no_ceiling(self):
-        # labelled counts are closed forms and never solve b
+        # labelled counts are closed forms and never solve b, so the order
+        # ceiling does not bind them; LABELLED_COST_CEILING does
         assert len(family_counts(3, "labelled", ORDER_CEILING + 1)) == ORDER_CEILING + 2
+        with pytest.raises(CliError, match="too large to print"):
+            family_counts(3, "labelled", 10000)
+
+    @staticmethod
+    def _patch_labelled_forms(monkeypatch, form):
+        for name in ("labelled_rooted", "labelled_oriented", "labelled_unoriented"):
+            monkeypatch.setattr(f"kgonal.cli.{name}", form)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--k", "3", "--family", "labelled", "--n", "1000000"),
+            ("count", "--k", "3", "--family", "labelled", "--n", str(10**18)),
+            ("count", "--k", "3", "--family", "labelled-rooted", "--order", "10000"),
+            ("series", "--k", "4", "--family", "labelled-oriented", "--order", "10000"),
+        ],
+    )
+    def test_rejects_costly_labelled_counts(self, capsys, monkeypatch, argv):
+        def no_form(*args):
+            raise AssertionError("closed form evaluated past the ceiling")
+
+        self._patch_labelled_forms(monkeypatch, no_form)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "too large to print" in err
+
+    @pytest.mark.parametrize(("flag", "size"), [("--n", "4000"), ("--n", "100000"), ("--order", "3000")])
+    def test_costly_labelled_within_ceiling_accepted(self, capsys, monkeypatch, flag, size):
+        # measured at 5.3 s (--n 100000) and 2.7 s (--order 3000); the
+        # patched form skips that work
+        self._patch_labelled_forms(monkeypatch, lambda params, n: n)
+        code, out, _ = run_cli(capsys, "count", "--k", "3", "--family", "labelled-rooted", flag, size)
+        assert code == 0
+        assert json.loads(out)["counts"][-1] == {"n": int(size), "value": size}
 
 
 class TestUniversal:

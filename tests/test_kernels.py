@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kgonal import kernels
 from fraction_series import Series
-from reference_solve import solve_b_reference
+from reference_solve import convolve, solve_b_reference
 
 
 def test_backend_reported():
@@ -91,7 +91,7 @@ def test_block_product_matches_int_loop(a, b, data):
     stop = data.draw(st.integers(start, size))
     top = len(a) + len(b) - 2
     for terms in ([(a, b)], [(a, b), (a2, b2)]):
-        want = [0] * base + [sum(h) for h in zip(*(kernels.convolve(x, z, top) for x, z in terms))]
+        want = [0] * base + [sum(h) for h in zip(*(convolve(x, z, top) for x, z in terms))]
         for crossover in (0, 10**18):
             out = [1] * size
             with pytest.MonkeyPatch.context() as mp:
@@ -110,9 +110,10 @@ def test_block_product_rejects_a_negative_input(crossover, monkeypatch):
 
 
 def test_convolve_short_operands():
-    # truncation order may exceed the data; missing coefficients are zero
-    assert kernels.convolve([1, 1], [1, 1], 4) == [1, 2, 1, 0, 0]
-    assert kernels.convolve([2], [3, 4], 2) == [6, 8, 0]
+    # the reference product: truncation order may exceed the data, and
+    # missing coefficients are zero
+    assert convolve([1, 1], [1, 1], 4) == [1, 2, 1, 0, 0]
+    assert convolve([2], [3, 4], 2) == [6, 8, 0]
 
 
 def test_power_matches_series_pow():
@@ -132,7 +133,7 @@ def test_power_is_repeated_convolution(tail, e, order):
     a = [1] + tail
     want = [1] + [0] * order
     for _ in range(e):
-        want = kernels.convolve(want, a, order)
+        want = convolve(want, a, order)
     assert kernels.power(a, e, order) == want
 
 

@@ -81,13 +81,23 @@ def test_matches_fraction_route():
 
 @pytest.mark.parametrize("k", range(2, 13))
 def test_single_count_matches_series(k):
-    table = compute_b(GonalParams(k), 60)
-    want = oriented_series(table)
+    params = GonalParams(k)
+    want = _oriented_by_fractions(params, 60)
+    table = compute_b(params, 60)
     assert [oriented_count(table, n) for n in range(61)] == want
     # a cache hit yields b alone; every power is then built on demand,
     # here smallest index first so that each prefix is rebuilt longer
-    bare = BTable(table.params, 60, {1: table.int_coeffs(1)})
+    bare = BTable(params, 60, {1: table.int_coeffs(1)})
     assert [oriented_count(bare, n) for n in range(61)] == want
+
+
+def test_series_builds_no_kth_power():
+    # b^k enters only through dot products of b with the kept b^{k-1}
+    table = compute_b(GonalParams(12), 60)
+    kept = table.powers[11]
+    oriented_series(table)
+    assert 12 not in table.powers
+    assert table.powers[11] is kept
 
 
 def test_single_count_reads_short_prefixes():
