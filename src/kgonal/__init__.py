@@ -22,6 +22,14 @@ The modules are layered:
 Every layer from bseries up exchanges series as plain lists of ints.
 The oriented and odd layers each take one bseries.BTable: k comes from
 its params and every result runs to its order.
+
+Only asymptotics and universal compute with mpmath, and they import it
+inside the functions that use it (as does cli's universal command), so
+the exact counting commands start without it.  No module uses
+dataclasses, which would load inspect and ast.  cli still imports every
+layer at the top: the per-layer tracing in perfbench wraps the
+functions of the modules that `import kgonal.cli` has loaded, and tests
+patch names such as kgonal.cli.universal_c.
 """
 
 __version__ = "0.1.0"

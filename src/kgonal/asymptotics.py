@@ -21,7 +21,10 @@ evaluation.  From rho(p+1) the solve takes 3-5 steps.
 All numerics run in mpmath working precision: the raw coefficients
 overflow 64-bit floats long before the probe orders used here (b_n for
 p=11 passes 1e308 near n = 210), and the amplitude checks want headroom
-below 1e-12.
+below 1e-12.  mpmath is imported inside each function that computes
+with it, not at the top of the module: importing this module, as the
+command line does for every command, loads no mpmath, and the exact
+counting commands never pay its start-up time or memory.
 
 The report carries alpha_bar as the product form 2 pi p^{1+2/p}
 xi^{2/p} alpha^3 and optionally an empirical extrapolation from the
@@ -33,17 +36,13 @@ field repeats the product form.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
-
-from mpmath import e as euler_e
-from mpmath import exp as mp_exp
-from mpmath import mp, mpf
-from mpmath import pi as mp_pi
-from mpmath import sqrt as mp_sqrt
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from kgonal.bseries import BTable, GonalParams
 from kgonal.kernels import IntegrityError
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 __all__ = [
     "AsymptoticReport",
@@ -66,8 +65,7 @@ class NonConvergenceError(RuntimeError):
     """The Newton solve for xi missed its tolerance within the cap."""
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     """Everything computed about one p, with floats for serialization."""
 
     p: int
@@ -87,11 +85,14 @@ class AsymptoticReport:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, in declaration order."""
+        return self._asdict()
 
 
 def rho(q: int) -> mpf:
     """(q-1)^(q-1)/q^q, the singularity of the q-ary tree equation."""
+    from mpmath import mpf
+
     if q < 2:
         raise ValueError("q must be >= 2")
     return mpf(q - 1) ** (q - 1) / mpf(q) ** q
@@ -107,6 +108,8 @@ def _forward(coeffs: Sequence[int], t: mpf) -> tuple[mpf, mpf]:
     derivative is summed as t b'(t) = sum n c_n t^n and divided by t
     at the end.
     """
+    from mpmath import mp, mpf
+
     value = mpf(0)
     slope = mpf(0)  # t b'(t)
     tp = mpf(1)
@@ -131,6 +134,9 @@ def omega_eval(
     params: GonalParams, table: BTable, x0: float | mpf, dps: int = DEFAULT_DPS
 ) -> tuple[mpf, mpf]:
     """(omega(x0), omega'(x0)) from the truncated b table."""
+    from mpmath import exp as mp_exp
+    from mpmath import mp, mpf
+
     with mp.workdps(dps):
         x = mpf(x0)
         if not 0 <= x < 1:
@@ -179,6 +185,9 @@ def solve_xi(
     one included, and residual is |F(xi)| from one more evaluation of
     omega at the returned xi.
     """
+    from mpmath import e as euler_e
+    from mpmath import mp, mpf
+
     p = params.p
     with mp.workdps(dps):
         x = rho(p + 1)
@@ -211,6 +220,10 @@ def constants(
     alpha_bar_empirical: float | None = None,
 ) -> AsymptoticReport:
     """Assemble the full constant report at a solved xi."""
+    from mpmath import mp, mpf
+    from mpmath import pi as mp_pi
+    from mpmath import sqrt as mp_sqrt
+
     p = params.p
     with mp.workdps(dps):
         xi = mpf(xi)
@@ -272,6 +285,8 @@ def empirical_amplitude(
         at = {m: counts[m] for m in probe_indices(n)}
     except (IndexError, KeyError):
         raise ValueError("probe index beyond the computed counts") from None
+    from mpmath import mp, mpf
+
     with mp.workdps(dps):
         x = mpf(xi)
         e = mpf(exponent)

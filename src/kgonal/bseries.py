@@ -17,7 +17,6 @@ and is kept deliberately naive as a test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,15 +31,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class GonalParams:
-    """Polygon size k; k=2 is the degenerate ordinary-tree case."""
+    """Polygon size k; k=2 is the degenerate ordinary-tree case.
 
-    k: int
+    Immutable, and equal and hashed by k.
+    """
 
-    def __post_init__(self) -> None:
-        if self.k < 2:
+    __slots__ = ("k",)
+
+    def __init__(self, k: int) -> None:
+        if k < 2:
             raise ValueError("polygon size k must be >= 2")
+        object.__setattr__(self, "k", k)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of GonalParams")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of GonalParams")
+
+    def __reduce__(self) -> tuple:
+        return GonalParams, (self.k,)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not GonalParams:
+            return NotImplemented
+        return self.k == other.k
+
+    def __hash__(self) -> int:
+        return hash((self.k,))
+
+    def __repr__(self) -> str:
+        return f"GonalParams(k={self.k})"
 
     @property
     def p(self) -> int:
@@ -52,7 +74,6 @@ class GonalParams:
         return (self.k - 1) * n + 1
 
 
-@dataclass
 class BTable:
     """b to a fixed order plus memoized prefixes of its powers.
 
@@ -67,16 +88,18 @@ class BTable:
     and insert under the interpreter lock can at worst repeat work.
     """
 
-    params: GonalParams
-    order: int
-    powers: dict[int, list[int]] = field(repr=False)
-
-    def __post_init__(self) -> None:
-        b = self.powers.get(1)
+    def __init__(self, params: GonalParams, order: int, powers: dict[int, list[int]]) -> None:
+        self.params = params
+        self.order = order
+        self.powers = powers
+        b = powers.get(1)
         if b is None or len(b) != self.order + 1:
             raise ValueError(f"a table of order {self.order} needs b_0..b_{self.order}")
         if b[0] != 1:
             raise IntegrityError("b_0 must be 1")
+
+    def __repr__(self) -> str:
+        return f"BTable(params={self.params!r}, order={self.order})"
 
     def int_coeffs(self, j: int = 1, upto: int | None = None) -> list[int]:
         """Coefficients of b^j as plain ints, through index `upto` at least.

@@ -12,10 +12,8 @@ import argparse
 import json
 import math
 import sys
-from importlib import resources
 from pathlib import Path
-
-from mpmath import mp, mpf, nstr
+from typing import TYPE_CHECKING
 
 from kgonal.asymptotics import (
     NonConvergenceError,
@@ -37,6 +35,9 @@ from kgonal.odd import odd_recurrence
 from kgonal.oracle import count_tau_fixed, enumerate_b
 from kgonal.oriented import oriented_count, oriented_series, reversal_fixed, unlabelled_series
 from kgonal.universal import universal_c, xi_from_expansion
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 __all__ = [
     "main",
@@ -287,6 +288,10 @@ def constants_report(
     # serves the xi solve and the report at series_order
     probe_table = compute_b(params, probe_order, cache_dir)
     table = probe_table.truncate(series_order)
+    if not with_empirical:
+        # the xi solve and the report read b alone, so the b^{k-1} the
+        # solve kept is let go before mpmath loads
+        table = probe_table = BTable(params, series_order, {1: table.int_coeffs(1)})
     xi, iterations, residual = solve_xi(params, table, tol)
     empirical = None
     if with_empirical:
@@ -329,6 +334,8 @@ def cmd_universal(args: argparse.Namespace, cache_dir: Path | None) -> int:
         )
     if args.p is not None and args.p < 1:
         raise CliError("p must be >= 1")
+    from mpmath import mp, nstr
+
     entries = []
     with mp.workdps(40):
         for m in range(1, args.m_max + 1):
@@ -349,6 +356,8 @@ def cmd_universal(args: argparse.Namespace, cache_dir: Path | None) -> int:
 
 
 def packaged_golden_table() -> str:
+    from importlib import resources
+
     return (resources.files("kgonal") / "data" / "unlabelled_golden.csv").read_text()
 
 

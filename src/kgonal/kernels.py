@@ -132,9 +132,7 @@ def polya_step(sums: list[int], y: list[int], n: int, w_n: int, what: str) -> in
     w = n * w_n
     for m in range(n, len(sums), n):
         sums[m] += w
-    acc = 0
-    for m in range(1, n + 1):
-        acc += sums[m] * y[n - m]
+    acc = sum(map(mul, sums[1 : n + 1], y[n - 1 :: -1]))
     return exact_count(acc, n, what)
 
 

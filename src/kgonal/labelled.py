@@ -11,7 +11,6 @@ exercises as an independent route to b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -29,15 +28,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CycleType:
-    """Cycle type of a permutation; counts[i-1] cycles of length i."""
+    """Cycle type of a permutation; counts[i-1] cycles of length i.
 
-    counts: tuple[int, ...]
+    Immutable, and equal and hashed by counts.
+    """
 
-    def __post_init__(self) -> None:
-        if any(c < 0 for c in self.counts):
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: tuple[int, ...]) -> None:
+        if any(c < 0 for c in counts):
             raise ValueError("cycle counts must be non-negative")
+        object.__setattr__(self, "counts", counts)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of CycleType")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of CycleType")
+
+    def __reduce__(self) -> tuple:
+        return CycleType, (self.counts,)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not CycleType:
+            return NotImplemented
+        return self.counts == other.counts
+
+    def __hash__(self) -> int:
+        return hash((self.counts,))
+
+    def __repr__(self) -> str:
+        return f"CycleType(counts={self.counts!r})"
 
     @staticmethod
     def from_parts(parts: tuple[int, ...]) -> CycleType:

@@ -156,7 +156,7 @@ def _fixed_and_axis_pages(table: BTable) -> tuple[list[int], list[int]]:
     q = [0] * (order + 1)
     sums = [0] * (order + 1)
     for n in range(1, order + 1):
-        q[n] = sum(b_h[m] * f[n - 1 - 2 * m] for m in range((n + 1) // 2))
+        q[n] = sum(map(mul, b_h[: (n + 1) // 2], f[n - 1 :: -2]))
         w = q[n]
         if n % 2 == 0:
             h = n // 2

@@ -26,15 +26,15 @@ directly solved singularity, so it is the one implemented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-from mpmath import exp as mp_exp
-from mpmath import mp, mpf
+from typing import TYPE_CHECKING, NamedTuple
 
 from kgonal.labelled import CycleType
 from kgonal.partitions import partitions
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 __all__ = [
     "UniversalConstant",
@@ -43,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UniversalConstant:
+class UniversalConstant(NamedTuple):
     """c_m as an exact combination of e^{-n} terms."""
 
     m: int
@@ -65,6 +64,9 @@ class UniversalConstant:
         return " ".join(pieces)
 
     def value(self, dps: int = 30) -> mpf:
+        from mpmath import exp as mp_exp
+        from mpmath import mp, mpf
+
         with mp.workdps(dps):
             acc = mpf(0)
             for n, coeff in self.terms:
@@ -99,6 +101,8 @@ def xi_from_expansion(p: int, m_max: int, dps: int = 30) -> float:
     """Partial sum sum_{m<=m_max} c_m / p^m."""
     if p < 1:
         raise ValueError("p must be >= 1")
+    from mpmath import mp, mpf
+
     with mp.workdps(dps):
         acc = mpf(0)
         for m in range(1, m_max + 1):

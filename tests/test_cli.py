@@ -659,3 +659,60 @@ def test_integrity_error_is_reported_as_an_error(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: "), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# Runs kgonal.cli.main on its arguments, if any, in a fresh interpreter and
+# writes its exit code and the loaded modules of interest as the last line
+# of stderr; the command's own output goes to stdout.
+_MODULES_SCRIPT = """
+import json, sys
+import kgonal.cli
+code = kgonal.cli.main(sys.argv[1:]) if sys.argv[1:] else None
+roots = ("mpmath", "dataclasses", "inspect", "kgonal")
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] in roots)
+sys.stderr.write("\\n" + json.dumps({"code": code, "loaded": loaded}) + "\\n")
+"""
+
+# every layer stays imported by cli: the per-layer tracing of perfbench
+# wraps only the modules that `import kgonal.cli` loads
+LAYERS = (
+    "kgonal.asymptotics",
+    "kgonal.universal",
+    "kgonal.oracle",
+    "kgonal.odd",
+    "kgonal.labelled",
+)
+
+
+def _loaded_modules(*argv):
+    proc = _run_python("-c", _MODULES_SCRIPT, *argv)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stderr.splitlines()[-1])
+    return doc["code"], set(doc["loaded"])
+
+
+class TestStartUp:
+    # mpmath and dataclasses (which pulls in inspect) cost about 45 ms and
+    # 5 MB at start-up; only constants and universal compute with mpmath
+    UNUSED = {"mpmath", "dataclasses", "inspect"}
+
+    @pytest.mark.parametrize("argv", [(), ("table", "--order", "3")], ids=["import", "table"])
+    def test_exact_commands_load_no_mpmath(self, argv):
+        code, loaded = _loaded_modules(*argv)
+        assert code == (0 if argv else None)
+        assert not loaded & self.UNUSED, sorted(loaded)
+        assert set(LAYERS) <= loaded
+
+    def test_count_loads_no_mpmath_on_cache_miss_or_hit(self, tmp_path):
+        argv = ("--cache-dir", str(tmp_path), "count", "--k", "5", "--family", "b", "--order", "20")
+        for _ in range(2):
+            code, loaded = _loaded_modules(*argv)
+            assert code == 0
+            assert (tmp_path / "b_k5.json").exists()
+            assert not loaded & self.UNUSED, sorted(loaded)
+            assert set(LAYERS) <= loaded
+
+    def test_constants_loads_mpmath_when_it_runs(self):
+        code, loaded = _loaded_modules("constants", "--p", "2")
+        assert code == 0
+        assert "mpmath" in loaded
