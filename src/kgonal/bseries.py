@@ -86,12 +86,15 @@ class BTable:
     and a request past the stored prefix rebuilds it to the new length.
     Every stored value is a correct prefix of b^j, so concurrent lookup
     and insert under the interpreter lock can at worst repeat work.
+    oriented holds the oriented counts a_o to the full order once
+    oriented.oriented_series has built them, for every later reader.
     """
 
     def __init__(self, params: GonalParams, order: int, powers: dict[int, list[int]]) -> None:
         self.params = params
         self.order = order
         self.powers = powers
+        self.oriented: list[int] | None = None
         b = powers.get(1)
         if b is None or len(b) != self.order + 1:
             raise ValueError(f"a table of order {self.order} needs b_0..b_{self.order}")

@@ -3,30 +3,43 @@
 A structure rooted at an oriented edge is a multiset of pages; a page is
 one polygon glued on the root edge carrying an ordered (k-1)-tuple of
 child structures, one per non-root edge, read off in the orientation of
-the root.  Encoding that literally as nested tuples gives decidable
-isomorphism without any graph machinery: two structures are isomorphic
-exactly when their canonical encodings are equal, where canonical means
-every multiset is stored sorted under a fixed total order (length, then
-lexicographic, on serializations).
+the root.  Two structures are isomorphic exactly when these
+decompositions agree, so isomorphism classes can be interned as small
+integers bottom-up, as in the tree-isomorphism labelling of Aho,
+Hopcroft and Ullman (The Design and Analysis of Computer Algorithms,
+1974, section 3.2):
 
-A page carrying s polygons serializes to exactly 2k*s characters (each
-polygon adds one bracket pair for itself and one per child slot).  So
-the page pool, built size by size with each size sorted, is already in
-that global order, and a multiset drawn in non-decreasing pool index is
-canonical as drawn, with no sort per structure.
+    a page      is the tuple of its children's structure ids;
+    a structure is the non-decreasing tuple of its pages' ids.
+
+Ids are handed out once, in construction order, size by size, so the
+ids of one size form a range and pages come out in non-decreasing size.
+A multiset drawn in non-decreasing page id is therefore canonical as
+drawn, and each class is built exactly once.
 
 Reversing the root edge's orientation reverses every page's child tuple,
-recursively; re-canonicalizing after the flip yields the action whose
-fixed points are the reflection-symmetric structures.  For even k the
-child tuple has odd length, so the flip keeps the middle slot (the edge
-opposite the root) in place, exactly as the geometry demands.
-count_tau_fixed reverses each substructure once per call: a dict,
-dropped when the call returns, maps every proper substructure (fewer
-than n polygons) to its reversal.  Structures of size n, most of the
-enumeration (44322 of 49k for k = 6 up to n = 6), are reversed, compared
-and dropped without being stored, so the dict holds a few thousand
-entries.  Storing them too raised the peak RSS of `verify --level full`
-by 8 MB, and a module-level cache by 13 MB.
+recursively; the structures it fixes are the reflection-symmetric ones.
+For even k the child tuple has odd length, so the flip keeps the middle
+slot (the edge opposite the root) in place, exactly as the geometry
+demands.  On ids the reversal is two tables built for one count and
+dropped after it: the reversal of a page is the page of its children's
+reversals in reverse order, and that of a structure is the structure of
+its pages' reversals, sorted.
+
+Only the structures below size n are stored, because they are the
+children.  Size n is streamed once: a structure of size n is either one
+new page of size n or a multiset of at least two smaller pages, and the
+one pass counts both |B_n| and the reversal-fixed structures without
+storing any of them.  For k = 6 and n = 6 that stores 4 666 structures
+and streams 44 322.  Nothing is kept between calls: rebuilding the
+smaller sizes costs little next to streaming size n.
+
+enumerate_b, reversal and serialize speak an explicit encoding instead:
+nested tuples whose every multiset of pages is sorted under a fixed
+total order (length, then lexicographic, on serializations).  A page
+carrying s polygons serializes to exactly 2k*s characters, since each
+polygon adds one bracket pair for itself and one per child slot.
+enumerate_b decodes ids into that encoding; counting never does.
 
 Everything here is exponential and meant for n up to about 7.
 """
@@ -42,6 +55,7 @@ __all__ = [
     "CanonicalStructure",
     "serialize",
     "enumerate_b",
+    "count_structures",
     "reversal",
     "count_tau_fixed",
 ]
@@ -66,58 +80,86 @@ def _page_key(page: tuple) -> tuple[int, str]:
 
 
 def _canonical(pages) -> CanonicalStructure:
-    return tuple(sorted(pages, key=_page_key))
+    pages = tuple(pages)
+    # most structures have one page, and one page needs no serialization
+    return pages if len(pages) < 2 else tuple(sorted(pages, key=_page_key))
 
 
 class _Enumerator:
-    """Per-k memoized generator of all canonical structures by size."""
+    """Every page and structure with fewer than n polygons, for one k, as ids."""
 
-    def __init__(self, k: int) -> None:
+    def __init__(self, k: int, n: int) -> None:
         self.k = k
-        self._structures: dict[int, frozenset] = {}
-        self._pages: dict[int, list] = {}
+        self.n = n
+        # page id -> child structure ids, and back
+        self.pages: list[tuple[int, ...]] = []
+        self.page_id: dict[tuple[int, ...], int] = {}
+        # structure id -> non-decreasing page ids, and back; id 0 has no polygon
+        self.structs: list[tuple[int, ...]] = [()]
+        self.struct_id: dict[tuple[int, ...], int] = {(): 0}
+        # size -> the page ids and the structure ids of that size
+        self.page_range: list[range] = [range(0)]
+        self.struct_range: list[range] = [range(1)]
+        for m in range(1, n):
+            first = len(self.pages)
+            for kids in self.new_pages(m):
+                self.page_id[kids] = len(self.pages)
+                self.pages.append(kids)
+            self.page_range.append(range(first, len(self.pages)))
+            first = len(self.structs)
+            for pages in self.multisets(m, 0):
+                self.struct_id[pages] = len(self.structs)
+                self.structs.append(pages)
+            self.struct_range.append(range(first, len(self.structs)))
 
-    def structures(self, n: int) -> frozenset:
-        got = self._structures.get(n)
-        if got is None:
-            got = frozenset(self._assemble(n, 0, self._page_pool(n)))
-            self._structures[n] = got
-        return got
+    def new_pages(self, size: int):
+        """Child ids of every page carrying `size` polygons; the children must be stored."""
+        for split in _compositions(size - 1, self.k - 1):
+            yield from product(*(self.struct_range[c] for c in split))
 
-    def pages(self, size: int) -> list:
-        """All pages carrying exactly `size` polygons, sorted."""
-        got = self._pages.get(size)
-        if got is None:
-            slots = self.k - 1
-            got = []
-            for split in _compositions(size - 1, slots):
-                # the sort below fixes the order; sorting each choice first
-                # took as long, and gave a 0.3 MB lower peak RSS on
-                # verify --level full, than a product over the frozensets
-                got.extend(product(*(sorted(self.structures(c), key=serialize) for c in split)))
-            got.sort(key=_page_key)
-            self._pages[size] = got
-        return got
-
-    def _page_pool(self, budget: int) -> list:
-        pool = []
-        for size in range(1, budget + 1):
-            pool.extend((size, page) for page in self.pages(size))
-        return pool
-
-    def _assemble(self, budget: int, start: int, pool: list):
-        # multisets of pages drawn from pool[start:] in non-decreasing
-        # index; the pool is in page order, so each comes out canonical
+    def multisets(self, budget: int, start: int):
+        """Non-decreasing stored page ids from `start` on whose sizes sum to `budget`."""
         if budget == 0:
             yield ()
             return
-        for idx in range(start, len(pool)):
-            size, page = pool[idx]
-            if size > budget:
-                # the pool is sorted by page size, so no later page fits either
-                break
-            for rest in self._assemble(budget - size, idx, pool):
-                yield (page,) + rest
+        for size in range(1, min(budget, len(self.page_range) - 1) + 1):
+            pids = self.page_range[size]
+            for pid in range(max(start, pids.start), pids.stop):
+                for rest in self.multisets(budget - size, pid):
+                    yield (pid,) + rest
+
+    def images(self, on_page, on_struct) -> tuple[list, list]:
+        """Images of every stored page and structure, each built from its parts' images."""
+        page_img: list = []
+        struct_img = [on_struct(())]
+        for m in range(1, len(self.struct_range)):
+            for pid in self.page_range[m]:
+                page_img.append(on_page([struct_img[c] for c in self.pages[pid]]))
+            for sid in self.struct_range[m]:
+                struct_img.append(on_struct([page_img[p] for p in self.structs[sid]]))
+        return page_img, struct_img
+
+    def count(self) -> tuple[int, int]:
+        """|B_n| and the reversal-fixed count, from one pass over size n."""
+        rev_page, rev_struct = self.images(
+            lambda kids: self.page_id[tuple(reversed(kids))],
+            lambda pages: self.struct_id[tuple(sorted(pages))],
+        )
+        total = fixed = 0
+        for pages in self.multisets(self.n, 0):
+            total += 1
+            fixed += tuple(sorted(map(rev_page.__getitem__, pages))) == pages
+        for kids in self.new_pages(self.n):
+            total += 1
+            fixed += tuple(map(rev_struct.__getitem__, reversed(kids))) == kids
+        return total, fixed
+
+    def decoded(self) -> frozenset:
+        """The structures of size n in the nested-tuple encoding."""
+        page_img, struct_img = self.images(tuple, _canonical)
+        out = {_canonical(map(page_img.__getitem__, pages)) for pages in self.multisets(self.n, 0)}
+        out.update((tuple(map(struct_img.__getitem__, kids)),) for kids in self.new_pages(self.n))
+        return frozenset(out)
 
 
 def _compositions(total: int, slots: int):
@@ -131,21 +173,18 @@ def _compositions(total: int, slots: int):
             yield (first,) + rest
 
 
-_ENUMERATORS: dict[int, _Enumerator] = {}
-
-
-def _enum(params: GonalParams) -> _Enumerator:
-    e = _ENUMERATORS.get(params.k)
-    if e is None:
-        e = _ENUMERATORS[params.k] = _Enumerator(params.k)
-    return e
+def count_structures(params: GonalParams, n: int) -> tuple[int, int]:
+    """Numbers of structures with exactly n polygons: all, and those fixed by reversal."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return _Enumerator(params.k, n).count()
 
 
 def enumerate_b(params: GonalParams, n: int) -> frozenset:
     """All canonical structures with exactly n polygons."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _enum(params).structures(n)
+    return _Enumerator(params.k, n).decoded()
 
 
 def _reversal(s: CanonicalStructure, memo: dict) -> CanonicalStructure:
@@ -167,5 +206,4 @@ def reversal(s: CanonicalStructure) -> CanonicalStructure:
 
 def count_tau_fixed(params: GonalParams, n: int) -> int:
     """Number of structures of size n isomorphic to their own reversal."""
-    memo: dict = {}
-    return sum(1 for s in enumerate_b(params, n) if _reversal(s, memo) == s)
+    return count_structures(params, n)[1]

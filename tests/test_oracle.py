@@ -5,7 +5,7 @@ import pytest
 from kgonal.bseries import GonalParams, compute_b
 from kgonal.cli import family_counts
 from kgonal import oracle
-from kgonal.oracle import count_tau_fixed, enumerate_b, reversal, serialize
+from kgonal.oracle import count_structures, count_tau_fixed, enumerate_b, reversal, serialize
 from kgonal.oriented import reversal_fixed, unlabelled_series
 from unrooted_oracle import unrooted_count
 
@@ -124,16 +124,40 @@ def test_memoized_count_matches_plain_reversal(k):
 
 @pytest.mark.parametrize("k", range(2, 8))
 def test_enumeration_is_canonical_as_drawn(k):
-    # a page of s polygons serializes to 2k*s characters, so the pool
-    # sorted size by size is in global page order and no structure
-    # needs a sort of its own
+    # a page of s polygons serializes to 2k*s characters, and every
+    # decoded structure lists its pages in canonical order
     params = GonalParams(k)
-    for size in range(1, 6):
-        for page in oracle._enum(params).pages(size):
-            assert len(oracle._serialize_page(page)) == 2 * k * size
     for n in range(6):
         for s in enumerate_b(params, n):
             assert s == oracle._canonical(s)
+            for page in s:
+                assert len(oracle._serialize_page(page)) == 2 * k * polygon_count((page,))
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_streamed_counts_match_enumeration(k):
+    params = GonalParams(k)
+    for n in range(6):
+        structures = enumerate_b(params, n)
+        fixed = sum(_plain_reversal(s) == s for s in structures)
+        assert count_structures(params, n) == (len(structures), fixed), (k, n)
+
+
+def test_count_stores_nothing_of_its_own_size():
+    # size n is streamed: after counting it only the children, of sizes
+    # below n, are stored
+    for k in (3, 6):
+        b = compute_b(GonalParams(k), 5).int_coeffs(1)
+        for n in range(6):
+            enumerator = oracle._Enumerator(k, n)
+            assert enumerator.count()[0] == b[n]
+            assert len(enumerator.struct_range) == max(n, 1)
+            assert len(enumerator.structs) == sum(b[: max(n, 1)])
+
+
+def test_count_validation():
+    with pytest.raises(ValueError):
+        count_structures(GonalParams(3), -1)
 
 
 def test_count_leaves_no_module_level_memo():

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from kgonal.bseries import BTable, GonalParams, compute_b
-from kgonal.oriented import euler_phi, oriented_count, oriented_series
+from kgonal import oriented
+from kgonal.oriented import euler_phi, oriented_count, oriented_series, unlabelled_series
 from fraction_series import Series
 
 
@@ -98,6 +99,20 @@ def test_series_builds_no_kth_power():
     oriented_series(table)
     assert 12 not in table.powers
     assert table.powers[11] is kept
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_series_built_once_per_table(k, monkeypatch):
+    # unlabelled_series reads the a_o that an earlier oriented_series left
+    # on the table; a second evaluation would call oriented_count again
+    table = compute_b(GonalParams(k), 30)
+    want = unlabelled_series(compute_b(GonalParams(k), 30))
+    a_o = oriented_series(table)
+    assert table.oriented is a_o
+    monkeypatch.setattr(oriented, "oriented_count", None)
+    assert oriented_series(table) is a_o
+    assert unlabelled_series(table) == want
+    assert table.truncate(20).oriented is None
 
 
 def test_single_count_reads_short_prefixes():
