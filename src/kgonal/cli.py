@@ -64,9 +64,10 @@ FAMILIES = (
 EMPIRICAL_ORDER = 1000
 
 # universal_c(m) sums over the p(m-1) partitions of m-1, so the cost of
-# c_1..c_m grows by about a quarter per m: 3.2 s up to m = 36, 7.0 s up
-# to 40, 22 s up to 46 (2 vCPU, Python 3.11), and hours at m = 90
-M_MAX_CEILING = 40
+# c_1..c_m grows by about a fifth per m: 0.5 s up to m = 40, 3.1 s up to
+# 50, 5.3 s up to 53 and 17 s up to 60 (2 vCPU, Python 3.11);
+# universal --m-max 53 --p 11 takes 5.4-6.5 s in all
+M_MAX_CEILING = 53
 
 # b and the layers on it cost about order^3 in time at fixed k (a table
 # column of k = 12 took 0.87 s at order 500 and 7.6 s at 1000).  At
@@ -183,6 +184,8 @@ def _count_document(k: int, family: str, entries: list[tuple[int, int]]) -> str:
 
 def _single_count(k: int, family: str, n: int, cache_dir: Path | None) -> int:
     """One count; a labelled closed form is evaluated at n alone."""
+    if n < 0:
+        raise CliError("n must be >= 0")
     form = _labelled_form(family)
     if form is not None:
         params = _checked_params(k, family, n)
@@ -490,7 +493,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     universal = sub.add_parser("universal", help="size-independent expansion coefficients")
     universal.add_argument(
-        "--m-max", type=int, default=5, help=f"last coefficient to report (at most {M_MAX_CEILING})"
+        "--m-max",
+        type=int,
+        default=5,
+        help=f"last coefficient to report (at most {M_MAX_CEILING}; c_1..c_{M_MAX_CEILING} take "
+        "about 6 s, and the cost grows exponentially in sqrt(m-max))",
     )
     universal.add_argument(
         "--p", type=int, default=None, help="also report the partial sum at this p"

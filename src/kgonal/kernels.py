@@ -42,7 +42,9 @@ __all__ = [
     "long_decimals",
 ]
 
-# the kernels are plain Python; benchmarks report this name
+# the kernels are plain Python; benchmarks report this name.  The setup
+# probe of perfbench/run.py (PROBE) prints kgonal.kernels.BACKEND and
+# fails without it, so it goes only together with a change to that probe
 BACKEND = "python"
 
 # add_products goes through Decimal from this many digits of packed

@@ -1,4 +1,4 @@
-"""Integer partition iteration shared by the counting modules."""
+"""Integer partition iteration for the Burnside route to b (labelled.burnside_b)."""
 
 from __future__ import annotations
 

@@ -131,7 +131,22 @@ class TestCount:
         code, out, err = run_cli(capsys, "count", "--k", "3", "--family", "labelled", "--n", "-1")
         assert code == 1
         assert out == ""
-        assert "order must be >= 0" in err
+        assert "n must be >= 0" in err
+        assert "order" not in err
+
+    def test_single_index_rejects_negative_n(self, capsys):
+        # the message names the flag that was given
+        code, out, err = run_cli(capsys, "count", "--k", "3", "--family", "b", "--n", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: n must be >= 0\n"
+
+    @pytest.mark.parametrize("command", ["count", "series"])
+    def test_rejects_negative_order(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--k", "3", "--family", "b", "--order", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: order must be >= 0\n"
 
     def test_values_round_trip(self, capsys):
         code, out, _ = run_cli(
@@ -475,6 +490,15 @@ class TestUniversal:
         code, _, err = run_cli(capsys, "universal", "--m-max", "90")
         assert code == 1
         assert "m-max" in err
+
+    def test_benchmark_digest(self, capsys):
+        # sha256 of the constants perfbench's constants-sweep workload
+        # prints, recorded when the partition sum moved from one Fraction
+        # per partition to integers
+        code, out, _ = run_cli(capsys, "universal", "--m-max", "30", "--p", "11")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "15e4a0387f8ecaf90c678f9613cbc91a1d45b45153dc87bc1c44e41f5c517837"
 
 
 class TestVerify:

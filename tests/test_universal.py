@@ -2,6 +2,7 @@
 
 import csv
 import pathlib
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from mpmath import mp, mpf
 from kgonal.labelled import CycleType
 from kgonal.partitions import partitions
 from kgonal.universal import universal_c, xi_from_expansion
+from reference_universal import reference_universal_c
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -44,7 +46,8 @@ CLOSED_FORMS = {
 
 
 class TestPartitionMu:
-    # universal_c holds each partition mu (every part >= 2) as a cycle type
+    # the partition reference holds each partition mu (every part >= 2)
+    # as a cycle type
 
     def test_shape(self):
         mu = CycleType.from_parts((4, 2))
@@ -82,6 +85,29 @@ class TestSymbolic:
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             universal_c(0)
+
+
+# universal_c sums the partition formula in integers; the reference adds
+# one Fraction per partition, built as a tuple and a CycleType
+
+
+@pytest.mark.parametrize("m", range(1, 31))
+def test_matches_partition_reference(m):
+    assert universal_c(m).terms == reference_universal_c(m).terms
+
+
+def test_traced_peak_of_first_thirty():
+    # a tuple per partition peaked at 2.1 MB over c_1..c_30; one
+    # multiplicity vector and one integer per n stay near 0.1 MB
+    universal_c.cache_clear()
+    tracemalloc.start()
+    try:
+        for m in range(1, 31):
+            universal_c(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000, peak
 
 
 class TestDecimals:
