@@ -70,10 +70,11 @@ EMPIRICAL_ORDER = 1000
 M_MAX_CEILING = 53
 
 # b and the layers on it cost about order^3 in time at fixed k (a table
-# column of k = 12 took 0.87 s at order 500 and 7.6 s at 1000).  At
+# column of k = 12 took 0.68 s at order 500 and 6.1 s at 1000).  At
 # order 1600 and k = 12 the slowest family, count --family unlabelled,
-# takes 48 s, count --family b 16 s, and constants --p 11 --series-order
-# 1600 15 s (2 vCPU, Python 3.11)
+# takes 26-36 s, count --family b 7-9 s, and constants --p 11
+# --series-order 1600 5-9 s (2 vCPU, Python 3.11; the ranges are the
+# host's own spread between runs)
 ORDER_CEILING = 1600
 
 # table solves b once per polygon size, so its time grows linearly in the
@@ -186,11 +187,12 @@ def _single_count(k: int, family: str, n: int, cache_dir: Path | None) -> int:
     """One count; a labelled closed form is evaluated at n alone."""
     if n < 0:
         raise CliError("n must be >= 0")
+    params = _checked_params(k, family, n)
     form = _labelled_form(family)
     if form is not None:
-        params = _checked_params(k, family, n)
         _check_printed_digits(params, family, range(n, n + 1))
         return form(params, n)
+    _check_order(n, "n")
     return family_counts(k, family, n, cache_dir)[n]
 
 
@@ -339,21 +341,22 @@ def cmd_universal(args: argparse.Namespace, cache_dir: Path | None) -> int:
         raise CliError("p must be >= 1")
     from mpmath import mp, nstr
 
-    entries = []
+    entries, values = [], []
     with mp.workdps(40):
         for m in range(1, args.m_max + 1):
             c = universal_c(m)
+            values.append(c.value(40))
             entries.append(
                 {
                     "m": m,
                     "closed_form": c.closed_form(),
-                    "value": nstr(c.value(40), 20, strip_zeros=False),
+                    "value": nstr(values[-1], 20, strip_zeros=False),
                 }
             )
     doc: dict = {"m_max": args.m_max, "constants": entries}
     if args.p is not None:
         doc["p"] = args.p
-        doc["xi_partial_sum"] = xi_from_expansion(args.p, args.m_max)
+        doc["xi_partial_sum"] = xi_from_expansion(args.p, args.m_max, values=values)
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     return 0
 

@@ -7,11 +7,13 @@ order, block products of big-integer coefficient lists, and raising
 them to powers.
 
 solve_b is the costliest of them.  It tiles its two online convolutions
-into PIECE-wide squares and multiplies the squares whose packed product
-reaches DECIMAL_CROSSOVER digits through Decimal, whose libmpdec
-multiplies large operands by a number-theoretic transform.  The square
-width is capped because the transform's scratch memory grows with the
-product: a wider square is faster but raises the peak RSS of the solve.
+into squares whose width doubles from PIECE to CAP and then stays at
+CAP, and add_products multiplies each square as one Kronecker product:
+packed in bytes into one int below DECIMAL_CROSSOVER digits, and
+through Decimal past it, whose libmpdec multiplies large operands by a
+number-theoretic transform.  The square width is capped because the
+transform's scratch memory grows with the product: a wider square is
+faster but raises the peak RSS of the solve.
 
 Every division is checked with divmod, and every integrity condition
 raises one of the two errors below instead of relying on assert, so the
@@ -48,18 +50,23 @@ __all__ = [
 BACKEND = "python"
 
 # add_products goes through Decimal from this many digits of packed
-# product, (len a + len b - 1) times the slot width.  solve_b(11, 1000)
-# took the same time from 5e4 to 1.2e5 and 30 % longer at 1.5e5.  The
-# widest square of any solve up to order 500 packs to 1.07e5 digits, so
-# those run int loops alone (2 vCPU, Python 3.11)
+# product, (len a + len b - 1) times the slot width.  With the squares
+# of PIECE and CAP below, solve_b(11, 1000) took 1.1-1.3 s of CPU at
+# every crossover from 6e4 to 2.5e5, and 1.3-2.1 s at 5e5 or with no
+# Decimal product at all (2 vCPU, Python 3.11)
 DECIMAL_CROSSOVER = 120_000
 
-# solve_b's square width.  libmpdec's transform scratch grows with the
-# product, so a wider square is faster and costs memory: the peak RSS
-# of constants --p 11 was 21.4 MB with int loops alone, and 22.2, 22.5,
-# 22.8 and 22.9 MB at PIECE = 64, 80, 96 and 128, while solve_b(11, 1000)
-# took 2.4, 2.2, 1.8 and 1.7 s of CPU
+# solve_b's squares: PIECE is the width of the band and of the narrowest
+# square, CAP that of the widest, and CAP must be PIECE times a power of
+# two.  libmpdec's transform scratch grows with the product, so wider
+# squares cost memory.  At CAP = 64, 128 and 256,
+# solve_b(11, 1000) took 2.0, 1.7 and 1.9 s of CPU (medians of 5,
+# against 2.6 s for 64 x 64 squares with int loops), and the peak RSS
+# of constants --p 11 --series-order 1600 was 21.1, 21.9 and 23.3 MB
+# (21.1 MB with int loops).  CAP = 128 keeps that peak within 5 % and
+# the one of perfbench amplitude-p11 within 1 % (2 vCPU, Python 3.11)
 PIECE = 64
+CAP = 128
 
 # exact Decimal arithmetic on integers of any size
 _EXACT = decimal.Context(
@@ -149,9 +156,18 @@ def add_products(
 
     terms holds pairs (a_t, b_t) of coefficient lists, and every
     coefficient must be non-negative: a negative one raises
-    IntegrityError.  A product whose Kronecker packing would have fewer
-    than DECIMAL_CROSSOVER digits runs as an int loop.  A larger one
-    goes through Decimal, whose libmpdec multiplies large operands by a
+    IntegrityError.  Indices n below base get nothing.
+
+    When at most the lower half of the product's coefficients is
+    wanted, they are summed pair by pair.  Otherwise a product whose
+    Kronecker packing would have fewer than DECIMAL_CROSSOVER digits is
+    one int product: each list is packed into bytes at 2^(8 width), with
+    slots wide enough for any coefficient of the sum, and the slots are
+    read back from the bytes of the sum of products.  This pays for a
+    solve_b square, whose coefficients are of similar size, and not for
+    a whole series, whose coefficients grow like beta^n, so that every
+    slot is padded to the largest.  A larger product goes through
+    Decimal, whose libmpdec multiplies large operands by a
     number-theoretic transform where int multiplication is Karatsuba.
     It is evaluated at X and -X with X = 10^half (Harvey's KS2, "Faster
     polynomial multiplication via multipoint Kronecker substitution",
@@ -164,6 +180,19 @@ def add_products(
         return
     if any(min(a) < 0 or min(b) < 0 for a, b in terms):
         raise IntegrityError("a block product input is negative")
+    size = max(len(a) + len(b) - 1 for a, b in terms)
+    begin, end = max(start, base), min(stop, base + size)
+    if 2 * (end - base) <= size:
+        # at most the lower half of the product is wanted, as in a square
+        # cut by the order of the solve: the loop multiplies at most half
+        # of the pairs, where a Kronecker product multiplies them all
+        for n in range(begin, end):
+            m = n - base
+            for a, b in terms:
+                lo, hi = max(0, m - len(b) + 1), min(m, len(a) - 1)
+                if lo <= hi:
+                    out[n] += sum(map(mul, a[lo : hi + 1], b[m - hi : m - lo + 1][::-1]))
+        return
     # every product coefficient is below 10^w: it is at most
     # len(terms) * min(len a, len b) * max(a) * max(b) for the largest
     # term, bounded here through bit lengths, and a number of `bits`
@@ -173,13 +202,15 @@ def add_products(
         for a, b in terms
     )
     w = bits * 30103 // 100000 + 1
-    if max(len(a) + len(b) - 1 for a, b in terms) * w < DECIMAL_CROSSOVER:
-        for n in range(start, stop):
-            m = n - base
-            for a, b in terms:
-                lo, hi = max(0, m - len(b) + 1), min(m, len(a) - 1)
-                if lo <= hi:
-                    out[n] += sum(map(mul, a[lo : hi + 1], b[m - hi : m - lo + 1][::-1]))
+    if size * w < DECIMAL_CROSSOVER:
+        # one Kronecker product at 2^(8 width): slots of `width` bytes
+        # hold every coefficient of the sum, so no slot carries
+        width = (bits + 7) // 8
+        packed = sum(_packed(a, width) * _packed(b, width) for a, b in terms)
+        data = packed.to_bytes(size * width, "little")
+        for n in range(begin, end):
+            m = (n - base) * width
+            out[n] += int.from_bytes(data[m : m + width], "little")
         return
     # slots of 2 half >= w + 1 digits hold twice any coefficient
     half = (w + 2) // 2
@@ -195,6 +226,11 @@ def add_products(
         del plus, minus
         for parity, part in enumerate(parts):
             _unpack(out, start, stop, base, str(part), parity, half)
+
+
+def _packed(coeffs: list[int], width: int) -> int:
+    """f(2^(8 width)) for non-negative coefficients below 2^(8 width)."""
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
 
 
 def _at_plus_minus(coeffs: list[int], half: int) -> tuple[Decimal, Decimal]:
@@ -219,6 +255,35 @@ def _unpack(
             out[n] += exact_div(int(slot), 2, "Kronecker slot")
 
 
+def _squares(t: int, order: int) -> Iterator[tuple[int, int, int]]:
+    """The squares (i, j, s) of solve_b whose last inputs have index t - 1.
+
+    (i, j, s) stands for sums[i:i+s] times out[j:j+s] and, when i != j,
+    its mirror sums[j:j+s] times out[i:i+s]; only squares whose first
+    output i + j is at most order are listed.  Together with the band,
+    where the smaller index is below PIECE, they cover every pair of
+    indices >= 1 once:
+
+    - strips, for s = PIECE, 2 PIECE, ..., CAP / 2: the pairs whose
+      smaller index lies in [s, 2s) are the s-squares at (t - s, s), one
+      at each multiple t >= 2s of s;
+    - a grid past CAP: the CAP-squares at (t - CAP, j) for every
+      multiple j of CAP up to t - CAP, at each multiple t of CAP.
+
+    Every square has s <= min(i, j), so its first output i + j comes
+    after its last input max(i, j) + s - 1 = t - 1.
+    """
+    s = PIECE
+    while s < CAP and t % s == 0 and t >= 2 * s:
+        if t <= order:
+            yield t - s, s, s
+        s *= 2
+    if t % CAP == 0:
+        i = t - CAP
+        for j in range(CAP, min(i, order - i) + 1, CAP):
+            yield i, j, CAP
+
+
 def solve_b(p: int, order: int, power_out: list[int] | None = None) -> list[int]:
     """Coefficients y_0..y_order of the series y with y = exp(sum_i x^i y^p(x^i)/i).
 
@@ -235,22 +300,25 @@ def solve_b(p: int, order: int, power_out: list[int] | None = None) -> list[int]
 
     - the band, where one index is below PIECE: two dot products of at
       most PIECE - 1 terms each, summed when y_n and C_n are computed;
-    - the squares [i, i + PIECE) x [j, j + PIECE) with i and j positive
-      multiples of PIECE.  A square is multiplied by add_products as
-      soon as its last inputs are final, at n = max(i, j) + PIECE - 1;
+    - the squares listed by _squares: s-squares for the pairs whose
+      smaller index lies in [s, 2s), s = PIECE, 2 PIECE, ..., CAP / 2,
+      and CAP-squares past CAP.  A square is multiplied by add_products
+      as soon as its last inputs are final, at n = max(i, j) + s - 1;
       its outputs start at i + j > n, and until their turn the partial
       sums wait in y and C themselves.
 
     This is relaxed multiplication (van der Hoeven, "Relax, but don't be
     too lazy", J. Symbolic Comput. 34, 2002) with every block capped at
-    PIECE: the doubling blocks below PIECE are the band's plain loops,
-    and the larger ones are cut into PIECE squares.  The pair (n, 0)
-    adds sums_n, since y_0 = C_0 = 1.
+    CAP: the doubling blocks below PIECE are the band's plain loops,
+    those from PIECE to CAP / 2 the strips, and the larger ones are cut
+    into CAP-squares.  The pair (n, 0) adds sums_n, since y_0 = C_0 = 1.
 
-    Squares past DECIMAL_CROSSOVER are Decimal products and the rest int
-    loops; up to order 500 every square is an int loop.  A remainder in
-    either division would mean the recurrence is wired wrong and raises
-    InexactDivisionError, and a negative y_n raises IntegrityError.
+    A square of which at most half the outputs are at or below order is
+    summed pair by pair; of the others, those past DECIMAL_CROSSOVER are
+    Decimal products and the rest byte-packed int products.  A remainder
+    in either division would mean
+    the recurrence is wired wrong and raises InexactDivisionError, and a
+    negative y_n raises IntegrityError.
 
     The return value is y alone.  A caller that also wants C = y^p
     passes a list as power_out; it is filled in place with
@@ -277,20 +345,13 @@ def solve_b(p: int, order: int, power_out: list[int] | None = None) -> list[int]
         acc_c = sum(map(mul, low, c[n - k : n][::-1])) + sum(map(mul, high, c[1 : m + 1]))
         y[n] = exact_count(y[n] + acc_y + sums[n], n, f"y recurrence at n={n}")
         c[n] = exact_div(p * (c[n] + acc_c + sums[n]), n, f"power update at n={n}")
-        # the squares [i, i + PIECE) x [j, j + PIECE) with i, j >= PIECE
-        # whose last inputs are y_n, C_n and sums_n
-        t = n + 1
-        if t % PIECE or t < 2 * PIECE:
-            continue
-        i = t - PIECE
-        for j in range(PIECE, i + 1, PIECE):
-            if i + j > order:
-                break
-            stop = min(i + j + 2 * PIECE - 1, order + 1)
+        # the squares whose last inputs are y_n, C_n and sums_n
+        for i, j, s in _squares(n + 1, order):
+            stop = min(i + j + 2 * s - 1, order + 1)
             for out in (y, c):
-                terms = [(sums[i:t], out[j : j + PIECE])]
+                terms = [(sums[i : i + s], out[j : j + s])]
                 if i != j:
-                    terms.append((sums[j : j + PIECE], out[i:t]))
+                    terms.append((sums[j : j + s], out[i : i + s]))
                 add_products(out, i + j, stop, i + j, terms)
     return y
 

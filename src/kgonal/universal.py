@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from mpmath import mpf
@@ -141,14 +141,22 @@ def universal_c(m: int) -> UniversalConstant:
     return UniversalConstant(m, tuple(terms))
 
 
-def xi_from_expansion(p: int, m_max: int, dps: int = 30) -> float:
-    """Partial sum sum_{m<=m_max} c_m / p^m."""
+def xi_from_expansion(
+    p: int, m_max: int, dps: int = 30, values: Sequence[mpf] | None = None
+) -> float:
+    """Partial sum sum_{m<=m_max} c_m / p^m, summed at dps digits.
+
+    values, if given, holds c_1..c_m_max already evaluated to at least
+    dps digits, so a caller that printed them does not evaluate them again.
+    """
     if p < 1:
         raise ValueError("p must be >= 1")
     from mpmath import mp, mpf
 
     with mp.workdps(dps):
+        if values is None:
+            values = [universal_c(m).value(dps) for m in range(1, m_max + 1)]
         acc = mpf(0)
         for m in range(1, m_max + 1):
-            acc += universal_c(m).value(dps) / mpf(p) ** m
+            acc += values[m - 1] / mpf(p) ** m
         return float(acc)

@@ -23,6 +23,7 @@ from kgonal.cli import (
 import kgonal
 from kgonal import kernels
 from kgonal.kernels import long_decimals
+from kgonal.universal import UniversalConstant
 
 GOLDEN = pathlib.Path(__file__).parents[1] / "src" / "kgonal" / "data" / "unlabelled_golden.csv"
 DEFAULT_LIMIT = sys.get_int_max_str_digits()
@@ -400,7 +401,9 @@ class TestOrderCeiling:
         code, out, err = run_cli(capsys, *argv, str(ORDER_CEILING + 1))
         assert code == 1
         assert out == ""
-        assert f"order must be <= {ORDER_CEILING}" in err
+        # a single index is named as the user gave it
+        what = "error: n" if argv[-1] == "--n" else "order"
+        assert f"{what} must be <= {ORDER_CEILING}" in err
 
     def test_api_rejects_order_above_ceiling(self):
         with pytest.raises(CliError, match="order must be <="):
@@ -466,6 +469,17 @@ class TestUniversal:
         code, out, _ = run_cli(capsys, "universal", "--m-max", "10", "--p", "3")
         doc = json.loads(out)
         assert doc["xi_partial_sum"] == pytest.approx(0.119674100436, abs=1e-6)
+
+    def test_evaluates_each_constant_once(self, capsys, monkeypatch):
+        # the printed values also feed xi_partial_sum
+        calls = []
+        value = UniversalConstant.value
+        monkeypatch.setattr(
+            UniversalConstant, "value", lambda c, *args: calls.append(c.m) or value(c, *args)
+        )
+        code, _, _ = run_cli(capsys, "universal", "--m-max", "12", "--p", "3")
+        assert code == 0
+        assert calls == list(range(1, 13))
 
     def test_rejects_bad_p_before_computing(self, capsys, monkeypatch):
         # --p is checked before c_1..c_{m-max}, which take seconds to compute

@@ -41,14 +41,51 @@ def test_solve_b_validation():
 @pytest.mark.parametrize("crossover", [0, 10**18])
 @pytest.mark.parametrize("piece", [5, 8])
 def test_solve_b_matches_reference(p, crossover, piece, monkeypatch):
-    # at the default width, order 120 is all band; narrow squares of odd
-    # and even width tile it, and a crossover of 0 sends every square
-    # through Decimal, one of 10^18 none
+    # at the shipped widths, order 120 is all band.  A narrow band of odd
+    # or even width runs with CAP = piece, the flat grid of piece-squares,
+    # and with CAP = 4 piece: strips of piece- and 2 piece-squares, then
+    # the grid.  A crossover of 0 sends every square through Decimal, one
+    # of 10^18 none
     monkeypatch.setattr(kernels, "DECIMAL_CROSSOVER", crossover)
     monkeypatch.setattr(kernels, "PIECE", piece)
-    want_c, got_c = [], []
-    assert kernels.solve_b(p, 120, got_c) == solve_b_reference(p, 120, want_c)
-    assert got_c == want_c
+    want_c = []
+    want = solve_b_reference(p, 120, want_c)
+    for cap in (piece, 4 * piece):
+        monkeypatch.setattr(kernels, "CAP", cap)
+        got_c = []
+        assert kernels.solve_b(p, 120, got_c) == want, cap
+        assert got_c == want_c, cap
+
+
+@pytest.mark.parametrize(
+    "piece, cap", [(5, 5), (5, 20), (8, 32), (3, 48), (kernels.PIECE, kernels.CAP)]
+)
+def test_squares_cover_every_pair_once(piece, cap, monkeypatch):
+    # the band (smaller index below PIECE) and the squares listed at
+    # t = 1..order + 1 together hold every pair (m, n - m) with both
+    # indices >= 1 and n <= order exactly once, and each square's inputs,
+    # the last of which has index t - 1, are final before its first output
+    monkeypatch.setattr(kernels, "PIECE", piece)
+    monkeypatch.setattr(kernels, "CAP", cap)
+    order = 3 * cap + 2 * piece + 1
+    pairs = [(m, r) for m in range(1, order) for r in range(1, order + 1 - m)]
+    seen = {(m, r): 1 for m, r in pairs if min(m, r) < piece}
+    for t in range(1, order + 2):
+        for i, j, s in kernels._squares(t, order):
+            assert s <= min(i, j) and max(i, j) + s == t and i + j <= order
+            blocks = [(i, j)] if i == j else [(i, j), (j, i)]
+            for u, v in blocks:
+                for m in range(u, u + s):
+                    for r in range(v, min(v + s, order + 1 - m)):
+                        seen[m, r] = seen.get((m, r), 0) + 1
+    assert set(seen) == set(pairs)
+    assert [pair for pair, times in seen.items() if times != 1] == []
+
+
+def test_shipped_cap_is_piece_times_a_power_of_two():
+    # the strips double from PIECE and must end exactly at CAP
+    ratio, rest = divmod(kernels.CAP, kernels.PIECE)
+    assert rest == 0 and ratio >= 1 and ratio & (ratio - 1) == 0
 
 
 def test_solve_b_matches_reference_at_size(monkeypatch):
