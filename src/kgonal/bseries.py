@@ -178,13 +178,16 @@ def recurrence_crosscheck(params: GonalParams, order: int) -> list[int]:
     non-negative integers such that |a|+1 divides j, of
     (|a|+1) * b_{a_1} * ... * b_{a_{k-1}} * b_{n-j}.
 
-    The tuple sum is evaluated by direct recursion with no shared power
-    tables, so agreement with compute_b crosses two genuinely different
-    arithmetic routes.  Feasible for small orders only: the inner sum
-    alone costs O(order^{k-1}) per coefficient.
+    The tuple sum with |a| = e - 1 is evaluated once, as soon as
+    b_{e-1} is final, by direct recursion with no memo and no shared
+    power tables, so agreement with compute_b crosses two genuinely
+    different arithmetic routes.  Feasible for small orders only: each
+    tuple sum costs O(order^{k-1}).
     """
     parts = params.p
     b: list[int] = [1]
+    # weights[e] = e * (the tuple sum of parts indices summing to e - 1)
+    weights = [0]
 
     def tuple_sum(remaining: int, total: int) -> int:
         # sum over ordered tuples of `remaining` indices summing to `total`
@@ -196,10 +199,13 @@ def recurrence_crosscheck(params: GonalParams, order: int) -> list[int]:
         return acc
 
     for n in range(1, order + 1):
+        # b_{n-1} is final: the tuple sum for e = n is too, and is
+        # evaluated once for every later n
+        weights.append(n * tuple_sum(parts, n - 1))
         acc = 0
         for j in range(1, n + 1):
             for e in range(1, j + 1):
                 if j % e == 0:
-                    acc += e * tuple_sum(parts, e - 1) * b[n - j]
+                    acc += weights[e] * b[n - j]
         b.append(exact_div(acc, n, f"tuple recurrence at n={n}"))
     return b

@@ -70,11 +70,14 @@ EMPIRICAL_ORDER = 1000
 M_MAX_CEILING = 53
 
 # b and the layers on it cost about order^3 in time at fixed k (a table
-# column of k = 12 took 0.68 s at order 500 and 6.1 s at 1000).  At
-# order 1600 and k = 12 the slowest family, count --family unlabelled,
-# takes 26-36 s, count --family b 7-9 s, and constants --p 11
-# --series-order 1600 5-9 s (2 vCPU, Python 3.11; the ranges are the
-# host's own spread between runs)
+# column of k = 12 took 0.83-0.89 s at order 500 and 4.6-5.4 s at 1000).
+# At order 1600 and k = 12 the slowest family, count --family
+# unlabelled, takes 21-28 s of wall time (23-31 s of CPU), count
+# --family b 3.6-4.1 s (6.6-7.7 s of CPU in two processes), and
+# constants --p 11 --series-order 1600 4.4-4.5 s (7.8-8.0 s of CPU).
+# Forking the power pass of solve_b halved the solve's wall time, but
+# the counting layers after it still set the slowest family's time, so
+# the ceiling stays (2 vCPU, Python 3.11; the ranges are two runs)
 ORDER_CEILING = 1600
 
 # table solves b once per polygon size, so its time grows linearly in the

@@ -6,14 +6,19 @@ edge), solving the edge-rooted series b together with b^(k-1) to large
 order, block products of big-integer coefficient lists, and raising
 them to powers.
 
-solve_b is the costliest of them.  It tiles its two online convolutions
-into squares whose width doubles from PIECE to CAP and then stays at
-CAP, and add_products multiplies each square as one Kronecker product:
-packed in bytes into one int below DECIMAL_CROSSOVER digits, and
-through Decimal past it, whose libmpdec multiplies large operands by a
-number-theoretic transform.  The square width is capped because the
-transform's scratch memory grows with the product: a wider square is
-faster but raises the peak RSS of the solve.
+solve_b is the costliest of them.  It is two passes of one online
+convolution kernel, _online: the power pass solves b^(k-1) and the
+series both convolutions run against, and the pass for b then needs
+only that series.  A solve of at least FORK_WORK runs the power pass in
+a forked child, which streams the series to the parent as it becomes
+final, so the two passes run side by side on two CPUs.  _online tiles
+its convolution into squares whose width doubles from PIECE to CAP and
+then stays at CAP, and add_products multiplies each square as one
+Kronecker product: packed in bytes into one int below DECIMAL_CROSSOVER
+digits, and through Decimal past it, whose libmpdec multiplies large
+operands by a number-theoretic transform.  The square width is capped
+because the transform's scratch memory grows with the product: a wider
+square is faster but raises the peak RSS of the solve.
 
 Every division is checked with divmod, and every integrity condition
 raises one of the two errors below instead of relying on assert, so the
@@ -25,11 +30,13 @@ interpreter's digit limit.
 from __future__ import annotations
 
 import decimal
+import math
+import os
 import sys
 from contextlib import contextmanager
 from decimal import Decimal
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 __all__ = [
     "BACKEND",
@@ -67,6 +74,19 @@ DECIMAL_CROSSOVER = 120_000
 # the one of perfbench amplitude-p11 within 1 % (2 vCPU, Python 3.11)
 PIECE = 64
 CAP = 128
+
+# solve_b forks its power pass from this much work, order^3 log10(e p),
+# the unit of the CLI's TABLE_COST_CEILING.  count --family b, forked
+# against one process (medians of 6-10 alternating pairs, 2 vCPU, Python
+# 3.11): at p = 1 the fork saved nothing at order 1000 (4.3e8 units),
+# and took 0.80 of the time at 1100 (5.8e8) and 0.66-0.71 at 1300-1600;
+# at p = 2 0.80 at order 800 (3.8e8) and 0.66 at 1000; at p = 11 0.73-
+# 0.88 at every order from 500 (1.8e8) to 1000 (1.5e9).  Forking the
+# shorter commands lost: constants --p 11 --no-empirical --series-order
+# 500 took 0.273 s against 0.258 s, and table --k-min 2 --k-max 12
+# --order 250 0.499 s against 0.420 s, with two processes on one CPU for
+# much of so short a run
+FORK_WORK = 5e8
 
 # exact Decimal arithmetic on integers of any size
 _EXACT = decimal.Context(
@@ -256,7 +276,7 @@ def _unpack(
 
 
 def _squares(t: int, order: int) -> Iterator[tuple[int, int, int]]:
-    """The squares (i, j, s) of solve_b whose last inputs have index t - 1.
+    """The squares (i, j, s) of _online whose last inputs have index t - 1.
 
     (i, j, s) stands for sums[i:i+s] times out[j:j+s] and, when i != j,
     its mirror sums[j:j+s] times out[i:i+s]; only squares whose first
@@ -291,34 +311,30 @@ def solve_b(p: int, order: int, power_out: list[int] | None = None) -> list[int]
     C = y^p.  Logarithmic differentiation gives x y'/y = sum_m sums_m x^m
     with sums_m = sum_{d|m} d C_{d-1}, and C = exp(p log y) shares it:
 
-        n y_n = sum_{m=1}^{n} sums_m y_{n-m},
-        n C_n = p sum_{m=1}^{n} sums_m C_{n-m}.
+        n C_n = p sum_{m=1}^{n} sums_m C_{n-m},
+        n y_n = sum_{m=1}^{n} sums_m y_{n-m}.
 
-    So y and C are both online convolutions against sums, and sums_m is
-    complete once C_{m-1} is known.  The pairs (m, n - m) with both
-    indices >= 1 fall in two parts:
+    sums_m is complete once C_{m-1} is known, so C and sums need nothing
+    from y, and y is then an online convolution against sums.  The solve
+    is two passes of one kernel, _online: the power pass builds C and,
+    from it, sums; the y pass runs against sums.
 
-    - the band, where one index is below PIECE: two dot products of at
-      most PIECE - 1 terms each, summed when y_n and C_n are computed;
-    - the squares listed by _squares: s-squares for the pairs whose
-      smaller index lies in [s, 2s), s = PIECE, 2 PIECE, ..., CAP / 2,
-      and CAP-squares past CAP.  A square is multiplied by add_products
-      as soon as its last inputs are final, at n = max(i, j) + s - 1;
-      its outputs start at i + j > n, and until their turn the partial
-      sums wait in y and C themselves.
+    A solve whose work, order^3 log10(e p) in the units of the CLI's
+    table ceiling, reaches FORK_WORK runs the power pass in a child made
+    by os.fork (kgonal.forked) when the process may use two CPUs and
+    runs no other thread.  The child streams each final block of sums
+    through a pipe with marshal, and finally sends C; the parent runs
+    the y pass as the blocks arrive, so the two passes share the wall
+    time.  Smaller solves run the two passes one after the other in this
+    process.  The child always ends through os._exit, so it runs no
+    atexit handler and flushes no buffer it inherited.  An exception in
+    it reaches the caller as the same class with the same message.  The
+    parent reaps the child before solve_b returns or raises, and kills
+    it first when it is itself unwinding.
 
-    This is relaxed multiplication (van der Hoeven, "Relax, but don't be
-    too lazy", J. Symbolic Comput. 34, 2002) with every block capped at
-    CAP: the doubling blocks below PIECE are the band's plain loops,
-    those from PIECE to CAP / 2 the strips, and the larger ones are cut
-    into CAP-squares.  The pair (n, 0) adds sums_n, since y_0 = C_0 = 1.
-
-    A square of which at most half the outputs are at or below order is
-    summed pair by pair; of the others, those past DECIMAL_CROSSOVER are
-    Decimal products and the rest byte-packed int products.  A remainder
-    in either division would mean
-    the recurrence is wired wrong and raises InexactDivisionError, and a
-    negative y_n raises IntegrityError.
+    A remainder in either division would mean the recurrence is wired
+    wrong and raises InexactDivisionError, and a negative coefficient
+    raises IntegrityError.
 
     The return value is y alone.  A caller that also wants C = y^p
     passes a list as power_out; it is filled in place with
@@ -328,32 +344,116 @@ def solve_b(p: int, order: int, power_out: list[int] | None = None) -> list[int]
         raise ValueError("p must be >= 1")
     if order < 0:
         raise ValueError("order must be >= 0")
-    y = [0] * (order + 1)
+    if _fork_pays(p, order):
+        from kgonal import forked
+
+        return forked.solve_b(p, order, power_out)
     c = [] if power_out is None else power_out
-    c[:] = [0] * (order + 1)
-    y[0] = 1
-    c[0] = 1
     sums = [0] * (order + 1)
+    _power_pass(p, c, sums)
+    y = [1] + [0] * order
+    _online(y, sums, 1, "y recurrence")
+    return y
+
+
+def _fork_pays(p: int, order: int) -> bool:
+    """Whether solve_b runs its power pass in a forked child.
+
+    Only with two CPUs to run on, and only in a process of one thread:
+    the child is a copy of the calling thread alone, and a lock that
+    another thread held at the fork would stay held in it.
+    """
+    threading = sys.modules.get("threading")
+    return (
+        order**3 * math.log10(math.e * p) >= FORK_WORK
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and (threading is None or threading.active_count() == 1)
+    )
+
+
+def _power_pass(
+    p: int, c: list[int], sums: list[int], send: Callable[[list[int]], None] | None = None
+) -> None:
+    """Fill c with C_0..C_order, C = y^p, and the zeros of sums with sums_0..sums_order.
+
+    order is len(sums) - 1.  When send is given, each block of sums is
+    handed to it as soon as it is final: at every multiple of PIECE,
+    ahead of that step's squares, and at the end.
+    """
+    order = len(sums) - 1
+    c[:] = [1] + [0] * order
+    sent = 1
+
+    def ready(n: int) -> None:
+        nonlocal sent
+        # C_n is final: add (n + 1) C_n at every multiple of n + 1,
+        # which completes sums_{n + 1}
+        m = n + 1
+        w = m * c[n]
+        for i in range(m, order + 1, m):
+            sums[i] += w
+        if send is not None and (m % PIECE == 0 or m == order):
+            send(sums[sent : m + 1])
+            sent = m + 1
+
+    _online(c, sums, p, "power update", ready)
+
+
+def _online(
+    out: list[int],
+    sums: list[int],
+    scale: int,
+    what: str,
+    ready: Callable[[int], None] | None = None,
+) -> None:
+    """Solve n out_n = scale sum_{m=1}^{n} sums_m out_{n-m} online, out_0 = 1.
+
+    out must hold out_0 = 1 and zeros to its full length, order + 1.
+    sums_m may be final only once out_{m-1} is: ready(n), when given,
+    is called for n = 0..order - 1 once out_n is final and before the
+    squares of that step, and must make sums_{n+1} final.  sums may
+    grow as it does, provided it holds sums_0..sums_{n+1} when ready(n)
+    returns.  Every pair (m, n - m) with both indices >= 1 is in one of
+    two parts:
+
+    - the band, where one index is below PIECE: two dot products of at
+      most PIECE - 1 terms each, summed when out_n is computed;
+    - the squares listed by _squares: s-squares for the pairs whose
+      smaller index lies in [s, 2s), s = PIECE, 2 PIECE, ..., CAP / 2,
+      and CAP-squares past CAP.  A square is multiplied by add_products
+      as soon as its last inputs are final, at n = max(i, j) + s - 1;
+      its outputs start at i + j > n, and until their turn the partial
+      sums wait in out itself.
+
+    This is relaxed multiplication (van der Hoeven, "Relax, but don't be
+    too lazy", J. Symbolic Comput. 34, 2002) with every block capped at
+    CAP: the doubling blocks below PIECE are the band's plain loops,
+    those from PIECE to CAP / 2 the strips, and the larger ones are cut
+    into CAP-squares.  The pair (n, 0) adds sums_n, since out_0 = 1.
+    A square of which at most half the outputs are at or below order is
+    summed pair by pair; of the others, those past DECIMAL_CROSSOVER are
+    Decimal products and the rest byte-packed int products.  Each out_n
+    goes through exact_count, naming `what` and n.
+    """
+    order = len(out) - 1
+    if ready is not None and order:
+        ready(0)
     for n in range(1, order + 1):
-        w = n * c[n - 1]
-        for m in range(n, order + 1, n):
-            sums[m] += w
         # the band: pairs (i, n - i) with i < PIECE, then with n - i < PIECE <= i
         k, m = min(PIECE - 1, n - 1), max(0, min(PIECE - 1, n - PIECE))
-        low, high = sums[1 : k + 1], sums[n - m : n][::-1]
-        acc_y = sum(map(mul, low, y[n - k : n][::-1])) + sum(map(mul, high, y[1 : m + 1]))
-        acc_c = sum(map(mul, low, c[n - k : n][::-1])) + sum(map(mul, high, c[1 : m + 1]))
-        y[n] = exact_count(y[n] + acc_y + sums[n], n, f"y recurrence at n={n}")
-        c[n] = exact_div(p * (c[n] + acc_c + sums[n]), n, f"power update at n={n}")
-        # the squares whose last inputs are y_n, C_n and sums_n
+        acc = sum(map(mul, sums[1 : k + 1], out[n - k : n][::-1]))
+        acc += sum(map(mul, sums[n - m : n][::-1], out[1 : m + 1]))
+        out[n] = exact_count(scale * (out[n] + acc + sums[n]), n, f"{what} at n={n}")
+        if ready is not None and n < order:
+            ready(n)
+        # the squares whose last inputs are out_n and sums_n
         for i, j, s in _squares(n + 1, order):
-            stop = min(i + j + 2 * s - 1, order + 1)
-            for out in (y, c):
-                terms = [(sums[i : i + s], out[j : j + s])]
-                if i != j:
-                    terms.append((sums[j : j + s], out[i : i + s]))
-                add_products(out, i + j, stop, i + j, terms)
-    return y
+            terms = [(sums[i : i + s], out[j : j + s])]
+            if i != j:
+                terms.append((sums[j : j + s], out[i : i + s]))
+            add_products(out, i + j, min(i + j + 2 * s - 1, order + 1), i + j, terms)
 
 
 def power(a: list[int], e: int, order: int) -> list[int]:

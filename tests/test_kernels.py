@@ -1,13 +1,16 @@
 """Integer kernels: anchors, the solve against its reference, block
 products, the power rule and the division checks."""
 
+import hashlib
+import os
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kgonal import kernels
+from kgonal import cli, forked, kernels
 from fraction_series import Series
 from reference_solve import convolve, solve_b_reference
 
@@ -55,6 +58,165 @@ def test_solve_b_matches_reference(p, crossover, piece, monkeypatch):
         got_c = []
         assert kernels.solve_b(p, 120, got_c) == want, cap
         assert got_c == want_c, cap
+
+
+def _take_path(monkeypatch, path):
+    """Make every solve_b take the forked or the one-process path."""
+    monkeypatch.setattr(kernels, "FORK_WORK", 0)
+    if path == "one-process":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def _count_forks(monkeypatch):
+    """A list that gains one item per solve_b that forks."""
+    forks = []
+    solve_b = forked.solve_b
+    monkeypatch.setattr(forked, "solve_b", lambda *args: forks.append(1) or solve_b(*args))
+    return forks
+
+
+def _assert_no_child_left():
+    # every child of this process has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("path", ["forked", "one-process"])
+@pytest.mark.parametrize("crossover", [0, 10**18])
+@pytest.mark.parametrize("piece", [5, 8])
+def test_solve_b_paths_match_reference(path, crossover, piece, monkeypatch):
+    # the settings of the parent are those of the forked child too
+    _take_path(monkeypatch, path)
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(kernels, "DECIMAL_CROSSOVER", crossover)
+    monkeypatch.setattr(kernels, "PIECE", piece)
+    for p in (1, 4, 11):
+        want_c = []
+        want = solve_b_reference(p, 120, want_c)
+        for cap in (piece, 4 * piece):
+            monkeypatch.setattr(kernels, "CAP", cap)
+            got_c = []
+            assert kernels.solve_b(p, 120, got_c) == want, (p, cap)
+            _assert_no_child_left()
+            assert got_c == want_c, (p, cap)
+            # without power_out, C still arrives and is dropped
+            assert kernels.solve_b(p, 120) == want, (p, cap)
+            _assert_no_child_left()
+    assert len(forks) == (12 if path == "forked" else 0)
+
+
+def _break_power_pass(monkeypatch):
+    """Make the power pass divide inexactly: sums_3 is one too large."""
+    power_pass = kernels._power_pass
+
+    def broken(p, c, sums, send=None):
+        sums[3] += 1
+        power_pass(p, c, sums, send)
+
+    monkeypatch.setattr(kernels, "_power_pass", broken)
+
+
+def test_forked_power_pass_error_reaches_the_caller(monkeypatch):
+    # 3 C_3 is off by p = 2, so the division by 3 leaves a remainder, in
+    # the child as in one process, and the parent re-raises it unchanged
+    _break_power_pass(monkeypatch)
+    messages = []
+    for path in ("one-process", "forked"):
+        _take_path(monkeypatch, path)
+        with pytest.raises(kernels.InexactDivisionError) as caught:
+            kernels.solve_b(2, 200, [])
+        _assert_no_child_left()
+        assert type(caught.value) is kernels.InexactDivisionError
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("power update at n=3: remainder")
+
+
+def test_forked_power_pass_error_is_a_cli_error_line(monkeypatch, capsys):
+    _break_power_pass(monkeypatch)
+    _take_path(monkeypatch, "forked")
+    assert cli.main(["count", "--k", "3", "--family", "b", "--order", "100"]) == 1
+    _assert_no_child_left()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: power update at n=3: remainder")
+
+
+def test_forked_child_that_dies_without_a_result(monkeypatch):
+    # a child that ends before its last message is a ChildProcessError,
+    # not a hang and not a wrong result
+    _take_path(monkeypatch, "forked")
+    parent = os.getpid()
+
+    def dies(*args):
+        if os.getpid() == parent:
+            raise AssertionError("the power pass ran in the parent")
+        os._exit(3)
+
+    monkeypatch.setattr(kernels, "_power_pass", dies)
+    with pytest.raises(ChildProcessError, match="without its result"):
+        kernels.solve_b(2, 50)
+    _assert_no_child_left()
+
+
+def test_forked_child_is_killed_when_the_parent_unwinds(monkeypatch):
+    # an error in the y pass, while the child is still solving, kills
+    # and reaps the child before the error reaches the caller
+    _take_path(monkeypatch, "forked")
+    online = kernels._online
+
+    def broken(out, sums, scale, what, ready=None):
+        if what == "y recurrence":
+            raise kernels.IntegrityError("y pass failed")
+        online(out, sums, scale, what, ready)
+
+    monkeypatch.setattr(kernels, "_online", broken)
+    with pytest.raises(kernels.IntegrityError, match="y pass failed"):
+        kernels.solve_b(11, 600)
+    _assert_no_child_left()
+
+
+def test_fork_threshold(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # the solves of table-deep (order 250) and constants-sweep (order
+    # 500) stay in one process; the order-1000 solve of constants --p 11
+    # forks
+    for p in range(1, 12):
+        assert not kernels._fork_pays(p, 250)
+        assert not kernels._fork_pays(p, 500)
+    assert kernels._fork_pays(11, 1000)
+    assert kernels._fork_pays(1, cli.ORDER_CEILING)
+    # never on one CPU, nor beside another thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert not kernels._fork_pays(11, 1000)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert not kernels._fork_pays(11, 1000)
+    finally:
+        release.set()
+        other.join()
+
+
+def test_solve_b_digest_at_order_1000(monkeypatch):
+    # sha256 of the decimal coefficients of b and of C = b^11 to order
+    # 1000, recorded from the solve in one process; this one forks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = _count_forks(monkeypatch)
+    c = []
+    b = kernels.solve_b(11, 1000, c)
+    _assert_no_child_left()
+    assert forks == [1]
+    with kernels.long_decimals():
+        digests = [hashlib.sha256(",".join(map(str, s)).encode()).hexdigest() for s in (b, c)]
+    assert digests == [
+        "ef1dce63234d3483cba12344ff1c7cfe740fdd2d7b56df9fb22ba34aa331de36",
+        "83b4d208bc482e0dc050e2ecfb5c8a9ff06281226b2730612fddc2ef5fa964f6",
+    ]
 
 
 @pytest.mark.parametrize(
