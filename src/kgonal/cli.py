@@ -24,7 +24,7 @@ from kgonal.asymptotics import (
 )
 from kgonal.bseries import BTable, GonalParams, compute_b, recurrence_crosscheck
 from kgonal.cache import resolve_cache_dir
-from kgonal.kernels import IntegrityError, exact_count, long_decimals
+from kgonal.kernels import IntegrityError, exact_count, long_decimals, may_fork
 from kgonal.labelled import (
     burnside_b,
     labelled_oriented,
@@ -48,6 +48,7 @@ __all__ = [
     "ORDER_CEILING",
     "K_RANGE_CEILING",
     "TABLE_COST_CEILING",
+    "TABLE_FORK_WORK",
     "LABELLED_COST_CEILING",
 ]
 
@@ -88,10 +89,23 @@ K_RANGE_CEILING = 1000
 
 # a table column costs about order^3 log10(e (k - 1)) work units: k - 1
 # sets the digits per coefficient.  table --k-min 2 --k-max 12 --order
-# 1600 is 5.1e10 units and took 270 s; k = 12 alone took 0.09 s at order
-# 250, 0.87 s at 500 and 7.6 s at 1000, and k = 1001 0.17 s at 250
-# (2 vCPU, Python 3.11)
+# 1600 is 5.1e10 units and took 270 s, before the table split its
+# columns between two processes.  At order 1000 (1.2e10 units) it took
+# 17-19 s of wall time split (32-34 s of CPU), 26 s with only the solves
+# of its columns forked, and 32 s on one CPU, each at a peak RSS of
+# 41 MB (2 vCPU, Python 3.11).  The ceiling was set by the order-1600
+# run and is not raised on the order-1000 numbers alone
 TABLE_COST_CEILING = 6e10
+
+# render_table computes about half of its columns in a forked child
+# (kgonal.forked) from this much work, in the units above.  table --k-min
+# 2 --k-max 12 --order N, split against one process (median ratios of
+# alternating pairs, 2 vCPU, Python 3.11): 1.10 at order 20 (9.9e4
+# units; split faster in 2 of 10), 0.99-1.00 at 40 and 60, 0.94 at 80
+# (6.3e6; 14 of 20), 0.92 at 100 (1.2e7; 12 of 20), 0.86 at 125 (2.4e7;
+# 16 of 20), 0.80 at 160 (5.1e7; 20 of 20) and 0.61 at 250 (1.9e8; 8 of
+# 8)
+TABLE_FORK_WORK = 1e7
 
 # the labelled families are closed forms, so printing them in decimal,
 # which is quadratic in the digits, is the work: a count of D digits
@@ -213,7 +227,16 @@ def cmd_count(args: argparse.Namespace, cache_dir: Path | None) -> int:
 def render_table(
     k_min: int, k_max: int, order: int, fmt: str = "csv", cache_dir: Path | None = None
 ) -> str:
-    """The unlabelled-count matrix, one column per polygon size."""
+    """The unlabelled-count matrix, one column per polygon size.
+
+    A table of two columns or more whose work reaches TABLE_FORK_WORK
+    computes about half of its columns in a forked child when
+    kernels.may_fork allows it (kgonal.forked.split): the child takes the
+    costliest columns, as many as bring the costs of the two halves
+    closest, and the parent the rest.  Each half reads and writes the
+    cache files of its own columns, and neither half's solves fork
+    again.  The output is the same bytes either way.
+    """
     if not 2 <= k_min <= k_max:
         raise CliError("need 2 <= k-min <= k-max")
     if k_max - k_min + 1 > K_RANGE_CEILING:
@@ -222,33 +245,42 @@ def render_table(
             "per polygon size"
         )
     _check_order(order)
-    cost = order**3 * sum(math.log10(math.e * (k - 1)) for k in range(k_min, k_max + 1))
+    ks = range(k_min, k_max + 1)
+    costs = [order**3 * math.log10(math.e * (k - 1)) for k in ks]
+    cost = sum(costs)
     if cost > TABLE_COST_CEILING:
         raise CliError(
             f"table of {k_max - k_min + 1} columns to order {order} is too large: "
             f"order^3 log10(e (k - 1)) summed over its columns is {cost:.2g}, past "
             f"the limit of {TABLE_COST_CEILING:.2g} (about five minutes)"
         )
-    columns: dict[int, list[int]] = {}
-    for k in range(k_min, k_max + 1):
-        columns[k] = unlabelled_series(compute_b(GonalParams(k), order, cache_dir))
+
+    def column(k: int) -> list[int]:
+        return unlabelled_series(compute_b(GonalParams(k), order, cache_dir))
+
+    if len(ks) >= 2 and cost >= TABLE_FORK_WORK and may_fork():
+        from kgonal import forked
+
+        columns = dict(zip(ks, forked.split(column, ks, costs, "the forked half of the table")))
+    else:
+        columns = {k: column(k) for k in ks}
     with long_decimals():
         if fmt == "csv":
-            lines = ["n," + ",".join(f"k{k}" for k in range(k_min, k_max + 1))]
+            lines = ["n," + ",".join(f"k{k}" for k in ks)]
             for n in range(order + 1):
                 lines.append(
-                    str(n) + "," + ",".join(str(columns[k][n]) for k in range(k_min, k_max + 1))
+                    str(n) + "," + ",".join(str(columns[k][n]) for k in ks)
                 )
             return "\n".join(lines) + "\n"
         doc = {
             "k_min": k_min,
             "k_max": k_max,
             "order": order,
-            "columns": [f"k{k}" for k in range(k_min, k_max + 1)],
+            "columns": [f"k{k}" for k in ks],
             "rows": [
                 {
                     "n": n,
-                    "values": [str(columns[k][n]) for k in range(k_min, k_max + 1)],
+                    "values": [str(columns[k][n]) for k in ks],
                 }
                 for n in range(order + 1)
             ],

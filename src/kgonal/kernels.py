@@ -10,15 +10,16 @@ solve_b is the costliest of them.  It is two passes of one online
 convolution kernel, _online: the power pass solves b^(k-1) and the
 series both convolutions run against, and the pass for b then needs
 only that series.  A solve of at least FORK_WORK runs the power pass in
-a forked child, which streams the series to the parent as it becomes
-final, so the two passes run side by side on two CPUs.  _online tiles
-its convolution into squares whose width doubles from PIECE to CAP and
-then stays at CAP, and add_products multiplies each square as one
-Kronecker product: packed in bytes into one int below DECIMAL_CROSSOVER
-digits, and through Decimal past it, whose libmpdec multiplies large
-operands by a number-theoretic transform.  The square width is capped
-because the transform's scratch memory grows with the product: a wider
-square is faster but raises the peak RSS of the solve.
+a forked child (kgonal.forked), which streams the series to the parent
+as it becomes final, so the two passes run side by side, each pinned to
+a CPU of its own.  _online tiles its convolution into squares whose
+width doubles from PIECE to CAP and then stays at CAP, and add_products
+multiplies each square as one Kronecker product: packed in bytes into
+one int below DECIMAL_CROSSOVER digits, and through Decimal past it,
+whose libmpdec multiplies large operands by a number-theoretic
+transform.  The square width is capped because the transform's scratch
+memory grows with the product: a wider square is faster but raises the
+peak RSS of the solve.
 
 Every division is checked with divmod, and every integrity condition
 raises one of the two errors below instead of relying on assert, so the
@@ -49,6 +50,7 @@ __all__ = [
     "add_products",
     "power",
     "long_decimals",
+    "may_fork",
 ]
 
 # the kernels are plain Python; benchmarks report this name.  The setup
@@ -76,17 +78,22 @@ PIECE = 64
 CAP = 128
 
 # solve_b forks its power pass from this much work, order^3 log10(e p),
-# the unit of the CLI's TABLE_COST_CEILING.  count --family b, forked
-# against one process (medians of 6-10 alternating pairs, 2 vCPU, Python
-# 3.11): at p = 1 the fork saved nothing at order 1000 (4.3e8 units),
-# and took 0.80 of the time at 1100 (5.8e8) and 0.66-0.71 at 1300-1600;
-# at p = 2 0.80 at order 800 (3.8e8) and 0.66 at 1000; at p = 11 0.73-
-# 0.88 at every order from 500 (1.8e8) to 1000 (1.5e9).  Forking the
-# shorter commands lost: constants --p 11 --no-empirical --series-order
-# 500 took 0.273 s against 0.258 s, and table --k-min 2 --k-max 12
-# --order 250 0.499 s against 0.420 s, with two processes on one CPU for
-# much of so short a run
-FORK_WORK = 5e8
+# the unit of the CLI's TABLE_COST_CEILING: from order 588 at p = 11 and
+# from order 884 at p = 1.  With both sides of the fork pinned to their
+# own CPU, constants --p P --no-empirical --series-order N, forked
+# against one process (median ratios of 10 alternating pairs each, and
+# how many the fork won; 2 vCPU, Python 3.11): at p = 11 1.07 at order
+# 300 (4.0e7 units; 2 of 10), 0.93-0.97 at 350 and 400 (7 of 10), 0.76
+# at 500 (10 of 10), 0.75 at 590 (3.0e8; 9 of 10) and 0.73 at 600 (9 of
+# 10); at p = 1 0.97 at order 500 (6 of 10), 0.83 at 600 (7 of 10), 1.00
+# at 700 (1.5e8; 5 of 10), 0.79 at 850 (2.7e8; 9 of 10), 0.78 at 890
+# (10 of 10) and 0.77 at 1000 (10 of 10).  Every measured order at or
+# above this threshold won at least 9 of 10 pairs at both p; the solves
+# of constants --no-empirical at order 500 stay in one process up to
+# p = 11.  Unpinned, constants --p 11 --no-empirical --series-order 500
+# had taken 0.273 s forked against 0.258 s, which set the threshold at
+# 5e8 before the fork was pinned
+FORK_WORK = 3e8
 
 # exact Decimal arithmetic on integers of any size
 _EXACT = decimal.Context(
@@ -321,16 +328,18 @@ def solve_b(p: int, order: int, power_out: list[int] | None = None) -> list[int]
 
     A solve whose work, order^3 log10(e p) in the units of the CLI's
     table ceiling, reaches FORK_WORK runs the power pass in a child made
-    by os.fork (kgonal.forked) when the process may use two CPUs and
-    runs no other thread.  The child streams each final block of sums
+    by os.fork (kgonal.forked) when may_fork allows it: two CPUs, one
+    thread, and no fork already live, so no solve forks inside either
+    half of a split table.  The child streams each final block of sums
     through a pipe with marshal, and finally sends C; the parent runs
     the y pass as the blocks arrive, so the two passes share the wall
-    time.  Smaller solves run the two passes one after the other in this
-    process.  The child always ends through os._exit, so it runs no
-    atexit handler and flushes no buffer it inherited.  An exception in
-    it reaches the caller as the same class with the same message.  The
-    parent reaps the child before solve_b returns or raises, and kills
-    it first when it is itself unwinding.
+    time, pinned to two different CPUs while the child lives.  Smaller
+    solves run the two passes one after the other in this process.  The
+    child always ends through os._exit, so it runs no atexit handler and
+    flushes no buffer it inherited.  An exception in it reaches the
+    caller as the same class with the same message.  The parent reaps
+    the child before solve_b returns or raises, and kills it first when
+    it is itself unwinding.
 
     A remainder in either division would mean the recurrence is wired
     wrong and raises InexactDivisionError, and a negative coefficient
@@ -357,19 +366,26 @@ def solve_b(p: int, order: int, power_out: list[int] | None = None) -> list[int]
 
 
 def _fork_pays(p: int, order: int) -> bool:
-    """Whether solve_b runs its power pass in a forked child.
+    """Whether solve_b runs its power pass in a forked child."""
+    return order**3 * math.log10(math.e * p) >= FORK_WORK and may_fork()
 
-    Only with two CPUs to run on, and only in a process of one thread:
-    the child is a copy of the calling thread alone, and a lock that
-    another thread held at the fork would stay held in it.
+
+def may_fork() -> bool:
+    """Whether this process may run a pass in a forked child (kgonal.forked).
+
+    Only with two CPUs to run on, only in a process of one thread, and
+    only when no fork is live: neither half of a fork forks again.  The
+    child is a copy of the calling thread alone, and a lock that another
+    thread held at the fork would stay held in it.
     """
     threading = sys.modules.get("threading")
+    forked = sys.modules.get("kgonal.forked")
     return (
-        order**3 * math.log10(math.e * p) >= FORK_WORK
-        and hasattr(os, "fork")
+        hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
         and (threading is None or threading.active_count() == 1)
+        and not (forked is not None and forked.live)
     )
 
 

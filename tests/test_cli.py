@@ -1,11 +1,14 @@
 """Tests for the command-line surface."""
 
+import errno
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -14,6 +17,7 @@ from kgonal.cli import (
     K_RANGE_CEILING,
     M_MAX_CEILING,
     ORDER_CEILING,
+    TABLE_FORK_WORK,
     constants_report,
     family_counts,
     main,
@@ -21,9 +25,10 @@ from kgonal.cli import (
     render_table,
 )
 import kgonal
-from kgonal import kernels
-from kgonal.kernels import long_decimals
+from kgonal import cache, kernels
+from kgonal.kernels import IntegrityError, long_decimals
 from kgonal.universal import UniversalConstant
+from forks import assert_left_clean, spy_forks, two_cpus
 
 GOLDEN = pathlib.Path(__file__).parents[1] / "src" / "kgonal" / "data" / "unlabelled_golden.csv"
 DEFAULT_LIMIT = sys.get_int_max_str_digits()
@@ -298,6 +303,151 @@ class TestTable:
             capsys, "count", "--k", "12", "--family", "unlabelled", "--n", "6"
         )
         assert json.loads(out)["counts"] == [{"n": 6, "value": "15189"}]
+
+
+def _table_cost(k_min, k_max, order):
+    # the work units of TABLE_COST_CEILING and TABLE_FORK_WORK
+    return order**3 * sum(math.log10(math.e * (k - 1)) for k in range(k_min, k_max + 1))
+
+
+def _refuse_affinity(pid, mask):
+    raise OSError(errno.EPERM, "sched_setaffinity refused")
+
+
+class TestSplitTable:
+    """render_table with about half of its columns in a forked child.
+
+    The child takes the costliest columns, k = 9..12 of k = 2..12.  After
+    every path, no child is left unreaped and the affinity mask is the
+    one from before the call.
+    """
+
+    ARGV = ("table", "--k-min", "2", "--k-max", "12", "--order", "40")
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        """The fork counter of a process whose every table splits, and its mask."""
+        two_cpus(monkeypatch)
+        monkeypatch.setattr("kgonal.cli.TABLE_FORK_WORK", 0)
+        return spy_forks(monkeypatch), os.sched_getaffinity(0)
+
+    def _one_process(self, monkeypatch, run):
+        monkeypatch.setattr("kgonal.cli.TABLE_FORK_WORK", math.inf)
+        try:
+            return run()
+        finally:
+            monkeypatch.setattr("kgonal.cli.TABLE_FORK_WORK", 0)
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_is_byte_identical(self, capsys, monkeypatch, tmp_path, split, fmt, cached):
+        forks, mask = split
+        argv = self.ARGV + ("--format", fmt)
+        want = self._one_process(monkeypatch, lambda: run_cli(capsys, *argv))
+        assert want[0] == 0
+        assert forks == []
+        if cached:
+            # a cold cache, then a warm one
+            argv = ("--cache-dir", str(tmp_path)) + argv
+        runs = [run_cli(capsys, *argv) for _ in range(2)]
+        assert_left_clean(mask)
+        assert runs == [want, want]
+        assert forks == [1, 1]
+
+    def test_cache_holds_one_complete_file_per_column(self, monkeypatch, tmp_path, split):
+        forks, mask = split
+        first = render_table(2, 12, 40, "csv", tmp_path)
+        assert_left_clean(mask)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"b_k{k}.json" for k in range(2, 13)
+        )
+        for k in range(2, 13):
+            assert json.loads((tmp_path / f"b_k{k}.json").read_text())["order"] == 40
+            assert cache.load_b(tmp_path, k, 40) is not None, k
+
+        # the second run hits every file, in both halves
+        def no_solve(*args):
+            raise AssertionError("a column missed the cache")
+
+        monkeypatch.setattr(kernels, "solve_b", no_solve)
+        assert render_table(2, 12, 40, "csv", tmp_path) == first
+        assert_left_clean(mask)
+        assert forks == [1, 1]
+
+    def test_child_check_failure_reaches_the_caller(self, capsys, monkeypatch, tmp_path, split):
+        # a corrupt cached b for k = 12, a column of the child, fails an
+        # exact division there as in one process
+        forks, mask = split
+        _write_corrupt_cache(tmp_path, 12, 40)
+        with pytest.raises(IntegrityError) as one_process:
+            self._one_process(monkeypatch, lambda: render_table(2, 12, 40, "csv", tmp_path))
+        with pytest.raises(IntegrityError) as halves:
+            render_table(2, 12, 40, "csv", tmp_path)
+        assert_left_clean(mask)
+        assert type(halves.value) is type(one_process.value) is kernels.InexactDivisionError
+        assert str(halves.value) == str(one_process.value)
+        assert forks == [1]
+        code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path), *self.ARGV)
+        assert_left_clean(mask)
+        assert (code, out, err) == (1, "", f"error: {one_process.value}\n")
+        assert forks == [1, 1]
+
+    def test_parent_failure_kills_the_child(self, monkeypatch, split):
+        # the parent's first column fails while the child still sleeps;
+        # the child is killed, not waited for
+        forks, mask = split
+        parent = os.getpid()
+
+        def column(table):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise IntegrityError(f"column k={table.params.k} failed")
+
+        monkeypatch.setattr("kgonal.cli.unlabelled_series", column)
+        start = time.monotonic()
+        with pytest.raises(IntegrityError, match="column k=2 failed"):
+            render_table(2, 12, 40)
+        assert time.monotonic() - start < 30
+        assert_left_clean(mask)
+        assert forks == [1]
+
+    def test_output_is_the_same_when_pinning_fails(self, monkeypatch, split):
+        forks, mask = split
+        want = self._one_process(monkeypatch, lambda: render_table(2, 12, 40))
+        monkeypatch.setattr(os, "sched_setaffinity", _refuse_affinity)
+        assert render_table(2, 12, 40) == want
+        assert_left_clean(mask)
+        assert forks == [1]
+
+    @pytest.mark.parametrize("pinning", ["pinned", "refused"])
+    def test_no_solve_forks_inside_a_split_table(self, monkeypatch, split, pinning):
+        # every solve would fork by FORK_WORK, k = 12 in the child's half
+        # too; neither half forks again, whether pinned or not
+        forks, mask = split
+        monkeypatch.setattr(kernels, "FORK_WORK", 0)
+        if pinning == "refused":
+            monkeypatch.setattr(os, "sched_setaffinity", _refuse_affinity)
+        want = self._one_process(monkeypatch, lambda: render_table(2, 12, 40))
+        assert len(forks) == 11
+        forks.clear()
+        assert render_table(2, 12, 40) == want
+        assert_left_clean(mask)
+        assert forks == [1]
+
+    def test_fork_threshold(self, monkeypatch):
+        # perfbench table-deep (order 250, 1.9e8 units) splits; verify's
+        # golden table (order 20, 9.9e4 units) stays in one process
+        assert _table_cost(2, 12, 250) >= TABLE_FORK_WORK
+        assert _table_cost(2, 12, 20) < TABLE_FORK_WORK
+        two_cpus(monkeypatch)
+        forks = spy_forks(monkeypatch)
+        assert render_table(2, 12, 20) == packaged_golden_table()
+        assert forks == []
+        # nor does a single column, whatever its size: its solve forks
+        # by FORK_WORK instead
+        monkeypatch.setattr("kgonal.cli.TABLE_FORK_WORK", 0)
+        render_table(5, 5, 20)
+        assert forks == []
 
 
 class TestConstants:
@@ -663,21 +813,21 @@ def test_optimized_table_matches_golden():
     assert proc.stdout == GOLDEN.read_text()
 
 
-def _write_corrupt_k3_cache(cache_dir):
-    # a cache whose b_5 is off by one, long enough to serve every k = 3
-    # table the quick verify level asks for; it is written through
-    # store_b, so its hash matches and only the checks downstream of the
-    # cache can catch it
+def _write_corrupt_cache(cache_dir, k=3, order=20):
+    # a cache whose b_5 is off by one, by default long enough to serve
+    # every k = 3 table the quick verify level asks for; it is written
+    # through store_b, so its hash matches and only the checks downstream
+    # of the cache can catch it
     from kgonal.cache import store_b
     from kgonal.kernels import solve_b
 
-    coeffs = solve_b(2, 20)
+    coeffs = solve_b(k - 1, order)
     coeffs[5] += 1
-    store_b(cache_dir, 3, coeffs)
+    store_b(cache_dir, k, coeffs)
 
 
 def test_optimized_verify_catches_corrupt_cache(tmp_path):
-    _write_corrupt_k3_cache(tmp_path)
+    _write_corrupt_cache(tmp_path)
     proc = _run_optimized("--cache-dir", str(tmp_path), "verify")
     assert proc.returncode == 1
     for name in ("kernel-vs-tuple-recurrence", "burnside-vs-kernel", "golden-table"):
@@ -688,7 +838,7 @@ def test_optimized_verify_catches_corrupt_cache(tmp_path):
 def test_integrity_error_is_reported_as_an_error(tmp_path):
     # the corrupt b_5 leaves a remainder in an exact division of the
     # unlabelled count; that must surface as an error line, not a traceback
-    _write_corrupt_k3_cache(tmp_path)
+    _write_corrupt_cache(tmp_path)
     proc = _run_python(
         "-m", "kgonal", "--cache-dir", str(tmp_path),
         "count", "--k", "3", "--family", "unlabelled", "--order", "6",

@@ -4,6 +4,7 @@ products, the power rule and the division checks."""
 import hashlib
 import os
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kgonal import cli, forked, kernels
+from forks import assert_left_clean, assert_no_child_left, spy_forks, two_cpus
 from fraction_series import Series
 from reference_solve import convolve, solve_b_reference
 
@@ -66,7 +68,7 @@ def _take_path(monkeypatch, path):
     if path == "one-process":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        two_cpus(monkeypatch)
 
 
 def _count_forks(monkeypatch):
@@ -75,12 +77,6 @@ def _count_forks(monkeypatch):
     solve_b = forked.solve_b
     monkeypatch.setattr(forked, "solve_b", lambda *args: forks.append(1) or solve_b(*args))
     return forks
-
-
-def _assert_no_child_left():
-    # every child of this process has been reaped
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("path", ["forked", "one-process"])
@@ -99,11 +95,11 @@ def test_solve_b_paths_match_reference(path, crossover, piece, monkeypatch):
             monkeypatch.setattr(kernels, "CAP", cap)
             got_c = []
             assert kernels.solve_b(p, 120, got_c) == want, (p, cap)
-            _assert_no_child_left()
+            assert_no_child_left()
             assert got_c == want_c, (p, cap)
             # without power_out, C still arrives and is dropped
             assert kernels.solve_b(p, 120) == want, (p, cap)
-            _assert_no_child_left()
+            assert_no_child_left()
     assert len(forks) == (12 if path == "forked" else 0)
 
 
@@ -127,7 +123,7 @@ def test_forked_power_pass_error_reaches_the_caller(monkeypatch):
         _take_path(monkeypatch, path)
         with pytest.raises(kernels.InexactDivisionError) as caught:
             kernels.solve_b(2, 200, [])
-        _assert_no_child_left()
+        assert_no_child_left()
         assert type(caught.value) is kernels.InexactDivisionError
         messages.append(str(caught.value))
     assert messages[0] == messages[1]
@@ -138,7 +134,7 @@ def test_forked_power_pass_error_is_a_cli_error_line(monkeypatch, capsys):
     _break_power_pass(monkeypatch)
     _take_path(monkeypatch, "forked")
     assert cli.main(["count", "--k", "3", "--family", "b", "--order", "100"]) == 1
-    _assert_no_child_left()
+    assert_no_child_left()
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: power update at n=3: remainder")
@@ -158,7 +154,7 @@ def test_forked_child_that_dies_without_a_result(monkeypatch):
     monkeypatch.setattr(kernels, "_power_pass", dies)
     with pytest.raises(ChildProcessError, match="without its result"):
         kernels.solve_b(2, 50)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_forked_child_is_killed_when_the_parent_unwinds(monkeypatch):
@@ -175,7 +171,72 @@ def test_forked_child_is_killed_when_the_parent_unwinds(monkeypatch):
     monkeypatch.setattr(kernels, "_online", broken)
     with pytest.raises(kernels.IntegrityError, match="y pass failed"):
         kernels.solve_b(11, 600)
-    _assert_no_child_left()
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="pins to two CPUs of the real mask")
+def test_forked_solve_pins_each_side_to_its_own_cpu(monkeypatch):
+    # while the child lives, the parent runs on the first CPU of the mask
+    # and the child on the second; the parent's mask comes back after
+    _take_path(monkeypatch, "forked")
+    mask = os.sched_getaffinity(0)
+    first, second = sorted(mask)[:2]
+    seen = []
+    power_pass, online = kernels._power_pass, kernels._online
+
+    def child_side(p, c, sums, send=None):
+        if os.sched_getaffinity(0) != {second}:
+            raise AssertionError(f"the child runs on {os.sched_getaffinity(0)}")
+        power_pass(p, c, sums, send)
+
+    def parent_side(out, sums, scale, what, ready=None):
+        seen.append(os.sched_getaffinity(0))
+        online(out, sums, scale, what, ready)
+
+    monkeypatch.setattr(kernels, "_power_pass", child_side)
+    monkeypatch.setattr(kernels, "_online", parent_side)
+    assert kernels.solve_b(4, 120) == solve_b_reference(4, 120)
+    assert seen == [{first}]
+    assert_left_clean(mask)
+
+
+def test_forked_solve_when_pinning_fails(monkeypatch):
+    _take_path(monkeypatch, "forked")
+    forks = _count_forks(monkeypatch)
+    mask = os.sched_getaffinity(0)
+
+    def refuse(pid, cpus):
+        raise OSError("sched_setaffinity refused")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    want_c = []
+    want = solve_b_reference(11, 120, want_c)
+    got_c = []
+    assert kernels.solve_b(11, 120, got_c) == want
+    assert got_c == want_c
+    assert_left_clean(mask)
+    assert forks == [1]
+
+
+@pytest.mark.parametrize("size", [10, 200_000], ids=["short", "past-the-pipe"])
+def test_split_matches_one_process(monkeypatch, size):
+    # the child's half, 4 results of size ints, arrives in order whether
+    # the child ended before the parent read it ("short", read at EOF by
+    # a drain) or waited on a full pipe until the parent drained it
+    two_cpus(monkeypatch)
+    mask = os.sched_getaffinity(0)
+    forks = spy_forks(monkeypatch)
+    parent = os.getpid()
+
+    def compute(i):
+        if os.getpid() == parent and i == 0:
+            time.sleep(0.2)
+        return [i] * size + [parent]
+
+    items = range(8)
+    assert forked.split(compute, items, [1] * 8, "a test split") == [compute(i) for i in items]
+    assert_left_clean(mask)
+    assert forks == [1]
 
 
 def test_fork_threshold(monkeypatch):
@@ -188,6 +249,9 @@ def test_fork_threshold(monkeypatch):
         assert not kernels._fork_pays(p, 500)
     assert kernels._fork_pays(11, 1000)
     assert kernels._fork_pays(1, cli.ORDER_CEILING)
+    # from order 588 at p = 11 and from 884 at p = 1
+    assert kernels._fork_pays(11, 600) and not kernels._fork_pays(11, 580)
+    assert kernels._fork_pays(1, 890) and not kernels._fork_pays(1, 880)
     # never on one CPU, nor beside another thread
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert not kernels._fork_pays(11, 1000)
@@ -205,11 +269,11 @@ def test_fork_threshold(monkeypatch):
 def test_solve_b_digest_at_order_1000(monkeypatch):
     # sha256 of the decimal coefficients of b and of C = b^11 to order
     # 1000, recorded from the solve in one process; this one forks
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    two_cpus(monkeypatch)
     forks = _count_forks(monkeypatch)
     c = []
     b = kernels.solve_b(11, 1000, c)
-    _assert_no_child_left()
+    assert_no_child_left()
     assert forks == [1]
     with kernels.long_decimals():
         digests = [hashlib.sha256(",".join(map(str, s)).encode()).hexdigest() for s in (b, c)]
