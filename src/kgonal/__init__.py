@@ -9,17 +9,20 @@ The modules are layered:
 
     kernels     integer kernels and the errors every exact check raises
     bseries     the fundamental edge-rooted series b(x) and its powers
-    labelled    closed-form labelled counts and cycle-type fixed points
+    labelled    closed-form labelled counts, cycle-type fixed points and
+                the Burnside sum over integer partitions
     oriented    unlabelled counts up to orientation-preserving maps, the
                 structures fixed by reversing the root edge, and the
                 unlabelled counts with reflections, one route for every k
     odd         a divisor-sum recurrence for the odd-k counts, a check
-    oracle      brute-force enumeration of small structures
+    oracle      brute-force counts of small structures
     asymptotics growth rate and amplitude constants
     universal   coefficients of the large-k expansion of the singularity
     cli         command line front end
 
-Every layer from bseries up exchanges series as plain lists of ints.
+Every layer from bseries up exchanges series as plain lists of ints,
+read at integer indices, and counts in integers; only universal
+returns Fractions, because its coefficients are rational.
 The oriented and odd layers each take one bseries.BTable: k comes from
 its params and every result runs to its order.
 

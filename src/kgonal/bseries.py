@@ -2,11 +2,12 @@
 
 b_n counts unlabelled k-gonal 2-trees rooted at an oriented edge and
 built from n polygons.  Every other counting module consumes b through
-the BTable produced here, as plain integer lists: b itself, prefixes of
-its powers b^j (BTable.int_coeffs), and the half-index coefficient
-convention (BTable.coeff: fractional or negative indices read as zero).
-A freshly solved table also keeps b^{k-1}, which the kernel builds on
-the way to b, so the layers that read b^{k-1} need no power pass.
+the BTable produced here, as plain integer lists: b itself and prefixes
+of its powers b^j (BTable.int_coeffs), read at integer indices.  Where
+a formula indexes b at (n-1)/2 or (n-2)/4, its caller picks the terms
+that occur by the parity of n.  A freshly solved table also keeps
+b^{k-1}, which the kernel builds on the way to b, so the layers that
+read b^{k-1} need no power pass.
 
 Two independent routes to b are provided.  compute_b solves the
 exponential fixed point y = exp(sum_i x^i y^{k-1}(x^i)/i) through the
@@ -17,7 +18,6 @@ and is kept deliberately naive as a test oracle.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from pathlib import Path
 
 from kgonal import cache, kernels
@@ -133,23 +133,6 @@ class BTable:
         if order == self.order:
             return self
         return BTable(self.params, order, {1: self.powers[1][: order + 1]})
-
-    def coeff(self, j: int, r: int | Fraction) -> int:
-        """Coefficient of x^r in b^j, with 0 for negative or non-integral r.
-
-        Counting formulas index b at expressions like (n-1)/2 or
-        (n-2)/4; terms whose index fails to be a non-negative integer
-        simply do not occur, which this convention encodes.  An integral
-        index past the table order raises instead, since silence there
-        would hide a truncation bug.
-        """
-        r = Fraction(r)
-        if r < 0 or r.denominator != 1:
-            return 0
-        i = int(r)
-        if i > self.order:
-            raise IndexError(f"index {i} beyond table order {self.order}")
-        return self.int_coeffs(j)[i]
 
 
 def compute_b(params: GonalParams, order: int, cache_dir: Path | None = None) -> BTable:

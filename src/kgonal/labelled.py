@@ -6,17 +6,16 @@ labelled families follow by dividing out the root choices and averaging
 over the order-2 reflection.  Averaging over all relabellings instead
 recovers the unlabelled b_n; the per-cycle-type fixed point counts
 needed for that sum also have a closed form, which is what burnside_b
-exercises as an independent route to b.
+sums over the integer partitions of n as an independent route to b.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
+from typing import Iterator
 
 from kgonal.bseries import GonalParams
-from kgonal.kernels import IntegrityError, exact_div
-from kgonal.partitions import partitions
+from kgonal.kernels import exact_count, exact_div
 
 __all__ = [
     "CycleType",
@@ -25,6 +24,7 @@ __all__ = [
     "labelled_oriented",
     "labelled_unoriented",
     "burnside_b",
+    "partitions",
 ]
 
 
@@ -150,16 +150,33 @@ def burnside_b(params: GonalParams, n: int) -> int:
 
     Independent of the series route: sums fixed_point_count(t) / z(t)
     over the partitions t of n, with z the usual centralizer size
-    prod_i i^{n_i} n_i!.  The sum must come out integral.
+    prod_i i^{n_i} n_i!.  z(t) divides n!, so the sum runs in integers
+    as sum fixed_point_count(t) n!/z(t), and its division by n! must
+    be exact.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return 1
-    total = Fraction(0)
+    n_fact = factorial(n)
+    total = 0
     for parts in partitions(n):
         t = CycleType.from_parts(parts)
-        total += Fraction(fixed_point_count(params, t), t.centralizer())
-    if total.denominator != 1:
-        raise IntegrityError(f"Burnside average not integral at n={n}")
-    return int(total)
+        total += fixed_point_count(params, t) * (n_fact // t.centralizer())
+    return exact_count(total, n_fact, f"Burnside average at n={n}")
+
+
+def partitions(total: int) -> Iterator[tuple[int, ...]]:
+    """All partitions of `total`, each as its parts in non-increasing order."""
+    if total < 0:
+        raise ValueError("total must be >= 0")
+
+    def gen(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield ()
+            return
+        for part in range(min(remaining, max_part), 0, -1):
+            for rest in gen(remaining - part, part):
+                yield (part,) + rest
+
+    yield from gen(total, total)

@@ -3,16 +3,14 @@
 oriented.unlabelled_series builds a_n for every k from the oriented
 series a_o and the reversal-fixed series.  For odd k the same numbers
 also satisfy a divisor-sum recurrence driven by a_o and a weight read
-straight off the b^j tables; it shares nothing with the reversal-fixed
-loop, so the two routes check each other.
+straight off the b^j tables at integer indices; it shares nothing with
+the reversal-fixed loop, so the two routes check each other.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from kgonal.bseries import BTable
-from kgonal.kernels import IntegrityError
+from kgonal.kernels import exact_count
 from kgonal.oriented import oriented_series
 
 __all__ = ["odd_omega", "odd_recurrence"]
@@ -27,29 +25,32 @@ def _require_odd(table: BTable) -> int:
 
 
 def odd_omega(table: BTable, n: int) -> int:
-    """Divisor-sum weight for the recurrence route.
+    """Divisor-sum weight for the recurrence route, with h = (k-1)/2.
 
-    w_n = 2 b^{(k-1)/2} at (n-1)/2 + b^{k-1} at (n-2)/2
-        - b^{(k-1)/2} at (n-2)/4, fractional indices reading zero.
+    w_n = 2 b^h_{(n-1)/2} for odd n, and for even n
+    w_n = b^{k-1}_{(n-2)/2} - [n = 2 mod 4] b^h_{(n-2)/4}.
     """
     k = _require_odd(table)
     if n < 1:
         raise ValueError("n must be >= 1")
     half = (k - 1) // 2
-    return (
-        2 * table.coeff(half, Fraction(n - 1, 2))
-        + table.coeff(k - 1, Fraction(n - 2, 2))
-        - table.coeff(half, Fraction(n - 2, 4))
-    )
+    if n % 2:
+        return 2 * table.int_coeffs(half)[(n - 1) // 2]
+    w = table.int_coeffs(k - 1)[(n - 2) // 2]
+    if n % 4 == 2:
+        w -= table.int_coeffs(half)[(n - 2) // 4]
+    return w
 
 
 def odd_recurrence(table: BTable) -> list[int]:
     """The odd-k counts of oriented.unlabelled_series by the recurrence.
 
-    a_0 = 1 and for n >= 1
+    a_0 = 1 and for n >= 1, in integers,
 
-        a_n = (1/2n) sum_{j=1}^{n} (sum_{l|j} l w_l)
-                      (a_{n-j} - a_{o,n-j}/2)  +  a_{o,n}/2.
+        4n a_n = sum_{j=1}^{n} (sum_{l|j} l w_l) (2 a_{n-j} - a_{o,n-j})
+                 + 2n a_{o,n},
+
+    each division by 4n checked by exact_count.
     """
     _require_odd(table)
     order = table.order
@@ -60,12 +61,10 @@ def odd_recurrence(table: BTable) -> list[int]:
     divsum = [0] * (order + 1)
     for j in range(1, order + 1):
         divsum[j] = sum(l * w[l] for l in range(1, j + 1) if j % l == 0)
-    a: list[Fraction] = [Fraction(1)] + [Fraction(0)] * order
+    a = [1] + [0] * order
     for n in range(1, order + 1):
-        s = Fraction(0)
+        s = 2 * n * a_o[n]
         for j in range(1, n + 1):
-            s += divsum[j] * (a[n - j] - Fraction(1, 2) * a_o[n - j])
-        a[n] = s / (2 * n) + Fraction(1, 2) * a_o[n]
-        if a[n].denominator != 1 or a[n] < 0:
-            raise IntegrityError(f"recurrence count at n={n} is not a non-negative integer")
-    return [int(v) for v in a]
+            s += divsum[j] * (2 * a[n - j] - a_o[n - j])
+        a[n] = exact_count(s, 4 * n, f"recurrence count at n={n}")
+    return a

@@ -34,55 +34,19 @@ storing any of them.  For k = 6 and n = 6 that stores 4 666 structures
 and streams 44 322.  Nothing is kept between calls: rebuilding the
 smaller sizes costs little next to streaming size n.
 
-enumerate_b, reversal and serialize speak an explicit encoding instead:
-nested tuples whose every multiset of pages is sorted under a fixed
-total order (length, then lexicographic, on serializations).  A page
-carrying s polygons serializes to exactly 2k*s characters, since each
-polygon adds one bracket pair for itself and one per child slot.
-enumerate_b decodes ids into that encoding; counting never does.
+Nothing here decodes an id back into a structure; the tests' decoded
+oracle (tests/decoded_oracle.py) does, through _Enumerator.images.
 
 Everything here is exponential and meant for n up to about 7.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 
 from kgonal.bseries import GonalParams
 
-__all__ = [
-    "CanonicalStructure",
-    "serialize",
-    "enumerate_b",
-    "count_structures",
-    "reversal",
-    "count_tau_fixed",
-]
-
-# a structure is a tuple of pages; a page is a (k-1)-tuple of structures
-CanonicalStructure = tuple
-
-
-@lru_cache(maxsize=None)
-def serialize(s: CanonicalStructure) -> str:
-    return "(" + "".join(_serialize_page(p) for p in s) + ")"
-
-
-@lru_cache(maxsize=None)
-def _serialize_page(page: tuple) -> str:
-    return "[" + "".join(serialize(c) for c in page) + "]"
-
-
-def _page_key(page: tuple) -> tuple[int, str]:
-    text = _serialize_page(page)
-    return (len(text), text)
-
-
-def _canonical(pages) -> CanonicalStructure:
-    pages = tuple(pages)
-    # most structures have one page, and one page needs no serialization
-    return pages if len(pages) < 2 else tuple(sorted(pages, key=_page_key))
+__all__ = ["count_structures"]
 
 
 class _Enumerator:
@@ -154,13 +118,6 @@ class _Enumerator:
             fixed += tuple(map(rev_struct.__getitem__, reversed(kids))) == kids
         return total, fixed
 
-    def decoded(self) -> frozenset:
-        """The structures of size n in the nested-tuple encoding."""
-        page_img, struct_img = self.images(tuple, _canonical)
-        out = {_canonical(map(page_img.__getitem__, pages)) for pages in self.multisets(self.n, 0)}
-        out.update((tuple(map(struct_img.__getitem__, kids)),) for kids in self.new_pages(self.n))
-        return frozenset(out)
-
 
 def _compositions(total: int, slots: int):
     """Ordered tuples of `slots` non-negative integers summing to `total`."""
@@ -178,32 +135,3 @@ def count_structures(params: GonalParams, n: int) -> tuple[int, int]:
     if n < 0:
         raise ValueError("n must be >= 0")
     return _Enumerator(params.k, n).count()
-
-
-def enumerate_b(params: GonalParams, n: int) -> frozenset:
-    """All canonical structures with exactly n polygons."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _Enumerator(params.k, n).decoded()
-
-
-def _reversal(s: CanonicalStructure, memo: dict) -> CanonicalStructure:
-    """Reversal of s; memo maps substructures below s to their reversals."""
-    return _canonical(tuple(_child_reversal(c, memo) for c in reversed(page)) for page in s)
-
-
-def _child_reversal(c: CanonicalStructure, memo: dict) -> CanonicalStructure:
-    got = memo.get(c)
-    if got is None:
-        got = memo[c] = _reversal(c, memo)
-    return got
-
-
-def reversal(s: CanonicalStructure) -> CanonicalStructure:
-    """Image of a structure under flipping the root orientation."""
-    return _reversal(s, {})
-
-
-def count_tau_fixed(params: GonalParams, n: int) -> int:
-    """Number of structures of size n isomorphic to their own reversal."""
-    return count_structures(params, n)[1]

@@ -77,9 +77,6 @@ class UniversalConstant(NamedTuple):
                 acc += mpf(coeff.numerator) / coeff.denominator * mp_exp(-n)
             return acc
 
-    def as_float(self, dps: int = 30) -> float:
-        return float(self.value(dps))
-
 
 @lru_cache(maxsize=None)
 def universal_c(m: int) -> UniversalConstant:

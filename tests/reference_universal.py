@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from kgonal.labelled import CycleType
-from kgonal.partitions import partitions
+from kgonal.labelled import CycleType, partitions
 from kgonal.universal import UniversalConstant
 
 

@@ -128,17 +128,6 @@ def test_truncate_matches_lower_order():
         cut.int_coeffs(3, 8)
 
 
-def test_half_index_coeff():
-    table = compute_b(GonalParams(3), 4)
-    assert table.coeff(1, Fraction(2, 3)) == 0
-    assert table.coeff(3, -1) == 0
-    assert table.coeff(2, 1) == 2
-    assert table.coeff(1, Fraction(-1, 2)) == 0
-    assert table.coeff(1, 4) == 39
-    with pytest.raises(IndexError):
-        table.coeff(1, 5)
-
-
 def test_monotone():
     for k in (2, 3, 6):
         b = compute_b(GonalParams(k), 12).int_coeffs(1)

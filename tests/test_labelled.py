@@ -2,7 +2,9 @@
 
 import pytest
 
+from kgonal import labelled
 from kgonal.bseries import GonalParams, compute_b
+from kgonal.kernels import IntegrityError
 from kgonal.labelled import (
     CycleType,
     burnside_b,
@@ -95,6 +97,21 @@ def test_burnside_matches_series():
         b = compute_b(params, 8).int_coeffs(1)
         for n in range(9):
             assert burnside_b(params, n) == b[n], (k, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_burnside_rejects_inexact_average(n, monkeypatch):
+    # one more fixed point of the identity, whose n!/z is 1, leaves the
+    # sum one past a multiple of n!; raising every type's count by one
+    # would add sum n!/z = n! and go unseen
+    params = GonalParams(3)
+    fixed = labelled.fixed_point_count
+    identity = CycleType((n,))
+    monkeypatch.setattr(
+        labelled, "fixed_point_count", lambda p, t: fixed(p, t) + (t == identity)
+    )
+    with pytest.raises(IntegrityError, match=f"Burnside average at n={n}:"):
+        burnside_b(params, n)
 
 
 def test_validation():

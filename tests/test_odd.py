@@ -6,6 +6,7 @@ import pytest
 
 from kgonal.bseries import GonalParams, compute_b
 from kgonal.cli import family_counts
+from kgonal.kernels import IntegrityError
 from kgonal.odd import odd_omega, odd_recurrence
 from kgonal.oriented import oriented_series, reversal_fixed, unlabelled_series
 from fraction_series import Series, exp
@@ -28,6 +29,16 @@ def test_row_spot_values():
     assert unlabelled_series(compute_b(GonalParams(7), 5))[5] == 158
     assert odd_recurrence(compute_b(GonalParams(9), 4))[4] == 32
     assert odd_recurrence(compute_b(GonalParams(3), 0)) == [1]
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_recurrence_rejects_inexact_count(n):
+    # a_{o,n} one too high adds 2n to the numerator of 4n a_n
+    table = compute_b(GonalParams(5), 10)
+    table.oriented = list(oriented_series(table))
+    table.oriented[n] += 1
+    with pytest.raises(IntegrityError, match=f"recurrence count at n={n}:"):
+        odd_recurrence(table)
 
 
 def test_omega_values():

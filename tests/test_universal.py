@@ -8,8 +8,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from kgonal.labelled import CycleType
-from kgonal.partitions import partitions
+from kgonal.labelled import CycleType, partitions
 from kgonal.universal import universal_c, xi_from_expansion
 from reference_universal import reference_universal_c
 
@@ -62,15 +61,22 @@ class TestPartitionMu:
         assert mu.sigma(2, drop_own=True) == 0
 
     def test_enumeration(self):
-        assert list(partitions(4, min_part=2)) == [(4,), (2, 2)]
-        assert list(partitions(6, min_part=2)) == [
+        assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+        assert list(partitions(6)) == [
             (6,),
+            (5, 1),
             (4, 2),
+            (4, 1, 1),
             (3, 3),
+            (3, 2, 1),
+            (3, 1, 1, 1),
             (2, 2, 2),
+            (2, 2, 1, 1),
+            (2, 1, 1, 1, 1),
+            (1, 1, 1, 1, 1, 1),
         ]
-        assert list(partitions(0, min_part=2)) == [()]
-        assert list(partitions(3, min_part=2)) == [(3,)]
+        assert list(partitions(0)) == [()]
+        assert list(partitions(3)) == [(3,), (2, 1), (1, 1, 1)]
 
 
 class TestSymbolic:
@@ -116,9 +122,6 @@ class TestDecimals:
         with mp.workdps(40):
             diff = abs(universal_c(m).value(40) - mpf(DECIMALS[m]))
         assert float(diff) < 1e-15
-
-    def test_as_float(self):
-        assert universal_c(1).as_float() == pytest.approx(0.3678794411714423)
 
 
 class TestExpansion:

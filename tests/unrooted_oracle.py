@@ -1,22 +1,23 @@
 """Unrooted counts a_n by re-rooting every enumerated structure.
 
 A test oracle that shares nothing with the counting layers past
-oracle.enumerate_b.  Each structure is unpacked into polygons given as
-vertex cycles; re-rooting it at a directed edge (u, v) reads each
-polygon on that edge as u, v, c_1, ..., c_{k-2} and recurses into its
-edges (v, c_1), ..., (c_{k-2}, u) away from the polygon, sorting pages
-like oracle.serialize.  Two structures are the same unrooted 2-tree
-exactly when one is a re-rooting of the other, so a_n is the number of
-classes of size-n structures under re-rooting at every edge, in both
-directions.  Each class is re-rooted once: a structure whose
-serialization already appeared as a re-rooting of an earlier one is
-skipped.  Needs k >= 3: a digon's two edges join the same two vertices.
+decoded_oracle.enumerate_b.  Each structure is unpacked into polygons
+given as vertex cycles; re-rooting it at a directed edge (u, v) reads
+each polygon on that edge as u, v, c_1, ..., c_{k-2} and recurses into
+its edges (v, c_1), ..., (c_{k-2}, u) away from the polygon, sorting
+pages like decoded_oracle.serialize.  Two structures are the same
+unrooted 2-tree exactly when one is a re-rooting of the other, so a_n
+is the number of classes of size-n structures under re-rooting at
+every edge, in both directions.  Each class is re-rooted once: a
+structure whose serialization already appeared as a re-rooting of an
+earlier one is skipped.  Needs k >= 3: a digon's two edges join the
+same two vertices.
 """
 
 from __future__ import annotations
 
 from kgonal.bseries import GonalParams
-from kgonal.oracle import enumerate_b, serialize
+from decoded_oracle import enumerate_b, serialize
 
 
 def _polygons(s, u: int, v: int, cycles: list, fresh: list) -> None:
