@@ -7,8 +7,10 @@ growth constants of the unlabelled families.
 
 The modules are layered:
 
-    kernels     integer kernels and the errors every exact check raises
-    bseries     the fundamental edge-rooted series b(x) and its powers
+    kernels     the one online series kernel, block products of integer
+                lists, and the errors every exact check raises
+    bseries     the fundamental edge-rooted series b(x), b^{k-1} beside
+                it, and its other powers through the same kernel
     labelled    closed-form labelled counts, cycle-type fixed points and
                 the Burnside sum over integer partitions
     oriented    unlabelled counts up to orientation-preserving maps, the

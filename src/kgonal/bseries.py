@@ -5,9 +5,9 @@ built from n polygons.  Every other counting module consumes b through
 the BTable produced here, as plain integer lists: b itself and prefixes
 of its powers b^j (BTable.int_coeffs), read at integer indices.  Where
 a formula indexes b at (n-1)/2 or (n-2)/4, its caller picks the terms
-that occur by the parity of n.  A freshly solved table also keeps
-b^{k-1}, which the kernel builds on the way to b, so the layers that
-read b^{k-1} need no power pass.
+that occur by the parity of n.  A table also keeps C = b^{k-1}, which
+the kernel builds on the way to b and the disk cache stores beside it;
+every other power is one pass of the kernel's online recurrence.
 
 Two independent routes to b are provided.  compute_b solves the
 exponential fixed point y = exp(sum_i x^i y^{k-1}(x^i)/i) through the
@@ -75,18 +75,17 @@ class GonalParams:
 
 
 class BTable:
-    """b to a fixed order plus memoized prefixes of its powers.
+    """b and C = b^{k-1} to a fixed order, plus memoized prefixes of other powers.
 
     powers maps exponent j to the longest prefix of b^j built so far;
-    powers[1] is b itself, always to the full order.  compute_b also
-    stores b^{k-1} to the full order when it solves b, since the kernel
-    carries that power anyway; a table read from the cache starts with
-    b alone.  Any other b^j, and b^{k-1} when it is missing, is one
-    power-rule pass over b (kernels.power), never built from b^{j-1},
-    and a request past the stored prefix rebuilds it to the new length.
-    Every stored value is a correct prefix of b^j, so concurrent lookup
-    and insert under the interpreter lock can at worst repeat work.
-    oriented holds the oriented counts a_o to the full order once
+    powers[1] is b and powers[k-1] is C, both to the full order (one
+    list for k = 2).  Any other b^j is one _online pass over the
+    logarithmic derivative of b, which C gives, and a request past the
+    stored prefix rebuilds it to the new length.  A table of b alone
+    serves b and raises ValueError for any other power.  Every stored
+    value is a correct prefix of b^j, so concurrent lookup and insert
+    under the interpreter lock can at worst repeat work.  oriented holds
+    the oriented counts a_o to the full order once
     oriented.oriented_series has built them, for every later reader.
     """
 
@@ -100,6 +99,9 @@ class BTable:
             raise ValueError(f"a table of order {self.order} needs b_0..b_{self.order}")
         if b[0] != 1:
             raise IntegrityError("b_0 must be 1")
+        c = powers.get(params.p)
+        if c is not None and len(c) != self.order + 1:
+            raise ValueError(f"a table of order {self.order} needs b^{params.p} to that order")
 
     def __repr__(self) -> str:
         return f"BTable(params={self.params!r}, order={self.order})"
@@ -110,6 +112,11 @@ class BTable:
         `upto` defaults to the table order.  The list returned may run
         past `upto` when a longer prefix is already memoized; callers
         that ask for a prefix read only the indices they asked for.
+
+        b is the Polya exponential with weight W_n = C_{n-1}, so
+        x b'/b = L with L_m = sum_{d|m} d C_{d-1}, and b^j solves
+        n (b^j)_n = j sum_{m=1}^{n} L_m (b^j)_{n-m}: one kernels._online
+        pass, after O(upto log upto) additions build L from C.
         """
         if upto is None:
             upto = self.order
@@ -119,39 +126,42 @@ class BTable:
                 raise ValueError("exponent must be >= 0")
             if not 0 <= upto <= self.order:
                 raise IndexError(f"index {upto} outside table order 0..{self.order}")
-            if j == 0:
-                got = [1] + [0] * self.order
-            else:
-                got = kernels.power(self.powers[1], j, upto)
+            got = [1] + [0] * upto
+            if j:
+                c = self.powers.get(self.params.p)
+                if c is None:
+                    raise ValueError(
+                        f"b^{j} is built from b^{self.params.p}, which this table lacks"
+                    )
+                sums = [0] * (upto + 1)
+                for d in range(1, upto + 1):
+                    kernels.add_at_multiples(sums, d, d * c[d - 1])
+                kernels._online(got, sums, j, f"b^{j}")
             self.powers[j] = got
         return got
 
     def truncate(self, order: int) -> BTable:
-        """The same b cut at a lower order; its powers are built afresh on demand."""
+        """The same b, and b^{k-1} if held, cut at a lower order; other powers are rebuilt."""
         if not 0 <= order <= self.order:
             raise ValueError(f"cannot cut order {self.order} to {order}")
         if order == self.order:
             return self
-        return BTable(self.params, order, {1: self.powers[1][: order + 1]})
+        kept = {j: self.powers[j][: order + 1] for j in (self.params.p, 1) if j in self.powers}
+        return BTable(self.params, order, kept)
 
 
 def compute_b(params: GonalParams, order: int, cache_dir: Path | None = None) -> BTable:
-    """Build the table, optionally through the advisory disk cache.
-
-    A solve keeps the b^{k-1} that kernels.solve_b hands out beside b;
-    a cache hit, which stores b alone, builds it on demand.
-    """
-    coeffs: list[int] | None = None
-    if cache_dir is not None:
-        coeffs = cache.load_b(cache_dir, params.k, order)
-    if coeffs is not None:
-        return BTable(params, order, {1: coeffs})
-    bp: list[int] = []
-    coeffs = kernels.solve_b(params.p, order, bp)
-    if cache_dir is not None:
-        cache.store_b(cache_dir, params.k, coeffs)
+    """Build the table of b and b^{k-1}, by a solve or from the advisory disk cache."""
+    hit = None if cache_dir is None else cache.load_b(cache_dir, params.k, order)
+    if hit is None:
+        c: list[int] = []
+        b = kernels.solve_b(params.p, order, c)
+        if cache_dir is not None:
+            cache.store_b(cache_dir, params.k, b, c)
+    else:
+        b, c = hit
     # for k = 2, b^{k-1} is b itself
-    return BTable(params, order, {params.p: bp, 1: coeffs})
+    return BTable(params, order, {params.p: c, 1: b})
 
 
 def recurrence_crosscheck(params: GonalParams, order: int) -> list[int]:

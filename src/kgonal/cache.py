@@ -1,13 +1,15 @@
 """Advisory disk cache for the edge-rooted coefficient tables.
 
-One JSON document per polygon size k, holding coefficients as decimal
-strings so arbitrary-size integers survive the round trip, and a sha256
-of those strings.  The cache is strictly advisory: anything missing,
-unreadable, version-skewed, shorter than the request, or whose
+One JSON document per polygon size k, holding b and C = b^{k-1} as
+decimal strings so arbitrary-size integers survive the round trip, and
+one sha256 of both lists.  The cache is strictly advisory: anything
+missing, unreadable, version-skewed, shorter than the request, or whose
 coefficients do not match the stored hash is treated as a miss and
-recomputed.  Each writer goes through its own temporary file and an
-atomic rename, so concurrent writers leave one complete document.
-Nothing in this module ever raises on a bad cache file.
+recomputed.  A wrong table under a matching hash is left to the exact
+divisions downstream, which raise on it.  Each writer goes through its
+own temporary file and an atomic rename, so concurrent writers leave
+one complete document.  Nothing in this module ever raises on a bad
+cache file.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ try:
 except ImportError:
     from hashlib import sha256
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 ENV_VAR = "KGONAL_CACHE"
 
 __all__ = ["CACHE_VERSION", "ENV_VAR", "resolve_cache_dir", "load_b", "store_b"]
@@ -45,46 +47,48 @@ def _path(cache_dir: Path, k: int) -> Path:
     return cache_dir / f"b_k{k}.json"
 
 
-def _digest(strings: list[str]) -> str:
-    return sha256(",".join(strings).encode("ascii")).hexdigest()
+def _digest(b: list[str], c: list[str]) -> str:
+    return sha256((",".join(b) + ";" + ",".join(c)).encode("ascii")).hexdigest()
 
 
-def load_b(cache_dir: Path, k: int, order: int) -> list[int] | None:
-    """Stored coefficients b_0..b_order, or None on any kind of miss."""
+def load_b(cache_dir: Path, k: int, order: int) -> tuple[list[int], list[int]] | None:
+    """Stored b_0..b_order and C_0..C_order, C = b^{k-1}, or None on any kind of miss."""
     try:
         with open(_path(cache_dir, k), encoding="utf-8") as fh:
             doc = json.load(fh)
         if doc.get("version") != CACHE_VERSION or doc.get("k") != k:
             return None
-        coeffs = doc["coefficients"]
-        if doc.get("order") != len(coeffs) - 1 or len(coeffs) < order + 1:
+        b, c = doc["coefficients"], doc["power"]
+        if not doc.get("order") == len(b) - 1 == len(c) - 1 >= order:
             return None
-        if doc.get("sha256") != _digest(coeffs):
+        if doc.get("sha256") != _digest(b, c):
             return None
         with long_decimals():
-            return [int(c) for c in coeffs[: order + 1]]
+            return [int(v) for v in b[: order + 1]], [int(v) for v in c[: order + 1]]
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
 
 
-def store_b(cache_dir: Path, k: int, coeffs: list[int]) -> None:
-    """Write the table unless an equal or longer one is already stored."""
+def store_b(cache_dir: Path, k: int, b: list[int], c: list[int]) -> None:
+    """Write b and C = b^{k-1} unless an equal or longer table is already stored."""
     # imported here, not at the top, because tempfile (with shutil and
     # random) adds about 5 ms to the start of every CLI process
     import tempfile
 
     try:
-        if load_b(cache_dir, k, len(coeffs) - 1) is not None:
+        if load_b(cache_dir, k, len(b) - 1) is not None:
             return
         cache_dir.mkdir(parents=True, exist_ok=True)
         with long_decimals():
-            strings = [str(c) for c in coeffs]
+            b_strings = [str(v) for v in b]
+            c_strings = [str(v) for v in c]
         doc = {
             "version": CACHE_VERSION,
             "k": k,
-            "order": len(coeffs) - 1,
-            "sha256": _digest(strings),
-            "coefficients": strings,
+            "order": len(b) - 1,
+            "sha256": _digest(b_strings, c_strings),
+            "coefficients": b_strings,
+            "power": c_strings,
         }
         fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f"b_k{k}.", suffix=".tmp")
         try:

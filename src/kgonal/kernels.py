@@ -1,25 +1,32 @@
 """Integer kernels, and the errors every exact computation raises.
 
-These are the innermost loops of the whole package: the one step of a
-Polya exponential (the series of structures fixed by reversing the root
-edge), solving the edge-rooted series b together with b^(k-1) to large
-order, block products of big-integer coefficient lists, and raising
-them to powers.
+These are the innermost loops of the whole package.  Every series it
+solves is an exponential f, f_0 = 1, whose logarithmic derivative
+x f'/f is s L for an integer s and a known series L, so that
 
-solve_b is the costliest of them.  It is two passes of one online
-convolution kernel, _online: the power pass solves b^(k-1) and the
-series both convolutions run against, and the pass for b then needs
-only that series.  A solve of at least FORK_WORK runs the power pass in
-a forked child (kgonal.forked), which streams the series to the parent
-as it becomes final, so the two passes run side by side, each pinned to
-a CPU of its own.  _online tiles its convolution into squares whose
-width doubles from PIECE to CAP and then stays at CAP, and add_products
-multiplies each square as one Kronecker product: packed in bytes into
-one int below DECIMAL_CROSSOVER digits, and through Decimal past it,
-whose libmpdec multiplies large operands by a number-theoretic
-transform.  The square width is capped because the transform's scratch
-memory grows with the product: a wider square is faster but raises the
-peak RSS of the solve.
+    n f_n = s sum_{m=1}^{n} L_m f_{n-m},
+
+and one online convolution kernel, _online, solves that recurrence for
+all of them: b and b^(k-1) in solve_b, every other power b^j in
+bseries.BTable.int_coeffs (s = j, with the L of b), and the series of
+structures fixed by reversing the root edge in oriented.  The L of a
+Polya exponential exp(sum_i W(x^i)/i) is the divisor sum
+L_m = sum_{d|m} d W_d, and add_at_multiples adds the term of one d;
+_online's ready hook lets a caller complete L_{n+1} once f_n is known.
+
+solve_b is the costliest of them.  It is two passes of _online: the
+power pass solves b^(k-1) and the series both convolutions run against,
+and the pass for b then needs only that series.  A solve of at least
+FORK_WORK runs the power pass in a forked child (kgonal.forked), which
+streams the series to the parent as it becomes final, so the two passes
+run side by side, each pinned to a CPU of its own.  _online tiles its
+convolution into squares whose width doubles from PIECE to CAP and then
+stays at CAP, and add_products multiplies each square as one Kronecker
+product: packed in bytes into one int below DECIMAL_CROSSOVER digits,
+and through Decimal past it, whose libmpdec multiplies large operands
+by a number-theoretic transform.  The square width is capped because
+the transform's scratch memory grows with the product: a wider square
+is faster but raises the peak RSS of the solve.
 
 Every division is checked with divmod, and every integrity condition
 raises one of the two errors below instead of relying on assert, so the
@@ -45,10 +52,9 @@ __all__ = [
     "InexactDivisionError",
     "exact_div",
     "exact_count",
-    "polya_step",
     "solve_b",
     "add_products",
-    "power",
+    "add_at_multiples",
     "long_decimals",
     "may_fork",
 ]
@@ -149,27 +155,6 @@ def long_decimals() -> Iterator[None]:
         yield
     finally:
         sys.set_int_max_str_digits(previous)
-
-
-def polya_step(sums: list[int], y: list[int], n: int, w_n: int, what: str) -> int:
-    """Coefficient y_n of a Polya exponential y = exp(sum_i W(x^i)/i).
-
-    Logarithmic differentiation gives x y'/y = sum_m sums_m x^m with
-    sums_m = sum_{d|m} d W_d, so
-
-        n y_n = sum_{m=1}^{n} sums_m y_{n-m}.
-
-    Called for n = 1, 2, ... in turn with the weight w_n = W_n, it first
-    adds n w_n to sums at every multiple of n; sums[1..n] are then
-    complete, since every divisor of m <= n is at most n.  y_0..y_{n-1}
-    must already be in y.  The division goes through exact_count, so a
-    remainder or a negative count raises an error naming `what`.
-    """
-    w = n * w_n
-    for m in range(n, len(sums), n):
-        sums[m] += w
-    acc = sum(map(mul, sums[1 : n + 1], y[n - 1 :: -1]))
-    return exact_count(acc, n, what)
 
 
 def add_products(
@@ -404,17 +389,26 @@ def _power_pass(
 
     def ready(n: int) -> None:
         nonlocal sent
-        # C_n is final: add (n + 1) C_n at every multiple of n + 1,
-        # which completes sums_{n + 1}
+        # C_n is final: its term completes sums_{n + 1}
         m = n + 1
-        w = m * c[n]
-        for i in range(m, order + 1, m):
-            sums[i] += w
+        add_at_multiples(sums, m, m * c[n])
         if send is not None and (m % PIECE == 0 or m == order):
             send(sums[sent : m + 1])
             sent = m + 1
 
     _online(c, sums, p, "power update", ready)
+
+
+def add_at_multiples(sums: list[int], d: int, w: int) -> None:
+    """sums[m] += w at every multiple m of d, d >= 1, up to the end of sums.
+
+    The term of divisor d in the divisor sums sums_m = sum_{d|m} d W_d
+    of a Polya exponential, with w = d W_d.  Once the terms of d = 1..n
+    are in, sums_1..sums_n are complete, since every divisor of m <= n
+    is at most n.
+    """
+    for m in range(d, len(sums), d):
+        sums[m] += w
 
 
 def _online(
@@ -458,45 +452,20 @@ def _online(
         ready(0)
     for n in range(1, order + 1):
         # the band: pairs (i, n - i) with i < PIECE, then with n - i < PIECE <= i
-        k, m = min(PIECE - 1, n - 1), max(0, min(PIECE - 1, n - PIECE))
-        acc = sum(map(mul, sums[1 : k + 1], out[n - k : n][::-1]))
-        acc += sum(map(mul, sums[n - m : n][::-1], out[1 : m + 1]))
+        k, m = min(PIECE - 1, n - 1), min(PIECE - 1, n - PIECE)
+        acc = sum(map(mul, sums[1 : k + 1], out[n - 1 : n - k - 1 : -1]))
+        if m > 0:
+            acc += sum(map(mul, sums[n - 1 : n - m - 1 : -1], out[1 : m + 1]))
         out[n] = exact_count(scale * (out[n] + acc + sums[n]), n, f"{what} at n={n}")
         if ready is not None and n < order:
             ready(n)
-        # the squares whose last inputs are out_n and sums_n
+        # the squares whose last inputs are out_n and sums_n; every square
+        # ends on a multiple of PIECE
+        if (n + 1) % PIECE:
+            continue
         for i, j, s in _squares(n + 1, order):
             terms = [(sums[i : i + s], out[j : j + s])]
             if i != j:
                 terms.append((sums[j : j + s], out[i : i + s]))
             add_products(out, i + j, min(i + j + 2 * s - 1, order + 1), i + j, terms)
 
-
-def power(a: list[int], e: int, order: int) -> list[int]:
-    """a**e truncated at `order`, for a with constant term 1.
-
-    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, section 4.7):
-    C = a^e satisfies a C' = e a' C, whose coefficient of x^{n-1} reads
-
-        n C_n = sum_{i=1}^{n} ((e+1) i - n) a_i C_{n-i}.
-
-    One O(order^2) pass whatever e is.  The division by n is exact for
-    integer a with a_0 = 1; a remainder raises InexactDivisionError.
-    """
-    if e < 0:
-        raise ValueError("exponent must be >= 0")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if not a or a[0] != 1:
-        raise ValueError("power needs a constant term of 1")
-    a = a[: order + 1]
-    la = len(a)
-    c = [0] * (order + 1)
-    c[0] = 1
-    e1 = e + 1
-    for n in range(1, order + 1):
-        acc = 0
-        for i in range(1, min(n, la - 1) + 1):
-            acc += (e1 * i - n) * a[i] * c[n - i]
-        c[n] = exact_div(acc, n, f"power rule at n={n}")
-    return c

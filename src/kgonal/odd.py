@@ -3,8 +3,10 @@
 oriented.unlabelled_series builds a_n for every k from the oriented
 series a_o and the reversal-fixed series.  For odd k the same numbers
 also satisfy a divisor-sum recurrence driven by a_o and a weight read
-straight off the b^j tables at integer indices; it shares nothing with
-the reversal-fixed loop, so the two routes check each other.
+straight off the b^j tables at integer indices.  It is a plain loop
+that never builds the reversal-fixed series, so the two routes check
+each other; solving it with the kernel that solves that series would
+make the check lean on what it checks.
 """
 
 from __future__ import annotations

@@ -34,10 +34,12 @@ fixed series is therefore the Polya exponential
 y = exp(sum_i Omega(x^i)/i) with
 
     Omega_n = Q_n + [n even] (b^{k-1}_{n/2-1} - Q_{n/2}) / 2,
-    Q(x)    = x b^h(x^2) F(x),  F = 1 for odd k, F = y for even k,
+    Q(x)    = x b^h(x^2) F(x),  F = 1 for odd k, F = y for even k.
 
-one kernels.polya_step per coefficient.  Both powers are read only to
-index order/2, and the halving is checked like every other division.
+Omega_n reads y only below n, so kernels._online solves y against the
+divisor sums of Omega, and its ready hook adds the term of Omega_n to
+them as soon as y_{n-1} is final.  Both powers are read only to index
+order/2, and the halving is checked like every other division.
 
 unlabelled_series unroots by the dissymmetry theorem for 2-trees,
 a = a_edge + a_polygon - a_(polygon, edge) (Bergeron, Labelle and
@@ -59,7 +61,7 @@ vertices, swapping k/2 pairs of edges (x b^{k/2}(x^2)).  Hence
           + [k even] ([n odd] b^{k/2}_{(n-1)/2} - (y Q)_n),
 
 one dot product per coefficient of y with the Q the reversal_fixed
-loop already builds, and one checked division by 4.  Re-rooting every
+solve already builds, and one checked division by 4.  Re-rooting every
 enumerated structure (tests/unrooted_oracle.py) gives the same a_n for
 k = 3..6.
 """
@@ -69,7 +71,7 @@ from __future__ import annotations
 from operator import mul
 
 from kgonal.bseries import BTable
-from kgonal.kernels import exact_count, polya_step
+from kgonal.kernels import _online, add_at_multiples, exact_count
 
 __all__ = [
     "euler_phi",
@@ -149,7 +151,7 @@ def oriented_count(table: BTable, n: int) -> int:
 
 
 def _fixed_and_axis_pages(table: BTable) -> tuple[list[int], list[int]]:
-    """reversal_fixed's y together with the on-axis page series Q of its loop."""
+    """reversal_fixed's y together with the on-axis page series Q of its weight."""
     k, order = table.params.k, table.order
     b_h = table.int_coeffs((k - 1) // 2, order // 2)
     b_f = table.int_coeffs(k - 1, order // 2)
@@ -159,13 +161,17 @@ def _fixed_and_axis_pages(table: BTable) -> tuple[list[int], list[int]]:
     f = y if k % 2 == 0 else [1] + [0] * order
     q = [0] * (order + 1)
     sums = [0] * (order + 1)
-    for n in range(1, order + 1):
-        q[n] = sum(map(mul, b_h[: (n + 1) // 2], f[n - 1 :: -2]))
-        w = q[n]
+
+    def ready(m: int) -> None:
+        # y_0..y_m are final, and with them Q_n and the weight at n = m + 1
+        n = m + 1
+        q[n] = w = sum(map(mul, b_h[: (n + 1) // 2], f[m::-2]))
         if n % 2 == 0:
             h = n // 2
             w += exact_count(b_f[h - 1] - q[h], 2, f"mirror-pair count at n={n}")
-        y[n] = polya_step(sums, y, n, w, f"reversal-fixed count at n={n}")
+        add_at_multiples(sums, n, n * w)
+
+    _online(y, sums, 1, "reversal-fixed count", ready)
     return y, q
 
 

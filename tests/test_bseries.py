@@ -17,6 +17,7 @@ from kgonal import cache, kernels
 from kgonal.bseries import BTable, GonalParams, compute_b, recurrence_crosscheck
 from kgonal.kernels import IntegrityError
 from fraction_series import Series, exp
+from reference_solve import power
 
 DEFAULT_LIMIT = sys.get_int_max_str_digits()
 
@@ -35,15 +36,35 @@ def test_solve_keeps_true_power(p):
     # true power of b, and for p = 1 b itself
     table = compute_b(GonalParams(p + 1), 80)
     b = table.int_coeffs(1)
-    assert table.powers[p] == kernels.power(b, p, 80)
+    assert table.powers[p] == power(b, p, 80)
     assert table.int_coeffs(p) is table.powers[p]
 
 
-def test_cache_hit_holds_b_alone(tmp_path):
-    compute_b(GonalParams(5), 10, cache_dir=tmp_path)
+def test_cache_hit_holds_b_and_its_power(tmp_path, monkeypatch):
+    # a hit reads b^{k-1} beside b, so it needs no solve and no power pass
+    solved = compute_b(GonalParams(5), 10, cache_dir=tmp_path)
+
+    def no_kernel(*args):
+        raise AssertionError("a cache hit ran the kernel")
+
+    monkeypatch.setattr(kernels, "solve_b", no_kernel)
+    monkeypatch.setattr(kernels, "_online", no_kernel)
     hit = compute_b(GonalParams(5), 10, cache_dir=tmp_path)
-    assert list(hit.powers) == [1]
-    assert hit.int_coeffs(4) == compute_b(GonalParams(5), 10).powers[4]
+    assert sorted(hit.powers) == [1, 4]
+    assert hit.int_coeffs(4) == solved.powers[4]
+    assert hit.int_coeffs(1) == solved.powers[1]
+
+
+def test_table_of_b_alone_builds_no_power():
+    # cli.constants_report hands the xi solve such a table
+    b = compute_b(GonalParams(5), 10).int_coeffs(1)
+    alone = BTable(GonalParams(5), 10, {1: b})
+    assert alone.int_coeffs(1) is b
+    assert alone.int_coeffs(0) == [1] + [0] * 10
+    for j in (2, 4):
+        with pytest.raises(ValueError, match=r"b\^4, which this table lacks"):
+            alone.int_coeffs(j)
+    assert alone.truncate(5).powers == {1: b[:6]}
 
 
 def test_compute_b_anchors():
@@ -99,6 +120,8 @@ def test_table_checks_b():
         BTable(GonalParams(3), 2, {1: [2, 1, 3]})
     with pytest.raises(ValueError):
         BTable(GonalParams(3), 3, {1: [1, 1, 3]})
+    with pytest.raises(ValueError, match=r"b\^2"):
+        BTable(GonalParams(3), 2, {1: [1, 1, 3], 2: [1, 2]})
 
 
 @given(st.integers(2, 8), st.integers(0, 25), st.integers(0, 10), st.data())
@@ -121,6 +144,9 @@ def test_truncate_matches_lower_order():
     low = compute_b(params, 7)
     assert cut.order == 7 and cut.int_coeffs(1) == low.int_coeffs(1)
     assert cut.int_coeffs(4) == low.int_coeffs(4)
+    # b^{k-1} is cut, not rebuilt
+    assert sorted(cut.powers) == [1, 4]
+    assert cut.int_coeffs(3) == low.int_coeffs(3)
     assert table.truncate(12) is table
     with pytest.raises(ValueError):
         table.truncate(13)
@@ -153,13 +179,14 @@ def test_polynomial_in_k():
 def test_disk_cache_roundtrip(tmp_path):
     params = GonalParams(3)
     t1 = compute_b(params, 6, cache_dir=tmp_path)
-    assert cache.load_b(tmp_path, 3, 6) == t1.int_coeffs(1)
+    assert cache.load_b(tmp_path, 3, 6) == (t1.int_coeffs(1), t1.int_coeffs(2))
     # shorter request served from the stored longer table
     t2 = compute_b(params, 4, cache_dir=tmp_path)
     assert t2.int_coeffs(1) == t1.int_coeffs(1)[:5]
+    assert t2.int_coeffs(2) == t1.int_coeffs(2)[:5]
     # longer request recomputes and extends the store
     t3 = compute_b(params, 8, cache_dir=tmp_path)
-    assert cache.load_b(tmp_path, 3, 8) == t3.int_coeffs(1)
+    assert cache.load_b(tmp_path, 3, 8) == (t3.int_coeffs(1), t3.int_coeffs(2))
 
 
 def test_disk_cache_corruption_is_a_miss(tmp_path):
@@ -186,17 +213,43 @@ def test_disk_cache_version_skew(tmp_path):
 
 
 def test_disk_cache_stores_sha256(tmp_path):
+    # one hash over b and b^{k-1}
     compute_b(GonalParams(4), 10, cache_dir=tmp_path)
     doc = json.loads((tmp_path / "b_k4.json").read_text(encoding="utf-8"))
-    joined = ",".join(doc["coefficients"]).encode("ascii")
+    joined = (",".join(doc["coefficients"]) + ";" + ",".join(doc["power"])).encode("ascii")
     assert doc["sha256"] == hashlib.sha256(joined).hexdigest()
+    assert doc["power"] == [str(c) for c in compute_b(GonalParams(4), 10).int_coeffs(3)]
+
+
+def test_disk_cache_version_2_is_a_miss(tmp_path, monkeypatch):
+    # a version-2 file held b alone, under a hash of b alone; it is a
+    # miss, and the solve that follows rewrites it as version 3
+    table = compute_b(GonalParams(3), 6)
+    strings = [str(c) for c in table.int_coeffs(1)]
+    doc = {
+        "version": 2,
+        "k": 3,
+        "order": 6,
+        "sha256": hashlib.sha256(",".join(strings).encode("ascii")).hexdigest(),
+        "coefficients": strings,
+    }
+    path = tmp_path / "b_k3.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cache.load_b(tmp_path, 3, 6) is None
+    solves = []
+    solve = kernels.solve_b
+    monkeypatch.setattr(kernels, "solve_b", lambda *args: solves.append(args) or solve(*args))
+    assert compute_b(GonalParams(3), 6, cache_dir=tmp_path).powers == table.powers
+    assert len(solves) == 1
+    assert json.loads(path.read_text(encoding="utf-8"))["version"] == cache.CACHE_VERSION == 3
+    assert cache.load_b(tmp_path, 3, 6) == (table.int_coeffs(1), table.int_coeffs(2))
 
 
 def test_disk_cache_long_integers(tmp_path):
     # past 4300 digits, where CPython's default str/int limit would refuse
     big = 10**4400 + 1
-    cache.store_b(tmp_path, 3, [1, big])
-    assert cache.load_b(tmp_path, 3, 1) == [1, big]
+    cache.store_b(tmp_path, 3, [1, big], [1, 2 * big])
+    assert cache.load_b(tmp_path, 3, 1) == ([1, big], [1, 2 * big])
     assert sys.get_int_max_str_digits() == DEFAULT_LIMIT
 
 
@@ -211,7 +264,7 @@ b = solve_b(1, 500)
 while not (cache_dir / "go").exists():
     time.sleep(0.005)
 for n in range(501):
-    store_b(cache_dir, 2, b[: n + 1])
+    store_b(cache_dir, 2, b[: n + 1], b[: n + 1])
     if load_b(cache_dir, 2, 0) is None:
         sys.exit(f"the cache file did not load after writing order {n}")
 """
@@ -234,5 +287,6 @@ def test_disk_cache_concurrent_writers(tmp_path):
         for w in writers:
             w.kill()
     assert codes == [0, 0, 0]
-    assert cache.load_b(tmp_path, 2, 500) == compute_b(GonalParams(2), 500).int_coeffs(1)
+    b = compute_b(GonalParams(2), 500).int_coeffs(1)
+    assert cache.load_b(tmp_path, 2, 500) == (b, b)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b_k2.json", "go"]

@@ -512,21 +512,29 @@ class TestAmplitudeProbe:
     def test_probe_builds_only_short_powers(self, monkeypatch):
         # the probe reads a_o at n = 1000, 500 and 250 from the b^11 the
         # solve keeps; building b^12, or any power past index 499, means
-        # the full oriented series is back
+        # the full oriented series is back.  Of the rotation terms, only
+        # 999 = 3^3 37 and 249 = 3 83 have a divisor d > 1 of k = 12, so
+        # the one power built is b^4, to 999 / 3; the full series would
+        # also build b^6, b^3 and b^2
         calls = []
-        power = kernels.power
+        online = kernels._online
 
-        def recording_power(a, e, order):
-            calls.append((e, order))
-            return power(a, e, order)
+        def recording_online(out, sums, scale, what, ready=None):
+            # every power b^j of a table is one _online pass named "b^j";
+            # the solve's own passes have other names
+            if what.startswith("b^"):
+                calls.append((scale, len(out) - 1))
+            online(out, sums, scale, what, ready)
 
-        monkeypatch.setattr(kernels, "power", recording_power)
+        monkeypatch.setattr(kernels, "_online", recording_online)
         doc = constants_report(11, 500, 1e-13, True)
         assert doc["alpha_bar_empirical"] == pytest.approx(
             doc["alpha_bar_product_form"], rel=1e-4
         )
+        assert calls, "no power went through the power route"
         assert all(e != 12 for e, _ in calls), calls
         assert all(order <= (1000 - 1) // 2 for _, order in calls), calls
+        assert calls == [(4, 333)]
 
 
 class TestOrderCeiling:
@@ -722,6 +730,33 @@ class TestCache:
         assert json.loads(out)["counts"] == [{"n": 5, "value": "160"}]
         assert json.loads(path.read_text())["coefficients"][5] == "160"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--order", "250"),
+            ("count", "--k", "12", "--family", "unlabelled", "--order", "300"),
+        ],
+        ids=["table", "count"],
+    )
+    def test_cold_warm_and_no_cache_print_the_same(self, capsys, tmp_path, argv):
+        without = run_cli(capsys, *argv)
+        assert without[0] == 0
+        cached = [run_cli(capsys, "--cache-dir", str(tmp_path), *argv) for _ in range(2)]
+        assert cached == [without, without]
+
+    def test_warm_unlabelled_count_solves_nothing(self, capsys, tmp_path, monkeypatch):
+        # the cache serves b^{k-1} beside b, the power every other one is
+        # built from, so a hit needs no solve
+        argv = ("--cache-dir", str(tmp_path), "count", "--k", "12", "--family", "unlabelled",
+                "--order", "60")
+        cold = run_cli(capsys, *argv)
+
+        def no_solve(*args):
+            raise AssertionError("a warm count solved b")
+
+        monkeypatch.setattr(kernels, "solve_b", no_solve)
+        assert run_cli(capsys, *argv) == cold
+
     def test_env_variable(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("KGONAL_CACHE", str(tmp_path))
         code, _, _ = run_cli(
@@ -813,17 +848,18 @@ def test_optimized_table_matches_golden():
     assert proc.stdout == GOLDEN.read_text()
 
 
-def _write_corrupt_cache(cache_dir, k=3, order=20):
-    # a cache whose b_5 is off by one, by default long enough to serve
-    # every k = 3 table the quick verify level asks for; it is written
-    # through store_b, so its hash matches and only the checks downstream
-    # of the cache can catch it
+def _write_corrupt_cache(cache_dir, k=3, order=20, corrupt="b"):
+    # a cache whose b_5, or with corrupt="power" whose b^{k-1}_5, is off
+    # by one, by default long enough to serve every k = 3 table the quick
+    # verify level asks for; it is written through store_b, so its hash
+    # matches and only the checks downstream of the cache can catch it
     from kgonal.cache import store_b
     from kgonal.kernels import solve_b
 
-    coeffs = solve_b(k - 1, order)
-    coeffs[5] += 1
-    store_b(cache_dir, k, coeffs)
+    c = []
+    b = solve_b(k - 1, order, c)
+    {"b": b, "power": c}[corrupt][5] += 1
+    store_b(cache_dir, k, b, c)
 
 
 def test_optimized_verify_catches_corrupt_cache(tmp_path):
@@ -835,18 +871,31 @@ def test_optimized_verify_catches_corrupt_cache(tmp_path):
         assert f"PASS {name}" not in proc.stdout
 
 
-def test_integrity_error_is_reported_as_an_error(tmp_path):
-    # the corrupt b_5 leaves a remainder in an exact division of the
-    # unlabelled count; that must surface as an error line, not a traceback
-    _write_corrupt_cache(tmp_path)
+def _corrupt_unlabelled_count(cache_dir, corrupt):
+    _write_corrupt_cache(cache_dir, corrupt=corrupt)
     proc = _run_python(
-        "-m", "kgonal", "--cache-dir", str(tmp_path),
+        "-m", "kgonal", "--cache-dir", str(cache_dir),
         "count", "--k", "3", "--family", "unlabelled", "--order", "6",
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+    return proc.stderr
+
+
+def test_integrity_error_is_reported_as_an_error(tmp_path):
+    # the corrupt b_5 leaves a remainder in an exact division of the
+    # unlabelled count; that must surface as an error line, not a traceback
+    _corrupt_unlabelled_count(tmp_path, "b")
+
+
+def test_corrupt_cached_power_is_reported_as_an_error(tmp_path):
+    # the cache serves b^{k-1} as stored: b^2_5 one too large, under a
+    # matching hash, adds 2 to 3 a_{o,6} through the product b b^2
+    err = _corrupt_unlabelled_count(tmp_path, "power")
+    assert err.startswith("error: oriented count at n=6: remainder"), err
 
 
 # Runs kgonal.cli.main on its arguments, if any, in a fresh interpreter and

@@ -6,9 +6,8 @@ import pytest
 
 from kgonal.bseries import GonalParams, compute_b
 from kgonal.cli import family_counts
-from kgonal.kernels import polya_step
 from kgonal.oriented import oriented_series, reversal_fixed, unlabelled_series
-from reference_solve import convolve
+from reference_solve import convolve, polya_step
 
 
 def _half_coeff(table, j: int, r: Fraction) -> int:

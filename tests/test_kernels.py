@@ -1,5 +1,6 @@
 """Integer kernels: anchors, the solve against its reference, block
-products, the power rule and the division checks."""
+products, the powers of b and the Polya exponential on the online
+kernel, and the division checks."""
 
 import hashlib
 import os
@@ -12,9 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kgonal import cli, forked, kernels
+from kgonal.bseries import BTable, GonalParams, compute_b
 from forks import assert_left_clean, assert_no_child_left, spy_forks, two_cpus
 from fraction_series import Series
-from reference_solve import convolve, solve_b_reference
+from reference_solve import convolve, polya_step, power, solve_b_reference
 
 
 def test_backend_reported():
@@ -32,7 +34,7 @@ def test_solve_b_hands_out_its_power():
     c = [7, 7]
     b = kernels.solve_b(2, 8, c)
     assert b == [1, 1, 3, 10, 39, 160, 702, 3177, 14830]
-    assert c == kernels.power(b, 2, 8)
+    assert c == power(b, 2, 8)
 
 
 def test_solve_b_validation():
@@ -380,75 +382,119 @@ def test_convolve_short_operands():
 
 
 def test_power_matches_series_pow():
-    coeffs = [1, 1, 3, 10, 39]
-    got = kernels.power(coeffs, 3, 4)
+    # b^3 and b^0 from the table's one power route, the online kernel
+    # over the logarithmic derivative of b
+    table = compute_b(GonalParams(3), 4)
+    coeffs = table.int_coeffs(1)
+    assert coeffs == [1, 1, 3, 10, 39]
     want = Series.from_coeffs(coeffs, 4).pow(3)
-    assert got == [int(c) for c in want.coeffs]
-    assert kernels.power(coeffs, 0, 3) == [1, 0, 0, 0]
+    assert table.int_coeffs(3) == [int(c) for c in want.coeffs]
+    assert table.int_coeffs(0, 3)[:4] == [1, 0, 0, 0]
 
 
-@given(
-    st.lists(st.integers(-(10**6), 10**6), max_size=30),
-    st.integers(0, 15),
-    st.integers(0, 30),
-)
-def test_power_is_repeated_convolution(tail, e, order):
-    a = [1] + tail
+@given(st.integers(2, 12), st.integers(0, 12), st.integers(0, 30))
+def test_power_is_repeated_convolution(k, e, order):
+    table = compute_b(GonalParams(k), order)
+    a = table.int_coeffs(1)
     want = [1] + [0] * order
     for _ in range(e):
         want = convolve(want, a, order)
-    assert kernels.power(a, e, order) == want
+    assert table.int_coeffs(e) == want
+
+
+def test_power_matches_the_power_rule_at_size(monkeypatch):
+    # at k = 12 some squares of b^j to index 499 pass DECIMAL_CROSSOVER,
+    # so this covers the Decimal products of the power route
+    decimal_packs = []
+    pack = kernels._at_plus_minus
+
+    def spy(coeffs, half):
+        decimal_packs.append(len(coeffs))
+        return pack(coeffs, half)
+
+    table = compute_b(GonalParams(12), 499)
+    b = table.int_coeffs(1)
+    monkeypatch.setattr(kernels, "_at_plus_minus", spy)
+    for j in (2, 6, 11):
+        assert table.int_coeffs(j) == power(b, j, 499), j
+    assert decimal_packs, "no square of the power route went through Decimal"
 
 
 @given(
-    st.lists(st.integers(), min_size=1).filter(lambda a: a[0] != 1),
-    st.integers(0, 15),
-    st.integers(0, 30),
+    st.lists(st.integers(0, 10**6), min_size=1).filter(lambda a: a[0] != 1),
 )
-def test_power_rejects_constant_term(a, e, order):
-    with pytest.raises(ValueError):
-        kernels.power(a, e, order)
+def test_power_rejects_constant_term(a):
+    # powers are built only for a b whose constant term is 1
+    with pytest.raises(kernels.IntegrityError):
+        BTable(GonalParams(3), len(a) - 1, {1: a})
 
 
 def test_power_validation():
+    table = compute_b(GonalParams(3), 3)
     with pytest.raises(ValueError):
-        kernels.power([], 2, 3)
+        BTable(GonalParams(3), 0, {1: []})
     with pytest.raises(ValueError):
-        kernels.power([1, 1], -1, 3)
-    with pytest.raises(ValueError):
-        kernels.power([1, 1], 2, -1)
+        table.int_coeffs(-1)
+    with pytest.raises(IndexError):
+        table.int_coeffs(3, -1)
+    # a table of b alone has no b^{k-1} to build powers from
+    alone = BTable(GonalParams(3), 3, {1: table.int_coeffs(1)})
+    with pytest.raises(ValueError, match=r"b\^2"):
+        alone.int_coeffs(3)
 
 
 def test_power_checks_its_division():
-    # a non-integer coefficient leaves a remainder the check must catch,
-    # as an exception rather than an assert, so it also runs under -O
-    with pytest.raises(kernels.InexactDivisionError):
-        kernels.power([1, Fraction(1, 3)], 1, 2)
+    # a non-integer b^{k-1} leaves a remainder in the online kernel's
+    # division by n: L_2 = 2 C_1 + C_0 = 2, so 2 (b^3)_2 = 3 (1 3 + 2)
+    # is odd.  The check is an exception rather than an assert, so it
+    # also runs under -O
+    table = BTable(GonalParams(3), 2, {1: [1, 1, 3], 2: [1, Fraction(1, 2), 7]})
+    with pytest.raises(kernels.InexactDivisionError, match=r"b\^3 at n=2"):
+        table.int_coeffs(3)
 
 
+def _polya(weights, scatter=kernels.add_at_multiples):
+    """y_0..y_len(weights) of exp(sum_i W(x^i)/i), W_n = weights[n-1].
 
-def _polya(weights):
-    """y_0..y_len(weights) of exp(sum_i W(x^i)/i), W_n = weights[n-1]."""
+    The online kernel against the divisor sums of W, each term added by
+    its ready hook as soon as the kernel reaches it.
+    """
     order = len(weights)
     y = [1] + [0] * order
     sums = [0] * (order + 1)
-    for n in range(1, order + 1):
-        y[n] = kernels.polya_step(sums, y, n, weights[n - 1], f"step {n}")
+
+    def ready(n):
+        scatter(sums, n + 1, (n + 1) * weights[n])
+
+    kernels._online(y, sums, 1, "step", ready)
     return y
 
 
-def test_polya_step_partition_numbers():
+def test_polya_step_partition_numbers(monkeypatch):
     # W_n = 1 for every n is prod 1/(1 - x^n), the partition numbers
     assert _polya([1] * 10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+    # past the band, through the strips and the grid of squares, the
+    # kernel matches the reference step for step
+    monkeypatch.setattr(kernels, "PIECE", 4)
+    monkeypatch.setattr(kernels, "CAP", 16)
+    weights = [n % 5 for n in range(1, 81)]
+    want = [1] + [0] * 80
+    sums = [0] * 81
+    for n in range(1, 81):
+        want[n] = polya_step(sums, want, n, weights[n - 1], f"step {n}")
+    assert _polya(weights) == want
 
 
 def test_polya_step_checks_its_division():
     # W_1 = 1 gives y_1 = 1 and sums = [0, 1, 1]; with the scatter to
     # m = 2 lost, 2 y_2 = 1 leaves a remainder
-    with pytest.raises(kernels.InexactDivisionError, match="step 2"):
-        kernels.polya_step([0, 1, 0], [1, 1, 0], 2, 0, "step 2")
+    def first_only(sums, d, w):
+        sums[d] += w
+
+    with pytest.raises(kernels.InexactDivisionError, match="step at n=2"):
+        _polya([1, 0], first_only)
 
 
 def test_polya_step_rejects_a_negative_count():
-    with pytest.raises(kernels.IntegrityError, match="step 1 is negative"):
+    with pytest.raises(kernels.IntegrityError, match="step at n=1 is negative"):
         _polya([-1])

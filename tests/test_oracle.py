@@ -1,5 +1,8 @@
 """Brute-force enumeration against the series and symmetry routes."""
 
+import gc
+import weakref
+
 import pytest
 
 from kgonal.bseries import GonalParams, compute_b
@@ -8,7 +11,7 @@ from kgonal import oracle
 from kgonal.oracle import count_structures
 from kgonal.oriented import reversal_fixed, unlabelled_series
 import decoded_oracle
-from decoded_oracle import enumerate_b, reversal, serialize
+from decoded_oracle import enumerate_b, reversal
 from unrooted_oracle import unrooted_count
 
 
@@ -162,15 +165,26 @@ def test_count_validation():
         count_structures(GonalParams(3), -1)
 
 
-def test_count_leaves_no_module_level_memo():
-    # the reversal memo lives for one call; the serialization caches only
-    # grow with the enumeration itself
+def test_count_leaves_no_module_level_memo(monkeypatch):
+    # every enumerator of a count, with its stored structures and its
+    # reversal tables, is freed when the count returns, and the module's
+    # names still point at the objects they held before
+    enumerators = []
+
+    class Recorded(oracle._Enumerator):
+        def __init__(self, k, n):
+            super().__init__(k, n)
+            enumerators.append(weakref.ref(self))
+
     params = GonalParams(6)
-    enumerate_b(params, 5)
-    before = (serialize.cache_info().currsize, decoded_oracle._serialize_page.cache_info().currsize)
-    count_structures(params, 5)
-    after = (serialize.cache_info().currsize, decoded_oracle._serialize_page.cache_info().currsize)
-    assert after == before
+    want = (compute_b(params, 5).int_coeffs(1)[5], reversal_fixed(compute_b(params, 5))[5])
+    monkeypatch.setattr(oracle, "_Enumerator", Recorded)
+    names = {name: id(value) for name, value in vars(oracle).items()}
+    assert count_structures(params, 5) == want
+    gc.collect()
+    assert len(enumerators) == 1
+    assert all(ref() is None for ref in enumerators)
+    assert {name: id(value) for name, value in vars(oracle).items()} == names
 
 
 @pytest.mark.parametrize("k", range(3, 7))

@@ -1,13 +1,16 @@
 """Oriented unlabelled counts."""
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from kgonal.bseries import BTable, GonalParams, compute_b
-from kgonal import oriented
+from kgonal import kernels, oriented
+from kgonal.kernels import exact_count
 from kgonal.oriented import euler_phi, oriented_count, oriented_series, unlabelled_series
 from fraction_series import Series
+from reference_solve import polya_step
 
 
 def test_euler_phi():
@@ -86,9 +89,10 @@ def test_single_count_matches_series(k):
     want = _oriented_by_fractions(params, 60)
     table = compute_b(params, 60)
     assert [oriented_count(table, n) for n in range(61)] == want
-    # a cache hit yields b alone; every power is then built on demand,
-    # here smallest index first so that each prefix is rebuilt longer
-    bare = BTable(params, 60, {1: table.int_coeffs(1)})
+    # a table of b and b^{k-1} alone, as a cache hit yields; every other
+    # power is then built on demand, here smallest index first so that
+    # each prefix is rebuilt longer
+    bare = BTable(params, 60, {j: table.int_coeffs(j) for j in (1, params.p)})
     assert [oriented_count(bare, n) for n in range(61)] == want
 
 
@@ -116,10 +120,12 @@ def test_series_built_once_per_table(k, monkeypatch):
 
 
 def test_single_count_reads_short_prefixes():
-    table = BTable(GonalParams(12), 60, {1: compute_b(GonalParams(12), 60).int_coeffs(1)})
+    solved = compute_b(GonalParams(12), 60)
+    table = BTable(GonalParams(12), 60, {j: solved.int_coeffs(j) for j in (1, 11)})
     oriented_count(table, 46)
-    # b^11 to 45 for the product; 45 = 3 * 15 is divisible by d = 3 only
-    assert {j: len(c) - 1 for j, c in table.powers.items()} == {1: 60, 11: 45, 4: 15}
+    # b and b^11 are held whole; the product reads b^11 to 45, and
+    # 45 = 3 * 15 is divisible by d = 3 only, so b^4 is built to 15
+    assert {j: len(c) - 1 for j, c in table.powers.items()} == {1: 60, 11: 60, 4: 15}
 
 
 def test_single_count_index_range():
@@ -128,3 +134,35 @@ def test_single_count_index_range():
         oriented_count(table, 6)
     with pytest.raises(IndexError):
         oriented_count(table, -1)
+
+
+def _fixed_by_steps(table):
+    """The reversal-fixed y and its Q by one reference polya_step per coefficient."""
+    k, order = table.params.k, table.order
+    b_h = table.int_coeffs((k - 1) // 2)
+    b_f = table.int_coeffs(k - 1)
+    y = [1] + [0] * order
+    f = y if k % 2 == 0 else [1] + [0] * order
+    q = [0] * (order + 1)
+    sums = [0] * (order + 1)
+    for n in range(1, order + 1):
+        q[n] = sum(map(mul, b_h[: (n + 1) // 2], f[n - 1 :: -2]))
+        w = q[n]
+        if n % 2 == 0:
+            w += exact_count(b_f[n // 2 - 1] - q[n // 2], 2, "mirror pairs")
+        y[n] = polya_step(sums, y, n, w, f"step {n}")
+    return y, q
+
+
+@pytest.mark.parametrize("k", [3, 4, 11, 12])
+@pytest.mark.parametrize("widths", [None, (4, 16)], ids=["shipped", "narrow"])
+def test_reversal_fixed_matches_the_step_loop(k, widths, monkeypatch):
+    # the online solve of the reversal-fixed series against the loop it
+    # replaced; at order 200 the shipped widths reach the strips, and
+    # narrow ones the grid of squares
+    table = compute_b(GonalParams(k), 200)
+    want = _fixed_by_steps(table)
+    if widths is not None:
+        monkeypatch.setattr(kernels, "PIECE", widths[0])
+        monkeypatch.setattr(kernels, "CAP", widths[1])
+    assert oriented._fixed_and_axis_pages(table) == want
