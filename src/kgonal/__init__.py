@@ -18,7 +18,8 @@ The modules are layered:
                 unlabelled counts with reflections, one route for every k
     odd         a divisor-sum recurrence for the odd-k counts, a check
     oracle      brute-force counts of small structures
-    asymptotics growth rate and amplitude constants
+    asymptotics growth rate and amplitude constants, from b as a plain
+                list
     universal   coefficients of the large-k expansion of the singularity
     cli         command line front end
 

@@ -8,8 +8,9 @@ beta = 1/xi and xi is the smallest positive solution of
     omega(x) = exp( x^2 b^p(x^2)/2 + x^3 b^p(x^3)/3 + ... ),
 
 with p = k-1.  omega consumes b only at arguments x^i for i >= 2, whose
-tails die geometrically, so a truncated b table of moderate order pins
-xi far beyond the printed reference precision.
+tails die geometrically, so b to a moderate order pins xi far beyond
+the printed reference precision.  Every function here reads b as a
+plain list of ints, b_0..b_N, and the report's series_order is N.
 
 xi is solved by Newton's method on F(x) = x - omega(x)^{-p}/(e p), the
 standard step for a Polya-type tree equation at its square-root
@@ -38,11 +39,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from kgonal.bseries import BTable, GonalParams
 from kgonal.kernels import IntegrityError
 
 if TYPE_CHECKING:
     from mpmath import mpf
+
+    from kgonal.bseries import GonalParams
 
 __all__ = [
     "AsymptoticReport",
@@ -83,10 +85,6 @@ class AsymptoticReport(NamedTuple):
     iterations: int
     residual: float
     tolerance: float
-
-    def to_dict(self) -> dict:
-        """The fields by name, in declaration order."""
-        return self._asdict()
 
 
 def rho(q: int) -> mpf:
@@ -131,9 +129,9 @@ def _forward(coeffs: Sequence[int], t: mpf) -> tuple[mpf, mpf]:
 
 
 def omega_eval(
-    params: GonalParams, table: BTable, x0: float | mpf, dps: int = DEFAULT_DPS
+    params: GonalParams, b: Sequence[int], x0: float | mpf, dps: int = DEFAULT_DPS
 ) -> tuple[mpf, mpf]:
-    """(omega(x0), omega'(x0)) from the truncated b table."""
+    """(omega(x0), omega'(x0)) from b_0..b_N."""
     from mpmath import exp as mp_exp
     from mpmath import mp, mpf
 
@@ -144,7 +142,6 @@ def omega_eval(
         if x == 0:
             return mpf(1), mpf(0)
         p = params.p
-        b = table.int_coeffs(1)
         exponent = mpf(0)
         slope = mpf(0)
         tiny = 0
@@ -171,7 +168,7 @@ def omega_eval(
 
 def solve_xi(
     params: GonalParams,
-    table: BTable,
+    b: Sequence[int],
     tol: float = DEFAULT_TOL,
     dps: int = DEFAULT_DPS,
 ) -> tuple[mpf, int, mpf]:
@@ -193,12 +190,12 @@ def solve_xi(
         x = rho(p + 1)
         tol_mp = mpf(tol)
         for iteration in range(1, MAX_ITERATIONS + 1):
-            omega, omega_prime = omega_eval(params, table, x, dps)
+            omega, omega_prime = omega_eval(params, b, x, dps)
             g = omega ** (-p) / (euler_e * p)
             step = (x - g) / (1 + p * g * omega_prime / omega)
             x -= step
             if abs(step) < tol_mp:
-                omega, _ = omega_eval(params, table, x, dps)
+                omega, _ = omega_eval(params, b, x, dps)
                 residual = abs(x - omega ** (-p) / (euler_e * p))
                 upper = mpf(2) ** mpf("0.5") - 1 if p == 1 else rho(p)
                 if not rho(p + 1) <= x <= upper:
@@ -211,7 +208,7 @@ def solve_xi(
 
 def constants(
     params: GonalParams,
-    table: BTable,
+    b: Sequence[int],
     xi: mpf,
     iterations: int = 0,
     residual: float | mpf = 0.0,
@@ -227,7 +224,7 @@ def constants(
     p = params.p
     with mp.workdps(dps):
         xi = mpf(xi)
-        omega, omega_prime = omega_eval(params, table, xi, dps)
+        omega, omega_prime = omega_eval(params, b, xi, dps)
         r = xi * (omega_prime / omega)
         inv_p = mpf(1) / p
         tau0 = (1 / (p * xi)) ** inv_p
@@ -241,7 +238,7 @@ def constants(
             raise IntegrityError("product form disagrees with the singular-coefficient route")
         return AsymptoticReport(
             p=p,
-            series_order=table.order,
+            series_order=len(b) - 1,
             xi=float(xi),
             beta=float(1 / xi),
             tau0=float(tau0),
@@ -267,10 +264,10 @@ def empirical_amplitude(
     counts: Sequence[int | float] | Mapping[int, int | float],
     xi: float | mpf,
     exponent: float,
-    n_probe: int | None = None,
+    n_probe: int,
     dps: int = 40,
 ) -> float:
-    """Richardson-extrapolated limit of counts[n] xi^n n^exponent.
+    """Richardson-extrapolated limit of counts[n] xi^n n^exponent, n = n_probe.
 
     Probes at n, n/2 and n/4; two extrapolation stages cancel the 1/n
     and 1/n^2 corrections of the square-root singularity expansion.
@@ -278,11 +275,11 @@ def empirical_amplitude(
     the probe_indices(n_probe) entries; a missing entry raises
     ValueError.
     """
-    n = n_probe if n_probe is not None else len(counts) - 1
-    if n // 4 < 2:
+    n, half, quarter = probe_indices(n_probe)
+    if quarter < 2:
         raise ValueError("need a probe index of at least 8")
     try:
-        at = {m: counts[m] for m in probe_indices(n)}
+        at = {m: counts[m] for m in (n, half, quarter)}
     except (IndexError, KeyError):
         raise ValueError("probe index beyond the computed counts") from None
     from mpmath import mp, mpf
@@ -294,6 +291,6 @@ def empirical_amplitude(
         def s(m: int) -> mpf:
             return mpf(at[m]) * x**m * mpf(m) ** e
 
-        r1_full = 2 * s(n) - s(n // 2)
-        r1_half = 2 * s(n // 2) - s(n // 4)
+        r1_full = 2 * s(n) - s(half)
+        r1_half = 2 * s(half) - s(quarter)
         return float((4 * r1_full - r1_half) / 3)

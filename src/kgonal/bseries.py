@@ -3,11 +3,12 @@
 b_n counts unlabelled k-gonal 2-trees rooted at an oriented edge and
 built from n polygons.  Every other counting module consumes b through
 the BTable produced here, as plain integer lists: b itself and prefixes
-of its powers b^j (BTable.int_coeffs), read at integer indices.  Where
-a formula indexes b at (n-1)/2 or (n-2)/4, its caller picks the terms
-that occur by the parity of n.  A table also keeps C = b^{k-1}, which
-the kernel builds on the way to b and the disk cache stores beside it;
-every other power is one pass of the kernel's online recurrence.
+of its powers b^j (BTable.int_coeffs), read at integer indices; the
+asymptotics layer reads b alone, as a list.  Where a formula indexes b
+at (n-1)/2 or (n-2)/4, its caller picks the terms that occur by the
+parity of n.  Every table holds C = b^{k-1} beside b, to the same
+order: the kernel builds C on the way to b, and the disk cache stores
+both.  Every other power is one pass of the kernel's online recurrence.
 
 Two independent routes to b are provided.  compute_b solves the
 exponential fixed point y = exp(sum_i x^i y^{k-1}(x^i)/i) through the
@@ -77,31 +78,28 @@ class GonalParams:
 class BTable:
     """b and C = b^{k-1} to a fixed order, plus memoized prefixes of other powers.
 
-    powers maps exponent j to the longest prefix of b^j built so far;
-    powers[1] is b and powers[k-1] is C, both to the full order (one
-    list for k = 2).  Any other b^j is one _online pass over the
-    logarithmic derivative of b, which C gives, and a request past the
-    stored prefix rebuilds it to the new length.  A table of b alone
-    serves b and raises ValueError for any other power.  Every stored
-    value is a correct prefix of b^j, so concurrent lookup and insert
-    under the interpreter lock can at worst repeat work.  oriented holds
-    the oriented counts a_o to the full order once
+    order is len(b) - 1, and C runs to the same order.  powers maps
+    exponent j to the longest prefix of b^j built so far; powers[1] is b
+    and powers[k-1] is C (one list for k = 2).  Any other b^j is one
+    _online pass over the logarithmic derivative of b, which C gives,
+    and a request past the stored prefix rebuilds it to the new length.
+    Every stored value is a correct prefix of b^j, so concurrent lookup
+    and insert under the interpreter lock can at worst repeat work.
+    oriented holds the oriented counts a_o to the full order once
     oriented.oriented_series has built them, for every later reader.
     """
 
-    def __init__(self, params: GonalParams, order: int, powers: dict[int, list[int]]) -> None:
+    def __init__(self, params: GonalParams, b: list[int], c: list[int]) -> None:
         self.params = params
-        self.order = order
-        self.powers = powers
-        self.oriented: list[int] | None = None
-        b = powers.get(1)
-        if b is None or len(b) != self.order + 1:
-            raise ValueError(f"a table of order {self.order} needs b_0..b_{self.order}")
+        self.order = len(b) - 1
+        if not b:
+            raise ValueError("a table needs b_0")
         if b[0] != 1:
             raise IntegrityError("b_0 must be 1")
-        c = powers.get(params.p)
-        if c is not None and len(c) != self.order + 1:
+        if len(c) != len(b):
             raise ValueError(f"a table of order {self.order} needs b^{params.p} to that order")
+        self.powers = {params.p: c, 1: b}
+        self.oriented: list[int] | None = None
 
     def __repr__(self) -> str:
         return f"BTable(params={self.params!r}, order={self.order})"
@@ -128,26 +126,13 @@ class BTable:
                 raise IndexError(f"index {upto} outside table order 0..{self.order}")
             got = [1] + [0] * upto
             if j:
-                c = self.powers.get(self.params.p)
-                if c is None:
-                    raise ValueError(
-                        f"b^{j} is built from b^{self.params.p}, which this table lacks"
-                    )
+                c = self.powers[self.params.p]
                 sums = [0] * (upto + 1)
                 for d in range(1, upto + 1):
                     kernels.add_at_multiples(sums, d, d * c[d - 1])
                 kernels._online(got, sums, j, f"b^{j}")
             self.powers[j] = got
         return got
-
-    def truncate(self, order: int) -> BTable:
-        """The same b, and b^{k-1} if held, cut at a lower order; other powers are rebuilt."""
-        if not 0 <= order <= self.order:
-            raise ValueError(f"cannot cut order {self.order} to {order}")
-        if order == self.order:
-            return self
-        kept = {j: self.powers[j][: order + 1] for j in (self.params.p, 1) if j in self.powers}
-        return BTable(self.params, order, kept)
 
 
 def compute_b(params: GonalParams, order: int, cache_dir: Path | None = None) -> BTable:
@@ -160,8 +145,7 @@ def compute_b(params: GonalParams, order: int, cache_dir: Path | None = None) ->
             cache.store_b(cache_dir, params.k, b, c)
     else:
         b, c = hit
-    # for k = 2, b^{k-1} is b itself
-    return BTable(params, order, {params.p: c, 1: b})
+    return BTable(params, b, c)
 
 
 def recurrence_crosscheck(params: GonalParams, order: int) -> list[int]:

@@ -69,8 +69,24 @@ def load_b(cache_dir: Path, k: int, order: int) -> tuple[list[int], list[int]] |
         return None
 
 
+def _write_strings(fh, digest, values: list[int], key: str) -> None:
+    """Write `, "key": [...]` of values as decimal strings, hashed as ",".join feeds them."""
+    fh.write(f', "{key}": [')
+    for i, v in enumerate(values):
+        text = str(v)
+        if i:
+            digest.update(b",")
+            fh.write(", ")
+        digest.update(text.encode("ascii"))
+        fh.write(f'"{text}"')
+    fh.write("]")
+
+
 def store_b(cache_dir: Path, k: int, b: list[int], c: list[int]) -> None:
-    """Write b and C = b^{k-1} unless an equal or longer table is already stored."""
+    """Write b and C = b^{k-1} unless an equal or longer table is already stored.
+
+    One coefficient's string at a time is converted, hashed and written.
+    """
     # imported here, not at the top, because tempfile (with shutil and
     # random) adds about 5 ms to the start of every CLI process
     import tempfile
@@ -79,21 +95,15 @@ def store_b(cache_dir: Path, k: int, b: list[int], c: list[int]) -> None:
         if load_b(cache_dir, k, len(b) - 1) is not None:
             return
         cache_dir.mkdir(parents=True, exist_ok=True)
-        with long_decimals():
-            b_strings = [str(v) for v in b]
-            c_strings = [str(v) for v in c]
-        doc = {
-            "version": CACHE_VERSION,
-            "k": k,
-            "order": len(b) - 1,
-            "sha256": _digest(b_strings, c_strings),
-            "coefficients": b_strings,
-            "power": c_strings,
-        }
         fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f"b_k{k}.", suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
+            with os.fdopen(fd, "w", encoding="utf-8") as fh, long_decimals():
+                digest = sha256()
+                fh.write(f'{{"version": {CACHE_VERSION}, "k": {k}, "order": {len(b) - 1}')
+                _write_strings(fh, digest, b, "coefficients")
+                digest.update(b";")
+                _write_strings(fh, digest, c, "power")
+                fh.write(f', "sha256": "{digest.hexdigest()}"}}')
             os.replace(tmp, _path(cache_dir, k))
         except BaseException:
             os.unlink(tmp)

@@ -120,11 +120,11 @@ class CliError(Exception):
     """User-facing failure: message goes to standard error, exit is nonzero."""
 
 
-def _check_order(order: int, what: str = "order") -> None:
-    """Reject a negative order of b, or one past ORDER_CEILING, before any work starts."""
+def _check_order(order: int, what: str = "order", solves_b: bool = True) -> None:
+    """Reject a negative order, or past ORDER_CEILING one that b is solved to."""
     if order < 0:
         raise CliError(f"{what} must be >= 0")
-    if order > ORDER_CEILING:
+    if solves_b and order > ORDER_CEILING:
         raise CliError(
             f"{what} must be <= {ORDER_CEILING}: counting through b grows like the "
             "cube of the order"
@@ -160,11 +160,11 @@ def _check_printed_digits(params: GonalParams, family: str, indices: range) -> N
             )
 
 
-def _checked_params(k: int, family: str, order: int) -> GonalParams:
+def _checked_params(k: int, family: str, order: int, what: str = "order") -> GonalParams:
+    """Check a count's family, order and k once; labelled closed forms solve no b."""
     if family not in FAMILIES:
         raise CliError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
-    if order < 0:
-        raise CliError("order must be >= 0")
+    _check_order(order, what, _labelled_form(family) is None)
     try:
         return GonalParams(k)
     except ValueError as exc:
@@ -175,12 +175,15 @@ def family_counts(
     k: int, family: str, order: int, cache_dir: Path | None = None
 ) -> list[int]:
     """Counts for n = 0..order of one family at one polygon size."""
-    params = _checked_params(k, family, order)
+    return _counts(_checked_params(k, family, order), family, order, cache_dir)
+
+
+def _counts(params: GonalParams, family: str, order: int, cache_dir: Path | None) -> list[int]:
+    """family_counts once its inputs are checked."""
     form = _labelled_form(family)
     if form is not None:
         _check_printed_digits(params, family, range(order + 1))
         return [form(params, n) for n in range(order + 1)]
-    _check_order(order)
     table = compute_b(params, order, cache_dir)
     if family == "b":
         return list(table.int_coeffs(1))
@@ -202,15 +205,12 @@ def _count_document(k: int, family: str, entries: list[tuple[int, int]]) -> str:
 
 def _single_count(k: int, family: str, n: int, cache_dir: Path | None) -> int:
     """One count; a labelled closed form is evaluated at n alone."""
-    if n < 0:
-        raise CliError("n must be >= 0")
-    params = _checked_params(k, family, n)
+    params = _checked_params(k, family, n, "n")
     form = _labelled_form(family)
     if form is not None:
         _check_printed_digits(params, family, range(n, n + 1))
         return form(params, n)
-    _check_order(n, "n")
-    return family_counts(k, family, n, cache_dir)[n]
+    return _counts(params, family, n, cache_dir)[n]
 
 
 def cmd_count(args: argparse.Namespace, cache_dir: Path | None) -> int:
@@ -319,33 +319,32 @@ def constants_report(
     """The full constant report for one p, as a JSON-ready dict.
 
     With with_empirical, b is solved to EMPIRICAL_ORDER (or series_order
-    if larger) and alpha_bar_probe reads three oriented counts from it;
-    the xi solve and the report use the same b cut at series_order.
+    if larger) and alpha_bar_probe reads three oriented counts from that
+    table; the xi solve and the report read its b cut at series_order.
     """
     params = GonalParams(p + 1)
     probe_order = max(series_order, EMPIRICAL_ORDER) if with_empirical else series_order
-    # solve_b is prefix-stable, so one solve at the probe order also
-    # serves the xi solve and the report at series_order
-    probe_table = compute_b(params, probe_order, cache_dir)
-    table = probe_table.truncate(series_order)
+    table = compute_b(params, probe_order, cache_dir)
+    # solve_b is prefix-stable, so this is b solved to series_order
+    b = table.int_coeffs(1)[: series_order + 1]
     if not with_empirical:
         # the xi solve and the report read b alone, so the b^{k-1} the
         # solve kept is let go before mpmath loads
-        table = probe_table = BTable(params, series_order, {1: table.int_coeffs(1)})
-    xi, iterations, residual = solve_xi(params, table, tol)
+        table = None
+    xi, iterations, residual = solve_xi(params, b, tol)
     empirical = None
     if with_empirical:
-        empirical = alpha_bar_probe(probe_table, xi)
+        empirical = alpha_bar_probe(table, xi)
     report = constants(
         params,
-        table,
+        b,
         xi,
         iterations,
         residual,
         tol=tol,
         alpha_bar_empirical=empirical,
     )
-    return report.to_dict()
+    return report._asdict()
 
 
 def cmd_constants(args: argparse.Namespace, cache_dir: Path | None) -> int:

@@ -86,7 +86,7 @@ def test_criterion_2_singularities(capsys):
     max_beta_dev = 0.0
     for p in range(1, 12):
         table = table_for(p + 1, 500)
-        xi, _, _ = solve_xi(table.params, table)
+        xi, _, _ = solve_xi(table.params, table.int_coeffs(1))
         max_xi_dev = max(max_xi_dev, abs(float(xi) - reference[p]["xi"]))
         max_beta_dev = max(max_beta_dev, abs(float(1 / xi) - reference[p]["beta"]))
     elapsed = time.perf_counter() - start
@@ -121,11 +121,11 @@ def test_criterion_3_amplitudes(capsys):
     for p in range(1, 12):
         params = GonalParams(p + 1)
         table = table_for(p + 1, 1000)
-        xi, iterations, residual = solve_xi(params, table)
+        xi, iterations, residual = solve_xi(params, table.int_coeffs(1))
         # the CLI's probe: the oriented counts at n = 1000, 500 and 250
         empirical = alpha_bar_probe(table, xi)
         rep = constants(
-            params, table, xi, iterations, residual, alpha_bar_empirical=empirical
+            params, table.int_coeffs(1), xi, iterations, residual, alpha_bar_empirical=empirical
         )
         if abs(rep.alpha - reference[p]["alpha"]) > alpha_tol:
             alpha_failures.append(p)
@@ -384,8 +384,8 @@ def test_criterion_8_asymptotic_regime(capsys):
     defect_ok = ratio_defect < Fraction(1, 10**8)
 
     big = table_for(3, 1000)
-    xi, iterations, residual = solve_xi(params, big)
-    rep = constants(params, big, xi, iterations, residual)
+    xi, iterations, residual = solve_xi(params, big.int_coeffs(1))
+    rep = constants(params, big.int_coeffs(1), xi, iterations, residual)
     empirical = empirical_amplitude(big.int_coeffs(1), xi, 1.5, n_probe=1000)
     amp_dev = abs(empirical / rep.alpha - 1)
     amp_ok = amp_dev < 0.01

@@ -53,51 +53,51 @@ class TestRho:
 class TestOmega:
     def test_at_zero(self):
         table = table_for(2, 30)
-        value, slope = omega_eval(table.params, table, 0.0)
+        value, slope = omega_eval(table.params, table.int_coeffs(1), 0.0)
         assert float(value) == pytest.approx(1.0)
         assert float(slope) == pytest.approx(0.0)
 
     def test_monotone_increasing(self):
         table = table_for(2, 60)
         xs = [0.02, 0.05, 0.10, 0.15]
-        values = [float(omega_eval(table.params, table, x)[0]) for x in xs]
+        values = [float(omega_eval(table.params, table.int_coeffs(1), x)[0]) for x in xs]
         assert all(a < b for a, b in zip(values, values[1:]))
-        slopes = [float(omega_eval(table.params, table, x)[1]) for x in xs]
+        slopes = [float(omega_eval(table.params, table.int_coeffs(1), x)[1]) for x in xs]
         assert all(s > 0 for s in slopes)
 
     def test_rejects_bad_point(self):
         table = table_for(2, 30)
         with pytest.raises(ValueError):
-            omega_eval(table.params, table, 1.0)
+            omega_eval(table.params, table.int_coeffs(1), 1.0)
         with pytest.raises(ValueError):
-            omega_eval(table.params, table, -0.1)
+            omega_eval(table.params, table.int_coeffs(1), -0.1)
 
 
 class TestXi:
     @pytest.mark.parametrize("p", [1, 2, 11])
     def test_matches_reference(self, p):
         table = table_for(p, 500)
-        xi, _, _ = solve_xi(table.params, table)
+        xi, _, _ = solve_xi(table.params, table.int_coeffs(1))
         assert float(xi) == pytest.approx(REFERENCE[p]["xi"], abs=1e-9)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 7])
     def test_brackets(self, p):
         table = table_for(p, 400)
-        xi, _, _ = solve_xi(table.params, table)
+        xi, _, _ = solve_xi(table.params, table.int_coeffs(1))
         assert rho(p + 1) <= float(xi)
         upper = math.sqrt(2) - 1 if p == 1 else rho(p)
         assert float(xi) <= upper
 
     def test_residual_small(self):
         table = table_for(3, 400)
-        _, iterations, residual = solve_xi(table.params, table)
+        _, iterations, residual = solve_xi(table.params, table.int_coeffs(1))
         assert iterations < 10_000
         assert abs(float(residual)) < 1e-12
 
     def test_series_value_near_saddle_height(self):
         # b evaluated just inside the singularity approaches (1/(p xi))^{1/p}.
         table = table_for(2, 500)
-        xi, _, _ = solve_xi(table.params, table)
+        xi, _, _ = solve_xi(table.params, table.int_coeffs(1))
         with mp.workdps(30):
             target = (1 / (2 * xi)) ** mpf("0.5")
             probe = xi * mpf("0.995")
@@ -110,14 +110,14 @@ class TestXi:
         params = GonalParams(4)
         small = compute_b(params, 250)
         large = compute_b(params, 500)
-        xi_small, _, _ = solve_xi(params, small)
-        xi_large, _, _ = solve_xi(params, large)
+        xi_small, _, _ = solve_xi(params, small.int_coeffs(1))
+        xi_large, _, _ = solve_xi(params, large.int_coeffs(1))
         assert abs(float(xi_small) - float(xi_large)) < 1e-8
 
     def test_deterministic(self):
         table = table_for(2, 300)
-        first = solve_xi(table.params, table)
-        second = solve_xi(table.params, table)
+        first = solve_xi(table.params, table.int_coeffs(1))
+        second = solve_xi(table.params, table.int_coeffs(1))
         assert float(first[0]) == float(second[0])
 
 
@@ -140,7 +140,7 @@ def damped_xi(table, tol=1e-13):
     with mp.workdps(30):
         x = rho(p + 1)
         for _ in range(10_000):
-            omega, _ = omega_eval(table.params, table, x)
+            omega, _ = omega_eval(table.params, table.int_coeffs(1), x)
             x_next = (x + omega ** (-p) / (mp_e * p)) / 2
             if abs(x_next - x) < tol:
                 return x_next
@@ -153,7 +153,7 @@ class TestNewton:
     def test_few_iterations(self, order):
         for p in range(1, 12):
             table = shared_table(p, order)
-            _, iterations, residual = solve_xi(table.params, table)
+            _, iterations, residual = solve_xi(table.params, table.int_coeffs(1))
             assert 1 <= iterations <= 8, f"p={p}"
             assert float(residual) < 1e-20, f"p={p}"
 
@@ -161,25 +161,25 @@ class TestNewton:
     def test_matches_damped_iteration(self, order):
         for p in range(1, 12):
             table = shared_table(p, order)
-            xi, _, _ = solve_xi(table.params, table)
+            xi, _, _ = solve_xi(table.params, table.int_coeffs(1))
             assert abs(float(xi - damped_xi(table))) < 1e-12, f"p={p}"
 
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr("kgonal.asymptotics.MAX_ITERATIONS", 1)
         table = shared_table(3, 5)
         with pytest.raises(NonConvergenceError):
-            solve_xi(table.params, table)
+            solve_xi(table.params, table.int_coeffs(1))
 
     @pytest.mark.parametrize("p", [1, 2, 5, 11])
     def test_slope_matches_central_difference(self, p):
         table = shared_table(p, 500)
-        xi = float(solve_xi(table.params, table)[0])
+        xi = float(solve_xi(table.params, table.int_coeffs(1))[0])
         with mp.workdps(40):
             h = mpf("1e-12")
             for x in (mpf(xi) / 3, mpf(xi)):
-                _, slope = omega_eval(table.params, table, x, dps=40)
-                up, _ = omega_eval(table.params, table, x + h, dps=40)
-                down, _ = omega_eval(table.params, table, x - h, dps=40)
+                _, slope = omega_eval(table.params, table.int_coeffs(1), x, dps=40)
+                up, _ = omega_eval(table.params, table.int_coeffs(1), x + h, dps=40)
+                down, _ = omega_eval(table.params, table.int_coeffs(1), x - h, dps=40)
                 difference = (up - down) / (2 * h)
                 assert abs(slope - difference) < mpf("1e-15") * slope, f"x={x}"
 
@@ -188,8 +188,8 @@ class TestConstants:
     @pytest.mark.parametrize("p", [1, 2, 11])
     def test_alpha_and_beta(self, p):
         table = table_for(p, 500)
-        xi, iterations, residual = solve_xi(table.params, table)
-        report = constants(table.params, table, xi, iterations, residual)
+        xi, iterations, residual = solve_xi(table.params, table.int_coeffs(1))
+        report = constants(table.params, table.int_coeffs(1), xi, iterations, residual)
         assert float(report.alpha) == pytest.approx(REFERENCE[p]["alpha"], abs=1e-6)
         assert float(report.beta) == pytest.approx(REFERENCE[p]["beta"], abs=1e-9)
 
@@ -198,8 +198,8 @@ class TestConstants:
         # The published second-amplitude column agrees with the product form
         # for every p except p = 2, where it repeats the alpha column.
         table = table_for(p, 500)
-        xi, iterations, residual = solve_xi(table.params, table)
-        report = constants(table.params, table, xi, iterations, residual)
+        xi, iterations, residual = solve_xi(table.params, table.int_coeffs(1))
+        report = constants(table.params, table.int_coeffs(1), xi, iterations, residual)
         assert float(report.alpha_bar_product_form) == pytest.approx(
             REFERENCE[p]["alpha_bar"], abs=1e-9
         )
@@ -208,8 +208,8 @@ class TestConstants:
     def test_alpha_bar_p2_disagrees_with_reference(self):
         # Documented discrepancy: the reference repeats alpha at p = 2.
         table = table_for(2, 500)
-        xi, iterations, residual = solve_xi(table.params, table)
-        report = constants(table.params, table, xi, iterations, residual)
+        xi, iterations, residual = solve_xi(table.params, table.int_coeffs(1))
+        report = constants(table.params, table.int_coeffs(1), xi, iterations, residual)
         assert float(report.alpha_bar_product_form) == pytest.approx(
             0.189630833046, abs=1e-9
         )
@@ -217,9 +217,9 @@ class TestConstants:
 
     def test_report_fields(self):
         table = table_for(2, 300)
-        xi, iterations, residual = solve_xi(table.params, table)
-        report = constants(table.params, table, xi, iterations, residual)
-        data = report.to_dict()
+        xi, iterations, residual = solve_xi(table.params, table.int_coeffs(1))
+        report = constants(table.params, table.int_coeffs(1), xi, iterations, residual)
+        data = report._asdict()
         assert data["p"] == 2
         assert data["alpha_bar_empirical"] is None
         assert float(report.tau0) > 0
@@ -239,8 +239,8 @@ class TestEmpirical:
     def test_matches_alpha_for_quadratic_pages(self):
         order = 1000
         table = table_for(2, order)
-        xi, iterations, residual = solve_xi(table.params, table)
-        report = constants(table.params, table, xi, iterations, residual)
+        xi, iterations, residual = solve_xi(table.params, table.int_coeffs(1))
+        report = constants(table.params, table.int_coeffs(1), xi, iterations, residual)
         counts = table.int_coeffs(1)
         value = empirical_amplitude(counts, float(xi), 1.5, n_probe=order)
         assert float(value) == pytest.approx(float(report.alpha), rel=0.01)
@@ -258,8 +258,8 @@ class TestOrientedAmplitude:
         order = 1000
         params = GonalParams(p + 1)
         table = compute_b(params, order)
-        xi, iterations, residual = solve_xi(params, table)
-        report = constants(params, table, xi, iterations, residual)
+        xi, iterations, residual = solve_xi(params, table.int_coeffs(1))
+        report = constants(params, table.int_coeffs(1), xi, iterations, residual)
         oriented = oriented_series(table)
         counts = oriented
         value = empirical_amplitude(counts, float(xi), 2.5, n_probe=order)

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -53,18 +54,6 @@ def test_cache_hit_holds_b_and_its_power(tmp_path, monkeypatch):
     assert sorted(hit.powers) == [1, 4]
     assert hit.int_coeffs(4) == solved.powers[4]
     assert hit.int_coeffs(1) == solved.powers[1]
-
-
-def test_table_of_b_alone_builds_no_power():
-    # cli.constants_report hands the xi solve such a table
-    b = compute_b(GonalParams(5), 10).int_coeffs(1)
-    alone = BTable(GonalParams(5), 10, {1: b})
-    assert alone.int_coeffs(1) is b
-    assert alone.int_coeffs(0) == [1] + [0] * 10
-    for j in (2, 4):
-        with pytest.raises(ValueError, match=r"b\^4, which this table lacks"):
-            alone.int_coeffs(j)
-    assert alone.truncate(5).powers == {1: b[:6]}
 
 
 def test_compute_b_anchors():
@@ -117,11 +106,13 @@ def test_convolution_power():
 
 def test_table_checks_b():
     with pytest.raises(IntegrityError):
-        BTable(GonalParams(3), 2, {1: [2, 1, 3]})
+        BTable(GonalParams(3), [2, 1, 3], [4, 4, 13])
     with pytest.raises(ValueError):
-        BTable(GonalParams(3), 3, {1: [1, 1, 3]})
+        BTable(GonalParams(3), [1, 1, 3], [1, 2, 7, 30])
     with pytest.raises(ValueError, match=r"b\^2"):
-        BTable(GonalParams(3), 2, {1: [1, 1, 3], 2: [1, 2]})
+        BTable(GonalParams(3), [1, 1, 3], [1, 2])
+    table = BTable(GonalParams(3), [1, 1, 3], [1, 2, 7])
+    assert table.order == 2 and table.powers == {2: [1, 2, 7], 1: [1, 1, 3]}
 
 
 @given(st.integers(2, 8), st.integers(0, 25), st.integers(0, 10), st.data())
@@ -137,21 +128,19 @@ def test_power_prefix_then_full(k, order, j, data):
     assert len(full) == order + 1
 
 
-def test_truncate_matches_lower_order():
+def test_solve_is_prefix_stable():
+    # cli.constants_report reads b at the series order from a table
+    # solved to the probe order
     params = GonalParams(5)
     table = compute_b(params, 12)
-    cut = table.truncate(7)
     low = compute_b(params, 7)
-    assert cut.order == 7 and cut.int_coeffs(1) == low.int_coeffs(1)
-    assert cut.int_coeffs(4) == low.int_coeffs(4)
-    # b^{k-1} is cut, not rebuilt
-    assert sorted(cut.powers) == [1, 4]
-    assert cut.int_coeffs(3) == low.int_coeffs(3)
-    assert table.truncate(12) is table
-    with pytest.raises(ValueError):
-        table.truncate(13)
+    assert low.order == 7
+    for j in (1, 4):
+        assert table.int_coeffs(j)[:8] == low.int_coeffs(j)
+    assert sorted(low.powers) == [1, 4]
+    assert table.int_coeffs(3)[:8] == low.int_coeffs(3)
     with pytest.raises(IndexError):
-        cut.int_coeffs(3, 8)
+        low.int_coeffs(3, 8)
 
 
 def test_monotone():
@@ -251,6 +240,49 @@ def test_disk_cache_long_integers(tmp_path):
     cache.store_b(tmp_path, 3, [1, big], [1, 2 * big])
     assert cache.load_b(tmp_path, 3, 1) == ([1, big], [1, 2 * big])
     assert sys.get_int_max_str_digits() == DEFAULT_LIMIT
+
+
+def test_cache_file_built_whole_is_a_hit(tmp_path, monkeypatch):
+    # a version-3 document built whole, with its hash before the lists,
+    # loads as a hit; store_b writes the same fields one coefficient at a time
+    table = compute_b(GonalParams(4), 30)
+    b, c = ([str(v) for v in table.int_coeffs(j)] for j in (1, 3))
+    whole = {
+        "version": 3,
+        "k": 4,
+        "order": 30,
+        "sha256": hashlib.sha256((",".join(b) + ";" + ",".join(c)).encode("ascii")).hexdigest(),
+        "coefficients": b,
+        "power": c,
+    }
+    (tmp_path / "old").mkdir()
+    (tmp_path / "old" / "b_k4.json").write_text(json.dumps(whole), encoding="utf-8")
+    cache.store_b(tmp_path / "new", 4, table.int_coeffs(1), table.int_coeffs(3))
+    written = (tmp_path / "new" / "b_k4.json").read_text(encoding="utf-8")
+    assert json.loads(written) == whole
+
+    def no_kernel(*args):
+        raise AssertionError("a cache hit ran the kernel")
+
+    monkeypatch.setattr(kernels, "solve_b", no_kernel)
+    hit = compute_b(GonalParams(4), 30, cache_dir=tmp_path / "old")
+    assert hit.powers == table.powers
+
+
+def test_store_b_builds_no_list_of_strings(tmp_path):
+    # the write holds about one coefficient's string at a time, well
+    # below the decimal strings of b and C together
+    b = [1] + [10**2000 + n for n in range(1, 300)]
+    c = [1] + [3 * 10**2000 + n for n in range(1, 300)]
+    strings = sys.getsizeof([]) * 2 + sum(sys.getsizeof(str(v)) + 8 for v in b + c)
+    tracemalloc.start()
+    try:
+        cache.store_b(tmp_path, 3, b, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cache.load_b(tmp_path, 3, 299) == (b, c)
+    assert peak < strings / 4, (peak, strings)
 
 
 _WRITER = """

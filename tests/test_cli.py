@@ -1,6 +1,7 @@
 """Tests for the command-line surface."""
 
 import errno
+import gc
 import hashlib
 import json
 import math
@@ -26,6 +27,8 @@ from kgonal.cli import (
 )
 import kgonal
 from kgonal import cache, kernels
+from kgonal.asymptotics import solve_xi
+from kgonal.bseries import BTable
 from kgonal.kernels import IntegrityError, long_decimals
 from kgonal.universal import UniversalConstant
 from forks import assert_left_clean, spy_forks, two_cpus
@@ -146,6 +149,22 @@ class TestCount:
         assert code == 1
         assert out == ""
         assert err == "error: n must be >= 0\n"
+
+    def test_single_index_is_checked_once(self, capsys, monkeypatch):
+        # count --n checks the family, k and n once, not again as an order
+        from kgonal.cli import _check_order, _checked_params
+
+        checked = []
+        monkeypatch.setattr(
+            "kgonal.cli._checked_params", lambda *a: checked.append(a) or _checked_params(*a)
+        )
+        monkeypatch.setattr(
+            "kgonal.cli._check_order", lambda *a: checked.append(a) or _check_order(*a)
+        )
+        code, out, _ = run_cli(capsys, "count", "--k", "3", "--family", "b", "--n", "4")
+        assert code == 0
+        assert json.loads(out)["counts"] == [{"n": 4, "value": "39"}]
+        assert checked == [(3, "b", 4, "n"), (4, "n", True)]
 
     @pytest.mark.parametrize("command", ["count", "series"])
     def test_rejects_negative_order(self, capsys, command):
@@ -535,6 +554,46 @@ class TestAmplitudeProbe:
         assert all(e != 12 for e, _ in calls), calls
         assert all(order <= (1000 - 1) // 2 for _, order in calls), calls
         assert calls == [(4, 333)]
+
+    @pytest.mark.parametrize("p", [2, 11])
+    def test_probe_table_serves_the_report(self, p):
+        # with the probe, the xi solve and the report read b cut from the
+        # order-1000 solve; without it, b solved to the series order
+        probed = constants_report(p, 300, 1e-13, True)
+        plain = constants_report(p, 300, 1e-13, False)
+        assert probed["alpha_bar_empirical"] is not None
+        assert plain["alpha_bar_empirical"] is None
+        del probed["alpha_bar_empirical"], plain["alpha_bar_empirical"]
+        assert probed == plain
+
+    @staticmethod
+    def _tables_alive_at_xi_solve(monkeypatch, with_empirical):
+        # the BTables alive when solve_xi starts, other than those that
+        # were alive before the report began
+        before = [o for o in gc.get_objects() if isinstance(o, BTable)]
+        seen = []
+
+        def spying_solve(*args, **kwargs):
+            seen.extend(
+                o for o in gc.get_objects()
+                if isinstance(o, BTable) and not any(o is t for t in before)
+            )
+            return solve_xi(*args, **kwargs)
+
+        monkeypatch.setattr("kgonal.cli.solve_xi", spying_solve)
+        monkeypatch.setattr("kgonal.cli.EMPIRICAL_ORDER", 40)
+        constants_report(3, 30, 1e-13, with_empirical)
+        return seen
+
+    def test_no_table_alive_when_mpmath_loads(self, monkeypatch):
+        # without the probe only b is read, so no b^{k-1} is kept into
+        # the xi solve, which loads mpmath
+        assert self._tables_alive_at_xi_solve(monkeypatch, False) == []
+
+    def test_probe_keeps_its_table(self, monkeypatch):
+        # the check above sees a table that is still alive
+        seen = self._tables_alive_at_xi_solve(monkeypatch, True)
+        assert [t.order for t in seen] == [40]
 
 
 class TestOrderCeiling:

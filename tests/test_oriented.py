@@ -47,7 +47,7 @@ def test_k2_matches_free_trees():
 def test_shared_table_reuse():
     table = compute_b(GonalParams(5), 12)
     a = oriented_series(table)
-    b = oriented_series(table.truncate(8))
+    b = oriented_series(compute_b(GonalParams(5), 8))
     assert a[:9] == b
 
 
@@ -78,9 +78,9 @@ def test_matches_fraction_route():
         want = _oriented_by_fractions(params, 60)
         table = compute_b(params, 60)
         assert oriented_series(table) == want, f"k={k}"
-        # a table cut below the order reads shorter power prefixes
-        assert oriented_series(table.truncate(37)) == want[:38], f"k={k}"
-        assert oriented_series(table.truncate(0)) == want[:1]
+        # a table of lower order reads shorter power prefixes
+        assert oriented_series(compute_b(params, 37)) == want[:38], f"k={k}"
+        assert oriented_series(compute_b(params, 0)) == want[:1]
 
 
 @pytest.mark.parametrize("k", range(2, 13))
@@ -92,7 +92,7 @@ def test_single_count_matches_series(k):
     # a table of b and b^{k-1} alone, as a cache hit yields; every other
     # power is then built on demand, here smallest index first so that
     # each prefix is rebuilt longer
-    bare = BTable(params, 60, {j: table.int_coeffs(j) for j in (1, params.p)})
+    bare = BTable(params, table.int_coeffs(1), table.int_coeffs(params.p))
     assert [oriented_count(bare, n) for n in range(61)] == want
 
 
@@ -116,12 +116,11 @@ def test_series_built_once_per_table(k, monkeypatch):
     monkeypatch.setattr(oriented, "oriented_count", None)
     assert oriented_series(table) is a_o
     assert unlabelled_series(table) == want
-    assert table.truncate(20).oriented is None
 
 
 def test_single_count_reads_short_prefixes():
     solved = compute_b(GonalParams(12), 60)
-    table = BTable(GonalParams(12), 60, {j: solved.int_coeffs(j) for j in (1, 11)})
+    table = BTable(GonalParams(12), solved.int_coeffs(1), solved.int_coeffs(11))
     oriented_count(table, 46)
     # b and b^11 are held whole; the product reads b^11 to 45, and
     # 45 = 3 * 15 is divisible by d = 3 only, so b^4 is built to 15
