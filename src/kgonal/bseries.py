@@ -20,6 +20,7 @@ and is kept deliberately naive as a test oracle.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NamedTuple
 
 from kgonal import cache, kernels
 from kgonal.kernels import IntegrityError, exact_div
@@ -32,38 +33,18 @@ __all__ = [
 ]
 
 
-class GonalParams:
+class GonalParams(NamedTuple("GonalParams", [("k", int)])):
     """Polygon size k; k=2 is the degenerate ordinary-tree case.
 
-    Immutable, and equal and hashed by k.
+    A named tuple: immutable, and equal and hashed by k.
     """
 
-    __slots__ = ("k",)
+    __slots__ = ()
 
-    def __init__(self, k: int) -> None:
+    def __new__(cls, k: int) -> GonalParams:
         if k < 2:
             raise ValueError("polygon size k must be >= 2")
-        object.__setattr__(self, "k", k)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of GonalParams")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of GonalParams")
-
-    def __reduce__(self) -> tuple:
-        return GonalParams, (self.k,)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not GonalParams:
-            return NotImplemented
-        return self.k == other.k
-
-    def __hash__(self) -> int:
-        return hash((self.k,))
-
-    def __repr__(self) -> str:
-        return f"GonalParams(k={self.k})"
+        return super().__new__(cls, k)
 
     @property
     def p(self) -> int:

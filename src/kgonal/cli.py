@@ -24,7 +24,7 @@ from kgonal.asymptotics import (
 )
 from kgonal.bseries import BTable, GonalParams, compute_b, recurrence_crosscheck
 from kgonal.cache import resolve_cache_dir
-from kgonal.kernels import IntegrityError, exact_count, long_decimals, may_fork
+from kgonal.kernels import IntegrityError, exact_count, long_decimals, may_fork, solve_work
 from kgonal.labelled import (
     burnside_b,
     labelled_oriented,
@@ -87,9 +87,11 @@ ORDER_CEILING = 1600
 # Python 3.11)
 K_RANGE_CEILING = 1000
 
-# a table column costs about order^3 log10(e (k - 1)) work units: k - 1
-# sets the digits per coefficient.  table --k-min 2 --k-max 12 --order
-# 1600 is 5.1e10 units and took 270 s, before the table split its
+# a table column costs about order^3 log10(e (k - 1)) work units
+# (kernels.solve_work): k - 1 sets the digits per coefficient, and the
+# one solve of count, series or constants is held to the same ceiling.
+# table --k-min 2 --k-max 12 --order 1600 is 5.1e10 units and took
+# 270 s, before the table split its
 # columns between two processes.  At order 1000 (1.2e10 units) it took
 # 17-19 s of wall time split (32-34 s of CPU), 26 s with only the solves
 # of its columns forked, and 32 s on one CPU, each at a peak RSS of
@@ -131,6 +133,15 @@ def _check_order(order: int, what: str = "order", solves_b: bool = True) -> None
         )
 
 
+def _check_work(what: str, work: float) -> None:
+    """Reject solves of b whose work (kernels.solve_work) passes TABLE_COST_CEILING."""
+    if work > TABLE_COST_CEILING:
+        raise CliError(
+            f"{what} is too large: order^3 log10(e (k - 1)) summed over its solves of b "
+            f"is {work:.2g}, past the limit of {TABLE_COST_CEILING:.2g} (about five minutes)"
+        )
+
+
 def _labelled_form(family: str):
     """The closed form n -> count of a labelled family; None for the others."""
     return {
@@ -161,14 +172,18 @@ def _check_printed_digits(params: GonalParams, family: str, indices: range) -> N
 
 
 def _checked_params(k: int, family: str, order: int, what: str = "order") -> GonalParams:
-    """Check a count's family, order and k once; labelled closed forms solve no b."""
+    """Check a count's family, order, k and work once; labelled closed forms solve no b."""
     if family not in FAMILIES:
         raise CliError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
-    _check_order(order, what, _labelled_form(family) is None)
+    solves_b = _labelled_form(family) is None
+    _check_order(order, what, solves_b)
     try:
-        return GonalParams(k)
+        params = GonalParams(k)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    if solves_b:
+        _check_work(f"b to order {order}", solve_work(params.p, order))
+    return params
 
 
 def family_counts(
@@ -246,14 +261,9 @@ def render_table(
         )
     _check_order(order)
     ks = range(k_min, k_max + 1)
-    costs = [order**3 * math.log10(math.e * (k - 1)) for k in ks]
+    costs = [solve_work(k - 1, order) for k in ks]
     cost = sum(costs)
-    if cost > TABLE_COST_CEILING:
-        raise CliError(
-            f"table of {k_max - k_min + 1} columns to order {order} is too large: "
-            f"order^3 log10(e (k - 1)) summed over its columns is {cost:.2g}, past "
-            f"the limit of {TABLE_COST_CEILING:.2g} (about five minutes)"
-        )
+    _check_work(f"table of {len(ks)} columns to order {order}", cost)
 
     def column(k: int) -> list[int]:
         return unlabelled_series(compute_b(GonalParams(k), order, cache_dir))
@@ -324,6 +334,7 @@ def constants_report(
     """
     params = GonalParams(p + 1)
     probe_order = max(series_order, EMPIRICAL_ORDER) if with_empirical else series_order
+    _check_work(f"b to order {probe_order}", solve_work(p, probe_order))
     table = compute_b(params, probe_order, cache_dir)
     # solve_b is prefix-stable, so this is b solved to series_order
     b = table.int_coeffs(1)[: series_order + 1]
@@ -390,7 +401,7 @@ def cmd_universal(args: argparse.Namespace, cache_dir: Path | None) -> int:
     doc: dict = {"m_max": args.m_max, "constants": entries}
     if args.p is not None:
         doc["p"] = args.p
-        doc["xi_partial_sum"] = xi_from_expansion(args.p, args.m_max, values=values)
+        doc["xi_partial_sum"] = xi_from_expansion(args.p, values)
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     return 0
 

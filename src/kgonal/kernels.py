@@ -53,6 +53,7 @@ __all__ = [
     "exact_div",
     "exact_count",
     "solve_b",
+    "solve_work",
     "add_products",
     "add_at_multiples",
     "long_decimals",
@@ -83,8 +84,8 @@ DECIMAL_CROSSOVER = 120_000
 PIECE = 64
 CAP = 128
 
-# solve_b forks its power pass from this much work, order^3 log10(e p),
-# the unit of the CLI's TABLE_COST_CEILING: from order 588 at p = 11 and
+# solve_b forks its power pass from this much work (solve_work), the
+# unit of the CLI's TABLE_COST_CEILING: from order 588 at p = 11 and
 # from order 884 at p = 1.  With both sides of the fork pinned to their
 # own CPU, constants --p P --no-empirical --series-order N, forked
 # against one process (median ratios of 10 alternating pairs each, and
@@ -158,17 +159,13 @@ def long_decimals() -> Iterator[None]:
 
 
 def add_products(
-    out: list[int],
-    start: int,
-    stop: int,
-    base: int,
-    terms: Sequence[tuple[list[int], list[int]]],
+    out: list[int], start: int, stop: int, terms: Sequence[tuple[list[int], list[int]]]
 ) -> None:
-    """out[n] += [x^(n - base)] sum_t a_t(x) b_t(x) for start <= n < stop.
+    """out[n] += [x^(n - start)] sum_t a_t(x) b_t(x) for start <= n < stop.
 
     terms holds pairs (a_t, b_t) of coefficient lists, and every
     coefficient must be non-negative: a negative one raises
-    IntegrityError.  Indices n below base get nothing.
+    IntegrityError.
 
     When at most the lower half of the product's coefficients is
     wanted, they are summed pair by pair.  Otherwise a product whose
@@ -193,13 +190,13 @@ def add_products(
     if any(min(a) < 0 or min(b) < 0 for a, b in terms):
         raise IntegrityError("a block product input is negative")
     size = max(len(a) + len(b) - 1 for a, b in terms)
-    begin, end = max(start, base), min(stop, base + size)
-    if 2 * (end - base) <= size:
+    end = min(stop, start + size)
+    if 2 * (end - start) <= size:
         # at most the lower half of the product is wanted, as in a square
         # cut by the order of the solve: the loop multiplies at most half
         # of the pairs, where a Kronecker product multiplies them all
-        for n in range(begin, end):
-            m = n - base
+        for n in range(start, end):
+            m = n - start
             for a, b in terms:
                 lo, hi = max(0, m - len(b) + 1), min(m, len(a) - 1)
                 if lo <= hi:
@@ -220,8 +217,8 @@ def add_products(
         width = (bits + 7) // 8
         packed = sum(_packed(a, width) * _packed(b, width) for a, b in terms)
         data = packed.to_bytes(size * width, "little")
-        for n in range(begin, end):
-            m = (n - base) * width
+        for n in range(start, end):
+            m = (n - start) * width
             out[n] += int.from_bytes(data[m : m + width], "little")
         return
     # slots of 2 half >= w + 1 digits hold twice any coefficient
@@ -237,7 +234,7 @@ def add_products(
         parts = (_EXACT.add(plus, minus), _EXACT.subtract(plus, minus))
         del plus, minus
         for parity, part in enumerate(parts):
-            _unpack(out, start, stop, base, str(part), parity, half)
+            _unpack(out, start, stop, str(part), parity, half)
 
 
 def _packed(coeffs: list[int], width: int) -> int:
@@ -255,13 +252,11 @@ def _at_plus_minus(coeffs: list[int], half: int) -> tuple[Decimal, Decimal]:
     return _EXACT.add(even, odd), _EXACT.subtract(even, odd)
 
 
-def _unpack(
-    out: list[int], start: int, stop: int, base: int, text: str, parity: int, half: int
-) -> None:
-    """Add half of each slot of 2 X^parity h(X^2), written as text, to out."""
+def _unpack(out: list[int], start: int, stop: int, text: str, parity: int, half: int) -> None:
+    """Add half of each slot of 2 X^parity h(X^2), written as text, to out[start + parity::2]."""
     end = len(text) - parity * half
-    for n in range(start + (start - base + parity) % 2, stop, 2):
-        m = (n - base) // 2
+    for n in range(start + parity, stop, 2):
+        m = (n - start) // 2
         slot = text[max(0, end - (m + 1) * 2 * half) : max(0, end - m * 2 * half)]
         if slot:
             out[n] += exact_div(int(slot), 2, "Kronecker slot")
@@ -311,11 +306,11 @@ def solve_b(p: int, order: int, power_out: list[int] | None = None) -> list[int]
     is two passes of one kernel, _online: the power pass builds C and,
     from it, sums; the y pass runs against sums.
 
-    A solve whose work, order^3 log10(e p) in the units of the CLI's
-    table ceiling, reaches FORK_WORK runs the power pass in a child made
-    by os.fork (kgonal.forked) when may_fork allows it: two CPUs, one
-    thread, and no fork already live, so no solve forks inside either
-    half of a split table.  The child streams each final block of sums
+    A solve whose work, solve_work(p, order), reaches FORK_WORK runs
+    the power pass in a child made by os.fork (kgonal.forked) when
+    may_fork allows it: two CPUs, one thread, and no fork already live,
+    so no solve forks inside either half of a split table.  The child
+    streams each final block of sums
     through a pipe with marshal, and finally sends C; the parent runs
     the y pass as the blocks arrive, so the two passes share the wall
     time, pinned to two different CPUs while the child lives.  Smaller
@@ -350,9 +345,19 @@ def solve_b(p: int, order: int, power_out: list[int] | None = None) -> list[int]
     return y
 
 
+def solve_work(p: int, order: int) -> float:
+    """The work of solve_b(p, order), order^3 log10(e p), in the units of FORK_WORK.
+
+    The CLI's cost ceilings count in the same units.  log10(e p) is
+    summed as log10(p) + log10(e): e p as a float overflows from p of
+    309 digits on, and log10 takes an int of any size.
+    """
+    return order**3 * (math.log10(p) + math.log10(math.e))
+
+
 def _fork_pays(p: int, order: int) -> bool:
     """Whether solve_b runs its power pass in a forked child."""
-    return order**3 * math.log10(math.e * p) >= FORK_WORK and may_fork()
+    return solve_work(p, order) >= FORK_WORK and may_fork()
 
 
 def may_fork() -> bool:
@@ -467,5 +472,5 @@ def _online(
             terms = [(sums[i : i + s], out[j : j + s])]
             if i != j:
                 terms.append((sums[j : j + s], out[i : i + s]))
-            add_products(out, i + j, min(i + j + 2 * s - 1, order + 1), i + j, terms)
+            add_products(out, i + j, min(i + j + 2 * s - 1, order + 1), terms)
 

@@ -12,7 +12,7 @@ sums over the integer partitions of n as an independent route to b.
 from __future__ import annotations
 
 from math import factorial
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from kgonal.bseries import GonalParams
 from kgonal.kernels import exact_count, exact_div
@@ -28,38 +28,18 @@ __all__ = [
 ]
 
 
-class CycleType:
+class CycleType(NamedTuple("CycleType", [("counts", tuple[int, ...])])):
     """Cycle type of a permutation; counts[i-1] cycles of length i.
 
-    Immutable, and equal and hashed by counts.
+    A named tuple: immutable, and equal and hashed by counts.
     """
 
-    __slots__ = ("counts",)
+    __slots__ = ()
 
-    def __init__(self, counts: tuple[int, ...]) -> None:
+    def __new__(cls, counts: tuple[int, ...]) -> CycleType:
         if any(c < 0 for c in counts):
             raise ValueError("cycle counts must be non-negative")
-        object.__setattr__(self, "counts", counts)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of CycleType")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of CycleType")
-
-    def __reduce__(self) -> tuple:
-        return CycleType, (self.counts,)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not CycleType:
-            return NotImplemented
-        return self.counts == other.counts
-
-    def __hash__(self) -> int:
-        return hash((self.counts,))
-
-    def __repr__(self) -> str:
-        return f"CycleType(counts={self.counts!r})"
+        return super().__new__(cls, counts)
 
     @staticmethod
     def from_parts(parts: tuple[int, ...]) -> CycleType:

@@ -138,22 +138,18 @@ def universal_c(m: int) -> UniversalConstant:
     return UniversalConstant(m, tuple(terms))
 
 
-def xi_from_expansion(
-    p: int, m_max: int, dps: int = 30, values: Sequence[mpf] | None = None
-) -> float:
-    """Partial sum sum_{m<=m_max} c_m / p^m, summed at dps digits.
+def xi_from_expansion(p: int, values: Sequence[mpf], dps: int = 30) -> float:
+    """Partial sum sum_{m<=len(values)} c_m / p^m, summed at dps digits.
 
-    values, if given, holds c_1..c_m_max already evaluated to at least
-    dps digits, so a caller that printed them does not evaluate them again.
+    values holds c_1, c_2, ... already evaluated to at least dps digits,
+    as the universal command prints them before it sums them.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     from mpmath import mp, mpf
 
     with mp.workdps(dps):
-        if values is None:
-            values = [universal_c(m).value(dps) for m in range(1, m_max + 1)]
         acc = mpf(0)
-        for m in range(1, m_max + 1):
-            acc += values[m - 1] / mpf(p) ** m
+        for m, value in enumerate(values, start=1):
+            acc += value / mpf(p) ** m
         return float(acc)

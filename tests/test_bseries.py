@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -29,6 +30,27 @@ def test_params():
     assert params.m(3) == 10
     with pytest.raises(ValueError):
         GonalParams(1)
+
+
+def test_params_are_values():
+    params = GonalParams(k=4)
+    assert params == GonalParams(4)
+    assert params != GonalParams(5)
+    assert hash(params) == hash(GonalParams(4)) == hash((4,))
+    assert repr(params) == "GonalParams(k=4)"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(params, protocol))
+        assert type(copy) is GonalParams
+        assert copy == params
+    with pytest.raises(AttributeError):
+        params.k = 5
+    with pytest.raises(AttributeError):
+        del params.k
+    with pytest.raises(AttributeError):
+        params.order = 5
+    assert params.k == 4
+    with pytest.raises(ValueError, match="polygon size k must be >= 2"):
+        GonalParams(k=1)
 
 
 @pytest.mark.parametrize("p", range(1, 12))
@@ -283,6 +305,24 @@ def test_store_b_builds_no_list_of_strings(tmp_path):
         tracemalloc.stop()
     assert cache.load_b(tmp_path, 3, 299) == (b, c)
     assert peak < strings / 4, (peak, strings)
+
+
+def test_load_b_holds_one_list_of_strings(tmp_path):
+    # the parse holds the file's text beside its strings; past that, the
+    # hash is fed string by string, not from a joined copy, and b's
+    # strings are let go before C's are converted
+    b = [1] + [10**2000 + n for n in range(1, 300)]
+    c = [1] + [3 * 10**2000 + n for n in range(1, 300)]
+    cache.store_b(tmp_path, 3, b, c)
+    chars = sum(len(str(v)) for v in b + c)
+    tracemalloc.start()
+    try:
+        hit = cache.load_b(tmp_path, 3, 299)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hit == (b, c)
+    assert peak < 2.5 * chars, peak / chars
 
 
 _WRITER = """

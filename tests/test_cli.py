@@ -469,6 +469,50 @@ class TestSplitTable:
         assert forks == []
 
 
+HUGE = str(10**400)
+
+
+class TestHugeInputs:
+    # a k or p of 309 digits or more overflowed the float e (k - 1) of the
+    # work estimate, with a traceback; every command that solves b is
+    # held to the table's cost ceiling
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--k", HUGE, "--family", "unlabelled", "--order", "3"),
+            ("count", "--k", HUGE, "--family", "b", "--n", "0"),
+            ("table", "--k-min", HUGE, "--k-max", HUGE),
+        ],
+    )
+    def test_huge_k_is_counted(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert err == ""
+        assert out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("constants", "--p", HUGE),
+            ("count", "--k", str(10**50), "--family", "b", "--order", "1600"),
+            ("count", "--k", str(10**50), "--family", "unlabelled", "--n", "1600"),
+            ("series", "--k", str(10**50), "--family", "unlabelled-oriented", "--order", "1600"),
+        ],
+    )
+    def test_costly_solve_rejected_before_solving(self, capsys, monkeypatch, argv):
+        def no_solve(*args):
+            raise AssertionError("b solved past the cost ceiling")
+
+        monkeypatch.setattr("kgonal.cli.compute_b", no_solve)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: b to order ")
+        assert err.count("\n") == 1
+        assert "too large" in err
+
+
 class TestConstants:
     def test_report_p2(self, capsys):
         code, out, _ = run_cli(

@@ -350,28 +350,29 @@ def test_block_product_matches_int_loop(a, b, data):
     # a second term, of other lengths, summed into the same slots
     a2 = data.draw(st.lists(st.integers(0, 10**40), max_size=len(a)))
     b2 = data.draw(st.lists(st.integers(0, 10**4400), max_size=len(b)))
-    base = data.draw(st.integers(0, 3))
-    size = base + len(a) + len(b) - 1
-    start = data.draw(st.integers(0, size))
-    stop = data.draw(st.integers(start, size))
-    top = len(a) + len(b) - 2
+    size = len(a) + len(b) - 1
+    # outputs from start on, possibly past the product's last coefficient
+    start = data.draw(st.integers(0, 3))
+    stop = data.draw(st.integers(start, start + size + 1))
+    length = start + size + 1
     for terms in ([(a, b)], [(a, b), (a2, b2)]):
-        want = [0] * base + [sum(h) for h in zip(*(convolve(x, z, top) for x, z in terms))]
+        want = [sum(h) for h in zip(*(convolve(x, z, size - 1) for x, z in terms))]
+        want += [0] * (length - size)
         for crossover in (0, 10**18):
-            out = [1] * size
+            out = [1] * length
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(kernels, "DECIMAL_CROSSOVER", crossover)
-                kernels.add_products(out, start, stop, base, terms)
-            expected = [1 + want[n] if start <= n < stop else 1 for n in range(size)]
+                kernels.add_products(out, start, stop, terms)
+            expected = [1 + want[n - start] if start <= n < stop else 1 for n in range(length)]
             # indices, not values: the values can pass the 4300-digit limit of repr
-            assert [n for n in range(size) if out[n] != expected[n]] == []
+            assert [n for n in range(length) if out[n] != expected[n]] == []
 
 
 @pytest.mark.parametrize("crossover", [0, 10**18])
 def test_block_product_rejects_a_negative_input(crossover, monkeypatch):
     monkeypatch.setattr(kernels, "DECIMAL_CROSSOVER", crossover)
     with pytest.raises(kernels.IntegrityError, match="negative"):
-        kernels.add_products([0] * 3, 0, 3, 0, [([1, 1], [1, 1]), ([1, -1], [1, 1])])
+        kernels.add_products([0] * 3, 0, 3, [([1, 1], [1, 1]), ([1, -1], [1, 1])])
 
 
 def test_convolve_short_operands():

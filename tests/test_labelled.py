@@ -1,5 +1,7 @@
 """Labelled closed forms and the Burnside route to b."""
 
+import pickle
+
 import pytest
 
 from kgonal import labelled
@@ -30,6 +32,28 @@ def test_cycle_type():
     assert CycleType.from_parts((1, 1, 1)).counts == (3,)
     assert t.sigma(2) == 4
     assert t.sigma(2, drop_own=True) == 2
+
+
+def test_cycle_types_are_values():
+    t = CycleType((2, 1))
+    assert t == CycleType.from_parts((2, 1, 1))
+    assert t != CycleType((1, 2))
+    assert hash(t) == hash(CycleType.from_parts((1, 2, 1))) == hash(((2, 1),))
+    assert len({t, CycleType((2, 1)), CycleType(())}) == 2
+    assert repr(t) == "CycleType(counts=(2, 1))"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(t, protocol))
+        assert type(copy) is CycleType
+        assert copy == t
+    with pytest.raises(AttributeError):
+        t.counts = (3,)
+    with pytest.raises(AttributeError):
+        del t.counts
+    with pytest.raises(AttributeError):
+        t.size = 4
+    assert t.counts == (2, 1)
+    with pytest.raises(ValueError, match="cycle counts must be non-negative"):
+        CycleType((1, -1))
 
 
 def test_fixed_points_identity_type():

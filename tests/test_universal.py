@@ -124,6 +124,11 @@ class TestDecimals:
         assert float(diff) < 1e-15
 
 
+def _values(m_max, dps=30):
+    """c_1..c_m_max evaluated at dps digits, as xi_from_expansion reads them."""
+    return [universal_c(m).value(dps) for m in range(1, m_max + 1)]
+
+
 class TestExpansion:
     def reference_xi(self, p):
         with open(DATA / "reference_constants.csv", newline="") as handle:
@@ -133,28 +138,28 @@ class TestExpansion:
         raise KeyError(p)
 
     def test_matches_direct_solution_p3(self):
-        assert xi_from_expansion(3, 30) == pytest.approx(
+        assert xi_from_expansion(3, _values(30)) == pytest.approx(
             self.reference_xi(3), abs=1e-6
         )
 
     def test_matches_direct_solution_p1(self):
         # Convergence is slowest at p = 1 and still reaches nine digits
         # by thirty terms.
-        assert xi_from_expansion(1, 20) == pytest.approx(
+        assert xi_from_expansion(1, _values(20)) == pytest.approx(
             self.reference_xi(1), abs=1e-9
         )
-        assert xi_from_expansion(1, 30) == pytest.approx(
+        assert xi_from_expansion(1, _values(30)) == pytest.approx(
             self.reference_xi(1), abs=1e-11
         )
 
     def test_five_term_partial_sum(self):
         # With the fifth coefficient taken with its derived (negative)
         # sign the partial sum lands below the limit.
-        assert xi_from_expansion(1, 5) == pytest.approx(0.338176079064, abs=1e-9)
+        assert xi_from_expansion(1, _values(5)) == pytest.approx(0.338176079064, abs=1e-9)
 
     def test_single_term(self):
-        assert xi_from_expansion(2, 1) == pytest.approx(0.3678794411714423 / 2)
+        assert xi_from_expansion(2, _values(1)) == pytest.approx(0.3678794411714423 / 2)
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
-            xi_from_expansion(0, 5)
+            xi_from_expansion(0, _values(5))
