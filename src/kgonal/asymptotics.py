@@ -37,7 +37,7 @@ field repeats the product form.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from kgonal.kernels import IntegrityError
 
@@ -53,7 +53,6 @@ __all__ = [
     "solve_xi",
     "constants",
     "empirical_amplitude",
-    "probe_indices",
     "rho",
 ]
 
@@ -255,31 +254,26 @@ def constants(
         )
 
 
-def probe_indices(n: int) -> tuple[int, int, int]:
-    """The indices n, n/2 and n/4, largest first, that empirical_amplitude reads."""
-    return n, n // 2, n // 4
-
-
 def empirical_amplitude(
-    counts: Sequence[int | float] | Mapping[int, int | float],
+    count: Callable[[int], int | float],
     xi: float | mpf,
     exponent: float,
     n_probe: int,
     dps: int = 40,
 ) -> float:
-    """Richardson-extrapolated limit of counts[n] xi^n n^exponent, n = n_probe.
+    """Richardson-extrapolated limit of count(n) xi^n n^exponent, n = n_probe.
 
-    Probes at n, n/2 and n/4; two extrapolation stages cancel the 1/n
-    and 1/n^2 corrections of the square-root singularity expansion.
-    counts is either the whole sequence or a mapping that holds only
-    the probe_indices(n_probe) entries; a missing entry raises
-    ValueError.
+    count is called once at each of n, n/2 and n/4, largest first, so
+    a count that builds power prefixes builds each of them once; an
+    IndexError or KeyError from it raises ValueError.  Two
+    extrapolation stages cancel the 1/n and 1/n^2 corrections of the
+    square-root singularity expansion.
     """
-    n, half, quarter = probe_indices(n_probe)
+    n, half, quarter = n_probe, n_probe // 2, n_probe // 4
     if quarter < 2:
         raise ValueError("need a probe index of at least 8")
     try:
-        at = {m: counts[m] for m in (n, half, quarter)}
+        at = {m: count(m) for m in (n, half, quarter)}
     except (IndexError, KeyError):
         raise ValueError("probe index beyond the computed counts") from None
     from mpmath import mp, mpf

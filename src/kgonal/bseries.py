@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from kgonal import cache, kernels
-from kgonal.kernels import IntegrityError, exact_div
+from kgonal.kernels import IntegrityError, exact_count
 
 __all__ = [
     "GonalParams",
@@ -91,6 +91,9 @@ class BTable:
         `upto` defaults to the table order.  The list returned may run
         past `upto` when a longer prefix is already memoized; callers
         that ask for a prefix read only the indices they asked for.
+        Each reader asks for the last index it reads, and for C, held in
+        full, with no `upto`, so the deepest reader of a power, run
+        first, builds it once for every reader of the table.
 
         b is the Polya exponential with weight W_n = C_{n-1}, so
         x b'/b = L with L_m = sum_{d|m} d C_{d-1}, and b^j solves
@@ -165,5 +168,5 @@ def recurrence_crosscheck(params: GonalParams, order: int) -> list[int]:
             for e in range(1, j + 1):
                 if j % e == 0:
                     acc += weights[e] * b[n - j]
-        b.append(exact_div(acc, n, f"tuple recurrence at n={n}"))
+        b.append(exact_count(acc, n, f"tuple recurrence at n={n}"))
     return b

@@ -19,7 +19,6 @@ from kgonal.asymptotics import (
     NonConvergenceError,
     constants,
     empirical_amplitude,
-    probe_indices,
     solve_xi,
 )
 from kgonal.bseries import BTable, GonalParams, compute_b, recurrence_crosscheck
@@ -190,25 +189,31 @@ def family_counts(
     k: int, family: str, order: int, cache_dir: Path | None = None
 ) -> list[int]:
     """Counts for n = 0..order of one family at one polygon size."""
-    return _counts(_checked_params(k, family, order), family, order, cache_dir)
+    return _counts(_checked_params(k, family, order), family, range(order + 1), cache_dir)
 
 
-def _counts(params: GonalParams, family: str, order: int, cache_dir: Path | None) -> list[int]:
-    """family_counts once its inputs are checked."""
+def _counts(params: GonalParams, family: str, indices: range, cache_dir: Path | None) -> list[int]:
+    """The counts at indices, a range of step 1, once its inputs are checked.
+
+    A labelled closed form is evaluated at the indices alone; every
+    other family is solved to the last index and sliced from the first.
+    """
     form = _labelled_form(family)
     if form is not None:
-        _check_printed_digits(params, family, range(order + 1))
-        return [form(params, n) for n in range(order + 1)]
-    table = compute_b(params, order, cache_dir)
+        _check_printed_digits(params, family, indices)
+        return [form(params, n) for n in indices]
+    table = compute_b(params, indices[-1], cache_dir)
     if family == "b":
-        return list(table.int_coeffs(1))
-    if family == "unlabelled-oriented":
-        return oriented_series(table)
-    if family == "unlabelled":
-        return unlabelled_series(table)
-    # edge-rooted-unlabelled: the orbits of root reversal
-    b, fixed = table.int_coeffs(1), reversal_fixed(table)
-    return [exact_count(b[n] + fixed[n], 2, f"b_n + fixed_n at n={n}") for n in range(order + 1)]
+        counts = table.int_coeffs(1)
+    elif family == "unlabelled-oriented":
+        counts = oriented_series(table)
+    elif family == "unlabelled":
+        counts = unlabelled_series(table)
+    else:
+        # edge-rooted-unlabelled: the orbits of root reversal
+        pairs = enumerate(zip(table.int_coeffs(1), reversal_fixed(table)))
+        counts = [exact_count(b + f, 2, f"b_n + fixed_n at n={n}") for n, (b, f) in pairs]
+    return counts[indices.start :]
 
 
 def _count_document(k: int, family: str, entries: list[tuple[int, int]]) -> str:
@@ -218,21 +223,12 @@ def _count_document(k: int, family: str, entries: list[tuple[int, int]]) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _single_count(k: int, family: str, n: int, cache_dir: Path | None) -> int:
-    """One count; a labelled closed form is evaluated at n alone."""
-    params = _checked_params(k, family, n, "n")
-    form = _labelled_form(family)
-    if form is not None:
-        _check_printed_digits(params, family, range(n, n + 1))
-        return form(params, n)
-    return _counts(params, family, n, cache_dir)[n]
-
-
 def cmd_count(args: argparse.Namespace, cache_dir: Path | None) -> int:
     if (args.n is None) == (args.order is None):
         raise CliError("provide exactly one of --n or --order")
     if args.n is not None:
-        entries = [(args.n, _single_count(args.k, args.family, args.n, cache_dir))]
+        params = _checked_params(args.k, args.family, args.n, "n")
+        entries = [(args.n, _counts(params, args.family, range(args.n, args.n + 1), cache_dir)[0])]
     else:
         entries = list(enumerate(family_counts(args.k, args.family, args.order, cache_dir)))
     sys.stdout.write(_count_document(args.k, args.family, entries))
@@ -308,15 +304,13 @@ def cmd_table(args: argparse.Namespace, cache_dir: Path | None) -> int:
 def alpha_bar_probe(table: BTable, xi: float | mpf) -> float:
     """Richardson estimate of alpha_bar from the oriented counts at the table order.
 
-    Only the three counts empirical_amplitude reads are built, through
-    oriented_count, largest index first so that each power prefix is
-    built once.
+    empirical_amplitude calls oriented_count at the three indices it
+    reads, largest first, so only those counts are built and each power
+    prefix they read is built once.
     """
-    n = table.order
-    counts = {m: oriented_count(table, m) for m in probe_indices(n)}
     # the square-root singularity puts n^{-5/2} in front of the
     # unrooted-type counts at every page size
-    return empirical_amplitude(counts, xi, 2.5, n_probe=n)
+    return empirical_amplitude(lambda m: oriented_count(table, m), xi, 2.5, n_probe=table.order)
 
 
 def constants_report(
@@ -568,11 +562,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cache_dir = resolve_cache_dir(args.cache_dir)
-    # a failed integrity check, e.g. on a corrupt cache file, is an error
-    # line too, not a traceback
+    # a failed integrity check, e.g. on a corrupt cache file, or a forked
+    # child killed, e.g. for lack of memory, is an error line, not a traceback
     try:
         return args.handler(args, cache_dir)
-    except (CliError, IntegrityError) as exc:
+    except (CliError, IntegrityError, ChildProcessError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

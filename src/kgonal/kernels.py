@@ -28,7 +28,8 @@ by a number-theoretic transform.  The square width is capped because
 the transform's scratch memory grows with the product: a wider square
 is faster but raises the peak RSS of the solve.
 
-Every division is checked with divmod, and every integrity condition
+Every division divides a count and goes through exact_count, which
+checks its remainder and its sign, and every integrity condition
 raises one of the two errors below instead of relying on assert, so the
 checks also run under python -O.  long_decimals is the one scope in
 which counts are written as or read from decimal text, past the
@@ -50,7 +51,6 @@ __all__ = [
     "BACKEND",
     "IntegrityError",
     "InexactDivisionError",
-    "exact_div",
     "exact_count",
     "solve_b",
     "solve_work",
@@ -119,17 +119,11 @@ class InexactDivisionError(IntegrityError):
     """A division that the recurrence guarantees exact left a remainder."""
 
 
-def exact_div(num: int, den: int, what: str) -> int:
-    """num / den, raising InexactDivisionError naming `what` on a remainder."""
+def exact_count(num: int, den: int, what: str) -> int:
+    """num / den, a count: a remainder or a negative quotient raises, naming `what`."""
     q, r = divmod(num, den)
     if r:
         raise InexactDivisionError(f"{what}: remainder {r} dividing by {den}")
-    return q
-
-
-def exact_count(num: int, den: int, what: str) -> int:
-    """exact_div for a count, which must also come out non-negative."""
-    q = exact_div(num, den, what)
     if q < 0:
         raise IntegrityError(f"{what} is negative")
     return q
@@ -259,7 +253,7 @@ def _unpack(out: list[int], start: int, stop: int, text: str, parity: int, half:
         m = (n - start) // 2
         slot = text[max(0, end - (m + 1) * 2 * half) : max(0, end - m * 2 * half)]
         if slot:
-            out[n] += exact_div(int(slot), 2, "Kronecker slot")
+            out[n] += exact_count(int(slot), 2, "Kronecker slot")
 
 
 def _squares(t: int, order: int) -> Iterator[tuple[int, int, int]]:

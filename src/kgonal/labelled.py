@@ -15,7 +15,7 @@ from math import factorial
 from typing import Iterator, NamedTuple
 
 from kgonal.bseries import GonalParams
-from kgonal.kernels import exact_count, exact_div
+from kgonal.kernels import exact_count
 
 __all__ = [
     "CycleType",
@@ -122,7 +122,7 @@ def labelled_unoriented(params: GonalParams, n: int) -> int:
         return 1
     m_pow = params.m(n) ** (n - 2)
     sym = 1 if params.k % 2 == 1 else (n + 1) ** (n - 2)
-    return exact_div(m_pow + sym, 2, f"unoriented labelled count at n={n}")
+    return exact_count(m_pow + sym, 2, f"unoriented labelled count at n={n}")
 
 
 def burnside_b(params: GonalParams, n: int) -> int:

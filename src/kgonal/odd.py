@@ -33,14 +33,15 @@ def odd_omega(table: BTable, n: int) -> int:
     w_n = b^{k-1}_{(n-2)/2} - [n = 2 mod 4] b^h_{(n-2)/4}.
     """
     k = _require_odd(table)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    half = (k - 1) // 2
+    if not 1 <= n <= table.order:
+        raise ValueError(f"n must be in 1..{table.order}")
+    # n <= order reads b^h to (order - 1) / 2, as far as reversal_fixed builds it
+    b_h = table.int_coeffs((k - 1) // 2, (table.order - 1) // 2)
     if n % 2:
-        return 2 * table.int_coeffs(half)[(n - 1) // 2]
+        return 2 * b_h[(n - 1) // 2]
     w = table.int_coeffs(k - 1)[(n - 2) // 2]
     if n % 4 == 2:
-        w -= table.int_coeffs(half)[(n - 2) // 4]
+        w -= b_h[(n - 2) // 4]
     return w
 
 

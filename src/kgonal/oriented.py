@@ -38,8 +38,8 @@ y = exp(sum_i Omega(x^i)/i) with
 
 Omega_n reads y only below n, so kernels._online solves y against the
 divisor sums of Omega, and its ready hook adds the term of Omega_n to
-them as soon as y_{n-1} is final.  Both powers are read only to index
-order/2, and the halving is checked like every other division.
+them as soon as y_{n-1} is final.  b^h is read only to index
+(order-1)/2, and the halving is checked like every other division.
 
 unlabelled_series unroots by the dissymmetry theorem for 2-trees,
 a = a_edge + a_polygon - a_(polygon, edge) (Bergeron, Labelle and
@@ -145,7 +145,7 @@ def oriented_count(table: BTable, n: int) -> int:
     acc = k * b[n]
     if n >= 1:
         m = n - 1
-        c = table.int_coeffs(k - 1, m)
+        c = table.int_coeffs(k - 1)
         acc += _rotation_term(table, m) - (k - 1) * sum(map(mul, b[:n], c[m::-1]))
     return exact_count(acc, k, f"oriented count at n={n}")
 
@@ -153,8 +153,8 @@ def oriented_count(table: BTable, n: int) -> int:
 def _fixed_and_axis_pages(table: BTable) -> tuple[list[int], list[int]]:
     """reversal_fixed's y together with the on-axis page series Q of its weight."""
     k, order = table.params.k, table.order
-    b_h = table.int_coeffs((k - 1) // 2, order // 2)
-    b_f = table.int_coeffs(k - 1, order // 2)
+    b_h = table.int_coeffs((k - 1) // 2, max(order - 1, 0) // 2)
+    b_f = table.int_coeffs(k - 1)
     y = [1] + [0] * order
     # F of the module docstring: the middle edge of an even-k axis page
     # carries a fixed structure of its own
@@ -188,14 +188,16 @@ def unlabelled_series(table: BTable) -> list[int]:
     """Unlabelled counts a_0..a_order with reflections included, any k.
 
     The integer 4 a_n of the module docstring, divided once and checked.
+    y comes before a_o, whose rotation term at k = 6 reads b^2 = b^h only
+    to (order-1)/3: the other order would build b^2 twice.
     """
     k, order = table.params.k, table.order
-    a_o = oriented_series(table)
     y, q = _fixed_and_axis_pages(table)
+    a_o = oriented_series(table)
     acc = [2 * (a + f) for a, f in zip(a_o, y)]
     if k % 2 == 0:
         # the vertex-vertex axes of the root polygon minus its edge-edge axes
-        b_mid = table.int_coeffs(k // 2, order // 2)
+        b_mid = table.int_coeffs(k // 2, max(order - 1, 0) // 2)
         for n in range(order + 1):
             yq = sum(map(mul, y[: n + 1], q[n::-1]))
             acc[n] += (b_mid[(n - 1) // 2] if n % 2 else 0) - yq

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from kgonal.kernels import exact_count, exact_div
+from kgonal.kernels import exact_count
 
 __all__ = ["convolve", "polya_step", "power", "solve_b_reference"]
 
@@ -68,7 +68,7 @@ def power(a: list[int], e: int, order: int) -> list[int]:
         acc = 0
         for i in range(1, min(n, la - 1) + 1):
             acc += (e1 * i - n) * a[i] * c[n - i]
-        c[n] = exact_div(acc, n, f"power rule at n={n}")
+        c[n] = exact_count(acc, n, f"power rule at n={n}")
     return c
 
 
@@ -99,7 +99,7 @@ def solve_b_reference(p: int, order: int, power_out: list[int] | None = None) ->
         acc = 0
         for i in range(1, n + 1):
             acc += ((p + 1) * i - n) * y[i] * c[n - i]
-        c[n] = exact_div(acc, n, f"power update at n={n}")
+        c[n] = exact_count(acc, n, f"power update at n={n}")
     return y
 
 

@@ -386,7 +386,7 @@ def test_criterion_8_asymptotic_regime(capsys):
     big = table_for(3, 1000)
     xi, iterations, residual = solve_xi(params, big.int_coeffs(1))
     rep = constants(params, big.int_coeffs(1), xi, iterations, residual)
-    empirical = empirical_amplitude(big.int_coeffs(1), xi, 1.5, n_probe=1000)
+    empirical = empirical_amplitude(big.int_coeffs(1).__getitem__, xi, 1.5, n_probe=1000)
     amp_dev = abs(empirical / rep.alpha - 1)
     amp_ok = amp_dev < 0.01
     report(

@@ -233,7 +233,7 @@ class TestEmpirical:
             counts = [mpf(0), mpf(0)]
             for n in range(2, 1025):
                 counts.append(beta**n * mpf(n) ** mpf("-1.5"))
-            value = empirical_amplitude(counts, 1 / beta, 1.5, n_probe=1024)
+            value = empirical_amplitude(counts.__getitem__, 1 / beta, 1.5, n_probe=1024)
         assert float(value) == pytest.approx(1.0, abs=1e-4)
 
     def test_matches_alpha_for_quadratic_pages(self):
@@ -242,12 +242,27 @@ class TestEmpirical:
         xi, iterations, residual = solve_xi(table.params, table.int_coeffs(1))
         report = constants(table.params, table.int_coeffs(1), xi, iterations, residual)
         counts = table.int_coeffs(1)
-        value = empirical_amplitude(counts, float(xi), 1.5, n_probe=order)
+        value = empirical_amplitude(counts.__getitem__, float(xi), 1.5, n_probe=order)
         assert float(value) == pytest.approx(float(report.alpha), rel=0.01)
 
     def test_needs_enough_terms(self):
         with pytest.raises(ValueError):
-            empirical_amplitude([1, 1, 2, 4], 0.3, 1.5, n_probe=16)
+            empirical_amplitude([1, 1, 2, 4].__getitem__, 0.3, 1.5, n_probe=16)
+        with pytest.raises(ValueError):
+            empirical_amplitude({}.__getitem__, 0.3, 1.5, n_probe=16)
+
+    def test_calls_its_count_once_at_each_probe_largest_first(self):
+        # a count that builds power prefixes on demand, as
+        # cli.alpha_bar_probe's does, builds each of them once when the
+        # largest index comes first
+        calls = []
+
+        def count(m):
+            calls.append(m)
+            return 2**m
+
+        empirical_amplitude(count, 0.5, 0.0, n_probe=1001)
+        assert calls == [1001, 500, 250]
 
 
 class TestOrientedAmplitude:
@@ -262,7 +277,7 @@ class TestOrientedAmplitude:
         report = constants(params, table.int_coeffs(1), xi, iterations, residual)
         oriented = oriented_series(table)
         counts = oriented
-        value = empirical_amplitude(counts, float(xi), 2.5, n_probe=order)
+        value = empirical_amplitude(counts.__getitem__, float(xi), 2.5, n_probe=order)
         assert float(value) == pytest.approx(
             float(report.alpha_bar_product_form), rel=1e-3
         )

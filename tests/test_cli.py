@@ -430,6 +430,25 @@ class TestSplitTable:
         assert_left_clean(mask)
         assert forks == [1]
 
+    def test_dead_child_is_an_error_line(self, capsys, monkeypatch, split):
+        # a child killed, e.g. for lack of memory, ends the command with
+        # one error line, not a traceback
+        forks, mask = split
+        parent = os.getpid()
+        column = kgonal.cli.unlabelled_series
+
+        def dies_in_child(table):
+            if os.getpid() != parent:
+                os._exit(3)
+            return column(table)
+
+        monkeypatch.setattr("kgonal.cli.unlabelled_series", dies_in_child)
+        code, out, err = run_cli(capsys, *self.ARGV)
+        assert_left_clean(mask)
+        assert (code, out) == (1, "")
+        assert err == "error: the forked half of the table ended without its result\n"
+        assert forks == [1]
+
     def test_output_is_the_same_when_pinning_fails(self, monkeypatch, split):
         forks, mask = split
         want = self._one_process(monkeypatch, lambda: render_table(2, 12, 40))

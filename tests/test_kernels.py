@@ -159,6 +159,25 @@ def test_forked_child_that_dies_without_a_result(monkeypatch):
     assert_no_child_left()
 
 
+def test_forked_child_that_dies_is_a_cli_error_line(monkeypatch, capsys):
+    # a child killed, e.g. for lack of memory, ends the command with one
+    # error line, not a traceback
+    _take_path(monkeypatch, "forked")
+    parent = os.getpid()
+
+    def dies(*args):
+        if os.getpid() == parent:
+            raise AssertionError("the power pass ran in the parent")
+        os._exit(3)
+
+    monkeypatch.setattr(kernels, "_power_pass", dies)
+    assert cli.main(["count", "--k", "3", "--family", "b", "--order", "100"]) == 1
+    assert_no_child_left()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the power pass of solve_b ended without its result\n"
+
+
 def test_forked_child_is_killed_when_the_parent_unwinds(monkeypatch):
     # an error in the y pass, while the child is still solving, kills
     # and reaps the child before the error reaches the caller

@@ -49,6 +49,15 @@ def test_omega_values():
     assert odd_omega(table5, 3) == 4
 
 
+def test_omega_index_range():
+    # the weight reads b^h only as far as the table's own readers build
+    # it, so an index past the order is refused, whatever is memoized
+    table = compute_b(GonalParams(3), 6)
+    for n in (0, 7):
+        with pytest.raises(ValueError):
+            odd_omega(table, n)
+
+
 def test_routes_agree():
     # acceptance widens this to all odd k <= 11 at order 20
     for k in (3, 5, 7):

@@ -8,7 +8,14 @@ import pytest
 from kgonal.bseries import BTable, GonalParams, compute_b
 from kgonal import kernels, oriented
 from kgonal.kernels import exact_count
-from kgonal.oriented import euler_phi, oriented_count, oriented_series, unlabelled_series
+from kgonal.odd import odd_recurrence
+from kgonal.oriented import (
+    euler_phi,
+    oriented_count,
+    oriented_series,
+    reversal_fixed,
+    unlabelled_series,
+)
 from fraction_series import Series
 from reference_solve import polya_step
 
@@ -116,6 +123,30 @@ def test_series_built_once_per_table(k, monkeypatch):
     monkeypatch.setattr(oriented, "oriented_count", None)
     assert oriented_series(table) is a_o
     assert unlabelled_series(table) == want
+
+
+@pytest.mark.parametrize("order", [20, 250, 251])
+@pytest.mark.parametrize("k", range(2, 13))
+def test_each_power_built_once_per_table(k, order, monkeypatch):
+    # every reader of a power asks for the last index it reads, so the
+    # first pass that builds b^j builds it far enough for all the others
+    table = compute_b(GonalParams(k), order)
+    built = []
+    online = kernels._online
+
+    def recording_online(out, sums, scale, what, ready=None):
+        # every power b^j of a table is one _online pass named "b^j"
+        if what.startswith("b^"):
+            built.append(what)
+        online(out, sums, scale, what, ready)
+
+    monkeypatch.setattr(kernels, "_online", recording_online)
+    unlabelled_series(table)
+    oriented_series(table)
+    reversal_fixed(table)
+    if k % 2:
+        odd_recurrence(table)
+    assert len(built) == len(set(built)), built
 
 
 def test_single_count_reads_short_prefixes():
