@@ -26,7 +26,11 @@ product: packed in bytes into one int below DECIMAL_CROSSOVER digits,
 and through Decimal past it, whose libmpdec multiplies large operands
 by a number-theoretic transform.  The square width is capped because
 the transform's scratch memory grows with the product: a wider square
-is faster but raises the peak RSS of the solve.
+is faster but raises the peak RSS of the solve.  A square that the
+order cuts to at most the lower half of its outputs is summed pair by
+pair below the crossover, and past it split into the quarter products
+that hold wanted outputs.  Each pass converts each of its coefficients
+to decimal text at most once, however many Decimal squares read it.
 
 Every division divides a count and goes through exact_count, which
 checks its remainder and its sign, and every integrity condition
@@ -45,7 +49,7 @@ import sys
 from contextlib import contextmanager
 from decimal import Decimal
 from operator import mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "BACKEND",
@@ -66,21 +70,23 @@ __all__ = [
 BACKEND = "python"
 
 # add_products goes through Decimal from this many digits of packed
-# product, (len a + len b - 1) times the slot width.  With the squares
-# of PIECE and CAP below, solve_b(11, 1000) took 1.1-1.3 s of CPU at
-# every crossover from 6e4 to 2.5e5, and 1.3-2.1 s at 5e5 or with no
-# Decimal product at all (2 vCPU, Python 3.11)
+# product, (len a + len b - 1) times the slot width, and splits a
+# product cut to its lower half from there on.  With the squares of
+# PIECE and CAP below, solve_b(11, 1000) in one process took 1.0-1.2 s
+# of CPU at every crossover from 3e4 to 2.4e5, and 1.4-1.6 s at 5e5 or
+# with no Decimal product at all (medians of 5, two rounds; 2 vCPU,
+# Python 3.11)
 DECIMAL_CROSSOVER = 120_000
 
 # solve_b's squares: PIECE is the width of the band and of the narrowest
 # square, CAP that of the widest, and CAP must be PIECE times a power of
 # two.  libmpdec's transform scratch grows with the product, so wider
-# squares cost memory.  At CAP = 64, 128 and 256,
-# solve_b(11, 1000) took 2.0, 1.7 and 1.9 s of CPU (medians of 5,
-# against 2.6 s for 64 x 64 squares with int loops), and the peak RSS
-# of constants --p 11 --series-order 1600 was 21.1, 21.9 and 23.3 MB
-# (21.1 MB with int loops).  CAP = 128 keeps that peak within 5 % and
-# the one of perfbench amplitude-p11 within 1 % (2 vCPU, Python 3.11)
+# squares cost memory.  At CAP = 64, 128, 256 and 512, solve_b(11,
+# 1000) in one process took 1.4-1.6, 1.1-1.4, 1.1-1.3 and 1.1-1.4 s of
+# CPU (medians of 5, two rounds), and the peak RSS of constants --p 11
+# --series-order 1600 was 21.1-21.2, 21.8-22.2, 23.3-23.5 and 25.3-27.0
+# MB (three runs).  CAP = 128 keeps that peak within 5 % of CAP = 64's
+# for most of the time a wider square saves (2 vCPU, Python 3.11)
 PIECE = 64
 CAP = 128
 
@@ -152,18 +158,44 @@ def long_decimals() -> Iterator[None]:
         sys.set_int_max_str_digits(previous)
 
 
+class _Block(NamedTuple):
+    """coeffs, the coefficients first, first + 1, ... of a series.
+
+    memo holds the decimal text of that series' coefficients by index.
+    _online keeps one memo per series and pass, so that each of its
+    coefficients is converted at most once, however many squares read
+    it.
+    """
+
+    coeffs: list[int]
+    first: int
+    memo: dict[int, str]
+
+    def cut(self, h: int) -> tuple[_Block, _Block]:
+        """The coefficients below h and those from h on."""
+        return (
+            _Block(self.coeffs[:h], self.first, self.memo),
+            _Block(self.coeffs[h:], self.first + h, self.memo),
+        )
+
+
 def add_products(
-    out: list[int], start: int, stop: int, terms: Sequence[tuple[list[int], list[int]]]
+    out: list[int],
+    start: int,
+    stop: int,
+    terms: Sequence[tuple[list[int] | _Block, list[int] | _Block]],
 ) -> None:
     """out[n] += [x^(n - start)] sum_t a_t(x) b_t(x) for start <= n < stop.
 
-    terms holds pairs (a_t, b_t) of coefficient lists, and every
-    coefficient must be non-negative: a negative one raises
-    IntegrityError.
+    terms holds pairs (a_t, b_t) of coefficient lists, or of blocks of
+    a series, whose decimal text is kept in their memo; a list has a
+    memo of its own.  Every coefficient must be non-negative: a negative
+    one raises IntegrityError.
 
-    When at most the lower half of the product's coefficients is
-    wanted, they are summed pair by pair.  Otherwise a product whose
-    Kronecker packing would have fewer than DECIMAL_CROSSOVER digits is
+    The size of the Kronecker packing, one slot of w digits per product
+    coefficient, picks the route.  A product whose packing would have
+    fewer than DECIMAL_CROSSOVER digits is summed pair by pair when at
+    most the lower half of its coefficients is wanted, and is otherwise
     one int product: each list is packed into bytes at 2^(8 width), with
     slots wide enough for any coefficient of the sum, and the slots are
     read back from the bytes of the sum of products.  This pays for a
@@ -176,40 +208,57 @@ def add_products(
     polynomial multiplication via multipoint Kronecker substitution",
     2009): two products of half the digits of one product at 10^w, so
     libmpdec's transform scratch, the largest transient of the solve,
-    is half as large.
+    is half as large.  A larger product of which at most the lower half
+    is wanted is split instead: each list is cut at h, half the longest,
+    the product of the two upper halves starts past every wanted output
+    and is dropped, and the low product, at start, and the two cross
+    products, at start + h, are requests to this function again, each
+    either whole or split once more.
     """
-    terms = [(a, b) for a, b in terms if a and b]
-    if not terms or start >= stop:
+    blocks = [
+        (a, b)
+        for a, b in ((_block(a), _block(b)) for a, b in terms)
+        if a.coeffs and b.coeffs
+    ]
+    if not blocks or start >= stop:
         return
-    if any(min(a) < 0 or min(b) < 0 for a, b in terms):
+    pairs = [(a.coeffs, b.coeffs) for a, b in blocks]
+    if any(min(a) < 0 or min(b) < 0 for a, b in pairs):
         raise IntegrityError("a block product input is negative")
-    size = max(len(a) + len(b) - 1 for a, b in terms)
+    size = max(len(a) + len(b) - 1 for a, b in pairs)
     end = min(stop, start + size)
-    if 2 * (end - start) <= size:
-        # at most the lower half of the product is wanted, as in a square
-        # cut by the order of the solve: the loop multiplies at most half
-        # of the pairs, where a Kronecker product multiplies them all
-        for n in range(start, end):
-            m = n - start
-            for a, b in terms:
-                lo, hi = max(0, m - len(b) + 1), min(m, len(a) - 1)
-                if lo <= hi:
-                    out[n] += sum(map(mul, a[lo : hi + 1], b[m - hi : m - lo + 1][::-1]))
-        return
     # every product coefficient is below 10^w: it is at most
     # len(terms) * min(len a, len b) * max(a) * max(b) for the largest
     # term, bounded here through bit lengths, and a number of `bits`
     # bits has at most bits * 0.30103 + 1 decimal digits
-    bits = len(terms).bit_length() + max(
+    bits = len(pairs).bit_length() + max(
         max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length()
-        for a, b in terms
+        for a, b in pairs
     )
     w = bits * 30103 // 100000 + 1
+    if 2 * (end - start) <= size:
+        # at most the lower half of the product is wanted, as in a square
+        # cut by the order of the solve
+        if size * w < DECIMAL_CROSSOVER:
+            # the loop multiplies at most half of the pairs, where a
+            # Kronecker product multiplies them all
+            _pair_loop(out, start, end, pairs)
+            return
+        # the upper halves' product starts at start + 2h >= end, since
+        # end - start <= size / 2 < h
+        h = (max(max(len(a), len(b)) for a, b in pairs) + 1) // 2
+        cuts = [(a.cut(h), b.cut(h)) for a, b in blocks]
+        add_products(out, start, stop, [(a_lo, b_lo) for (a_lo, _), (b_lo, _) in cuts])
+        if start + h < stop:
+            cross = [(a_lo, b_hi) for (a_lo, _), (_, b_hi) in cuts]
+            cross += [(a_hi, b_lo) for (_, a_hi), (b_lo, _) in cuts]
+            add_products(out, start + h, stop, cross)
+        return
     if size * w < DECIMAL_CROSSOVER:
         # one Kronecker product at 2^(8 width): slots of `width` bytes
         # hold every coefficient of the sum, so no slot carries
         width = (bits + 7) // 8
-        packed = sum(_packed(a, width) * _packed(b, width) for a, b in terms)
+        packed = sum(_packed(a, width) * _packed(b, width) for a, b in pairs)
         data = packed.to_bytes(size * width, "little")
         for n in range(start, end):
             m = (n - start) * width
@@ -219,9 +268,9 @@ def add_products(
     half = (w + 2) // 2
     plus = minus = Decimal(0)
     with long_decimals():
-        for a, b in terms:
-            ap, am = _at_plus_minus(a, half)
-            bp, bm = _at_plus_minus(b, half)
+        for a, b in blocks:
+            ap, am = _at_plus_minus(_texts(a), half)
+            bp, bm = _at_plus_minus(_texts(b), half)
             plus = _EXACT.fma(ap, bp, plus)
             minus = _EXACT.fma(am, bm, minus)
         # plus + minus = 2 h_even(X^2), plus - minus = 2 X h_odd(X^2)
@@ -231,15 +280,47 @@ def add_products(
             _unpack(out, start, stop, str(part), parity, half)
 
 
+def _block(factor: list[int] | _Block) -> _Block:
+    """factor itself, or a coefficient list as a block with a memo of its own."""
+    return factor if isinstance(factor, _Block) else _Block(factor, 0, {})
+
+
+def _pair_loop(
+    out: list[int], start: int, end: int, terms: list[tuple[list[int], list[int]]]
+) -> None:
+    """out[n] += [x^(n - start)] sum_t a_t b_t for start <= n < end, one dot product per n."""
+    for n in range(start, end):
+        m = n - start
+        for a, b in terms:
+            lo, hi = max(0, m - len(b) + 1), min(m, len(a) - 1)
+            if lo <= hi:
+                out[n] += sum(map(mul, a[lo : hi + 1], b[m - hi : m - lo + 1][::-1]))
+
+
+def _texts(block: _Block) -> list[str]:
+    """The decimal text of block's coefficients, each converted once into its memo."""
+    memo, texts = block.memo, []
+    for n, c in enumerate(block.coeffs, block.first):
+        text = memo.get(n)
+        if text is None:
+            text = memo[n] = str(c)
+        texts.append(text)
+    return texts
+
+
 def _packed(coeffs: list[int], width: int) -> int:
     """f(2^(8 width)) for non-negative coefficients below 2^(8 width)."""
     return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
 
 
-def _at_plus_minus(coeffs: list[int], half: int) -> tuple[Decimal, Decimal]:
-    """f(X) and f(-X) for X = 10^half, coefficients below 10^(2 half)."""
+def _at_plus_minus(texts: list[str], half: int) -> tuple[Decimal, Decimal]:
+    """f(X) and f(-X) for X = 10^half, from the decimal text of f's coefficients.
+
+    Each coefficient is below 10^(2 half), and its text is zero-filled
+    to that slot width here; nothing is converted again.
+    """
     even, odd = (
-        Decimal("".join(str(c).zfill(2 * half) for c in reversed(coeffs[r::2])) or 0)
+        Decimal("".join(t.zfill(2 * half) for t in reversed(texts[r::2])) or 0)
         for r in (0, 1)
     )
     odd = _EXACT.scaleb(odd, half)
@@ -283,6 +364,19 @@ def _squares(t: int, order: int) -> Iterator[tuple[int, int, int]]:
         i = t - CAP
         for j in range(CAP, min(i, order - i) + 1, CAP):
             yield i, j, CAP
+
+
+def _expiry(order: int) -> dict[int, list[int]]:
+    """The indices that no square of _online reads after those listed at t, by t."""
+    last: dict[int, int] = {}
+    for t in range(PIECE, order + 2, PIECE):
+        for i, j, s in _squares(t, order):
+            last.update(dict.fromkeys(range(i, i + s), t))
+            last.update(dict.fromkeys(range(j, j + s), t))
+    expiry: dict[int, list[int]] = {}
+    for m, t in last.items():
+        expiry.setdefault(t, []).append(m)
+    return expiry
 
 
 def solve_b(p: int, order: int, power_out: list[int] | None = None) -> list[int]:
@@ -441,12 +535,22 @@ def _online(
     CAP: the doubling blocks below PIECE are the band's plain loops,
     those from PIECE to CAP / 2 the strips, and the larger ones are cut
     into CAP-squares.  The pair (n, 0) adds sums_n, since out_0 = 1.
-    A square of which at most half the outputs are at or below order is
-    summed pair by pair; of the others, those past DECIMAL_CROSSOVER are
-    Decimal products and the rest byte-packed int products.  Each out_n
-    goes through exact_count, naming `what` and n.
+    The digits of its Kronecker packing pick each square's route in
+    add_products: below DECIMAL_CROSSOVER a byte-packed int product, or
+    pair by pair when at most half its outputs are at or below order;
+    past it a Decimal product, or, when so cut, the quarter products
+    that hold wanted outputs.  Each square reads its blocks of sums and
+    out with the pass's memo of their decimal text, by index, so that
+    every coefficient is converted at most once per pass, and each text
+    is dropped after the last square that reads it (_expiry).  Each
+    out_n goes through exact_count, naming `what` and n.
     """
     order = len(out) - 1
+    # the decimal text of the coefficients that Decimal squares have
+    # read, by index, until the last square that reads them
+    sums_text: dict[int, str] = {}
+    out_text: dict[int, str] = {}
+    expiry = _expiry(order)
     if ready is not None and order:
         ready(0)
     for n in range(1, order + 1):
@@ -463,8 +567,13 @@ def _online(
         if (n + 1) % PIECE:
             continue
         for i, j, s in _squares(n + 1, order):
-            terms = [(sums[i : i + s], out[j : j + s])]
+            terms = [(_Block(sums[i : i + s], i, sums_text), _Block(out[j : j + s], j, out_text))]
             if i != j:
-                terms.append((sums[j : j + s], out[i : i + s]))
+                terms.append(
+                    (_Block(sums[j : j + s], j, sums_text), _Block(out[i : i + s], i, out_text))
+                )
             add_products(out, i + j, min(i + j + 2 * s - 1, order + 1), terms)
+        for index in expiry.pop(n + 1, ()):
+            sums_text.pop(index, None)
+            out_text.pop(index, None)
 

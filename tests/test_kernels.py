@@ -304,6 +304,22 @@ def test_solve_b_digest_at_order_1000(monkeypatch):
     ]
 
 
+def test_solve_b_digest_at_order_1000_in_one_process(monkeypatch):
+    # the digests of test_solve_b_digest_at_order_1000, from the path
+    # that runs both passes here
+    _take_path(monkeypatch, "one-process")
+    forks = _count_forks(monkeypatch)
+    c = []
+    b = kernels.solve_b(11, 1000, c)
+    assert forks == []
+    with kernels.long_decimals():
+        digests = [hashlib.sha256(",".join(map(str, s)).encode()).hexdigest() for s in (b, c)]
+    assert digests == [
+        "ef1dce63234d3483cba12344ff1c7cfe740fdd2d7b56df9fb22ba34aa331de36",
+        "83b4d208bc482e0dc050e2ecfb5c8a9ff06281226b2730612fddc2ef5fa964f6",
+    ]
+
+
 @pytest.mark.parametrize(
     "piece, cap", [(5, 5), (5, 20), (8, 32), (3, 48), (kernels.PIECE, kernels.CAP)]
 )
@@ -385,6 +401,94 @@ def test_block_product_matches_int_loop(a, b, data):
             expected = [1 + want[n - start] if start <= n < stop else 1 for n in range(length)]
             # indices, not values: the values can pass the 4300-digit limit of repr
             assert [n for n in range(length) if out[n] != expected[n]] == []
+
+
+# up to 40 coefficients: a request for at most the lower half of a
+# product splits at least twice before its pieces are whole products
+_long = st.lists(st.integers(0, 10**30), min_size=1, max_size=40)
+
+
+@given(_long, _long, st.data())
+def test_cut_product_matches_int_loop(a, b, data):
+    # a second term of other lengths; only outputs in the lower half
+    a2 = data.draw(_long.filter(lambda c: len(c) != len(a)))
+    b2 = data.draw(_long.filter(lambda c: len(c) != len(b)))
+    size = len(a) + len(b) - 1
+    start = data.draw(st.integers(0, 3))
+    stop = data.draw(st.integers(start + 1, start + max(1, size // 2)))
+    length = start + size + 1
+    for terms in ([(a, b)], [(a, b), (a2, b2)]):
+        want = [sum(h) for h in zip(*(convolve(x, z, stop - start - 1) for x, z in terms))]
+        # a crossover of 0 splits every such request, one of 10^18 none
+        for crossover in (0, 10**18):
+            out = [1] * length
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "DECIMAL_CROSSOVER", crossover)
+                kernels.add_products(out, start, stop, terms)
+            expected = [1 + want[n - start] if start <= n < stop else 1 for n in range(length)]
+            assert out == expected, (len(terms), crossover)
+
+
+def _pair_loop_depths(monkeypatch):
+    """A list that gains, per pair loop, how deep in add_products it runs.
+
+    Depth 1 is a square of _online looped whole; 2 and more, a piece
+    of a square that add_products split.
+    """
+    depth, loops = [0], []
+    add_products, pair_loop = kernels.add_products, kernels._pair_loop
+
+    def nested(*args):
+        depth[0] += 1
+        try:
+            add_products(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(kernels, "add_products", nested)
+    monkeypatch.setattr(
+        kernels, "_pair_loop", lambda *args: loops.append(depth[0]) or pair_loop(*args)
+    )
+    return loops
+
+
+def test_cut_squares_take_the_route_of_their_digits(monkeypatch):
+    # the same cut squares are looped whole at order 250, below the
+    # crossover, and split at order 1000, past it: every pair loop there
+    # multiplies a piece of a split square
+    _take_path(monkeypatch, "one-process")
+    loops = _pair_loop_depths(monkeypatch)
+    kernels.solve_b(11, 250)
+    assert loops and set(loops) == {1}
+    loops.clear()
+    kernels.solve_b(11, 1000)
+    assert loops and min(loops) >= 2
+
+
+def test_each_coefficient_is_converted_once_per_pass(monkeypatch):
+    # every text a Decimal square reads comes from the memo of its
+    # series and pass; a coefficient whose text is dropped and read
+    # again would be converted twice.  Each text goes after the last
+    # square that reads it, so every memo is empty when its pass ends
+    _take_path(monkeypatch, "one-process")
+    texts = kernels._texts
+    memos, converted = {}, {}
+
+    def counted(block):
+        before = set(block.memo)
+        got = texts(block)
+        memos[id(block.memo)] = block.memo
+        for n in block.memo.keys() - before:
+            key = id(block.memo), n
+            converted[key] = converted.get(key, 0) + 1
+        return got
+
+    monkeypatch.setattr(kernels, "_texts", counted)
+    kernels.solve_b(11, 1000)
+    # C and sums in the power pass, y and sums in the y pass
+    assert len(memos) == 4
+    assert converted and max(converted.values()) == 1
+    assert [len(memo) for memo in memos.values()] == [0] * 4
 
 
 @pytest.mark.parametrize("crossover", [0, 10**18])
