@@ -1,17 +1,19 @@
 """Passes run in a forked child on a second CPU, streamed back to the parent.
 
 One helper, child, runs a callable in a child made by os.fork and hands
-the parent what it sends.  It has two users, and each imports this
-module only when its work passes a measured threshold, so no other
-command compiles it:
+the parent what it sends.  It has three users, and each imports this
+module only when it forks, so no other command compiles it:
 
-- kernels.solve_b, from kernels.FORK_WORK: the child runs the power
-  pass and streams each final block of the series sums, then
+- kernels.solve_b, from kernels.FORK_WORK at k > 2: the child runs the
+  power pass and streams each final block of the series sums, then
   C = b^(k-1); the parent runs the y pass as the blocks arrive
   (solve_b below);
 - cli.render_table, from cli.TABLE_FORK_WORK: the child computes about
   half of the table's columns, split by their cost, and sends each one
-  once it is done; the parent computes the rest (split below).
+  once it is done; the parent computes the rest (split below);
+- cli.cmd_verify, whenever the exhaustive oracle runs: the child runs
+  that check and sends None or its failure message; the parent runs
+  the other checks meanwhile.
 
 Each message is one marshal dump, framed by its length, through an
 os.pipe.  The child ends through os._exit on every path, so it runs no

@@ -16,8 +16,9 @@ _online's ready hook lets a caller complete L_{n+1} once f_n is known.
 
 solve_b is the costliest of them.  It is two passes of _online: the
 power pass solves b^(k-1) and the series both convolutions run against,
-and the pass for b then needs only that series.  A solve of at least
-FORK_WORK runs the power pass in a forked child (kgonal.forked), which
+and the pass for b then needs only that series; at k = 2, b^(k-1) is b
+and the power pass alone solves it.  A solve of at least FORK_WORK at
+k > 2 runs the power pass in a forked child (kgonal.forked), which
 streams the series to the parent as it becomes final, so the two passes
 run side by side, each pinned to a CPU of its own.  _online tiles its
 convolution into squares whose width doubles from PIECE to CAP and then
@@ -91,21 +92,21 @@ PIECE = 64
 CAP = 128
 
 # solve_b forks its power pass from this much work (solve_work), the
-# unit of the CLI's TABLE_COST_CEILING: from order 588 at p = 11 and
-# from order 884 at p = 1.  With both sides of the fork pinned to their
-# own CPU, constants --p P --no-empirical --series-order N, forked
-# against one process (median ratios of 10 alternating pairs each, and
-# how many the fork won; 2 vCPU, Python 3.11): at p = 11 1.07 at order
-# 300 (4.0e7 units; 2 of 10), 0.93-0.97 at 350 and 400 (7 of 10), 0.76
-# at 500 (10 of 10), 0.75 at 590 (3.0e8; 9 of 10) and 0.73 at 600 (9 of
-# 10); at p = 1 0.97 at order 500 (6 of 10), 0.83 at 600 (7 of 10), 1.00
-# at 700 (1.5e8; 5 of 10), 0.79 at 850 (2.7e8; 9 of 10), 0.78 at 890
-# (10 of 10) and 0.77 at 1000 (10 of 10).  Every measured order at or
-# above this threshold won at least 9 of 10 pairs at both p; the solves
-# of constants --no-empirical at order 500 stay in one process up to
-# p = 11.  Unpinned, constants --p 11 --no-empirical --series-order 500
-# had taken 0.273 s forked against 0.258 s, which set the threshold at
-# 5e8 before the fork was pinned
+# unit of the CLI's TABLE_COST_CEILING: from order 588 at p = 11.  A
+# solve at p = 1 is one pass and never forks.  With both sides of the
+# fork pinned to their own CPU, constants --p P --no-empirical
+# --series-order N, forked against one process (median ratios of 10
+# alternating pairs each, and how many the fork won; 2 vCPU, Python
+# 3.11): at p = 11 1.07 at order 300 (4.0e7 units; 2 of 10), 0.93-0.97
+# at 350 and 400 (7 of 10), 0.76 at 500 (10 of 10), 0.75 at 590 (3.0e8;
+# 9 of 10) and 0.73 at 600 (9 of 10).  Every measured order at or above
+# this threshold won at least 9 of 10 pairs; the solves of constants
+# --no-empirical at order 500 stay in one process up to p = 11.  The
+# same sweep at p = 1, from when that solve still ran two passes, gated
+# the threshold too (0.79 at order 850, 2.7e8 units, 9 of 10; 1.00 at
+# 700, 5 of 10) and gates nothing now.  Unpinned, constants --p 11
+# --no-empirical --series-order 500 had taken 0.273 s forked against
+# 0.258 s, which set the threshold at 5e8 before the fork was pinned
 FORK_WORK = 3e8
 
 # exact Decimal arithmetic on integers of any size
@@ -413,6 +414,9 @@ def solve_b(p: int, order: int, power_out: list[int] | None = None) -> list[int]
     wrong and raises InexactDivisionError, and a negative coefficient
     raises IntegrityError.
 
+    At p = 1, C = y and the two recurrences are one: the power pass
+    alone solves it, its C is returned as y, and the solve never forks.
+
     The return value is y alone.  A caller that also wants C = y^p
     passes a list as power_out; it is filled in place with
     C_0..C_order, the power the recurrence has built anyway.
@@ -428,6 +432,9 @@ def solve_b(p: int, order: int, power_out: list[int] | None = None) -> list[int]
     c = [] if power_out is None else power_out
     sums = [0] * (order + 1)
     _power_pass(p, c, sums)
+    if p == 1:
+        # C = y: the y pass would solve the power pass's recurrence again
+        return c if power_out is None else list(c)
     y = [1] + [0] * order
     _online(y, sums, 1, "y recurrence")
     return y
@@ -444,8 +451,8 @@ def solve_work(p: int, order: int) -> float:
 
 
 def _fork_pays(p: int, order: int) -> bool:
-    """Whether solve_b runs its power pass in a forked child."""
-    return solve_work(p, order) >= FORK_WORK and may_fork()
+    """Whether solve_b runs its power pass in a forked child; never at p = 1, a single pass."""
+    return p > 1 and solve_work(p, order) >= FORK_WORK and may_fork()
 
 
 def may_fork() -> bool:

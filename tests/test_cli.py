@@ -459,14 +459,14 @@ class TestSplitTable:
 
     @pytest.mark.parametrize("pinning", ["pinned", "refused"])
     def test_no_solve_forks_inside_a_split_table(self, monkeypatch, split, pinning):
-        # every solve would fork by FORK_WORK, k = 12 in the child's half
-        # too; neither half forks again, whether pinned or not
+        # every solve of k >= 3 would fork by FORK_WORK, k = 12 in the
+        # child's half too; neither half forks again, whether pinned or not
         forks, mask = split
         monkeypatch.setattr(kernels, "FORK_WORK", 0)
         if pinning == "refused":
             monkeypatch.setattr(os, "sched_setaffinity", _refuse_affinity)
         want = self._one_process(monkeypatch, lambda: render_table(2, 12, 40))
-        assert len(forks) == 11
+        assert len(forks) == 10
         forks.clear()
         assert render_table(2, 12, 40) == want
         assert_left_clean(mask)
@@ -796,6 +796,12 @@ class TestUniversal:
 
 
 class TestVerify:
+    """verify, with the exhaustive oracle in a forked child where it runs.
+
+    After every path, no child is left unreaped and the affinity mask is
+    the one from before the run.
+    """
+
     def test_quick_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--level", "quick")
         assert code == 0
@@ -806,6 +812,88 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--level", "quick", "--oracle")
         assert code == 0
         assert "PASS exhaustive-oracle" in out
+
+    @pytest.fixture
+    def forking(self, monkeypatch):
+        """The fork counter of a process that may fork, and its mask."""
+        two_cpus(monkeypatch)
+        return spy_forks(monkeypatch), os.sched_getaffinity(0)
+
+    def _one_process(self, capsys, monkeypatch, *argv):
+        with monkeypatch.context() as patch:
+            patch.setattr("kgonal.cli.may_fork", lambda: False)
+            return run_cli(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "argv", [("--level", "full"), ("--level", "quick", "--oracle")], ids=["full", "oracle"]
+    )
+    def test_output_is_byte_identical(self, capsys, monkeypatch, forking, argv):
+        forks, mask = forking
+        want = self._one_process(capsys, monkeypatch, "verify", *argv)
+        assert want[0] == 0
+        assert want[1].endswith("PASS exhaustive-oracle\nall checks passed\n")
+        assert forks == []
+        assert run_cli(capsys, "verify", *argv) == want
+        assert_left_clean(mask)
+        assert forks == [1]
+
+    def test_quick_level_makes_no_fork(self, capsys, forking):
+        forks, mask = forking
+        code, out, _ = run_cli(capsys, "verify", "--level", "quick")
+        assert code == 0
+        assert "exhaustive-oracle" not in out
+        assert_left_clean(mask)
+        assert forks == []
+
+    def test_oracle_failure_in_the_child(self, capsys, monkeypatch, tmp_path, forking):
+        # a cached b_5 of k = 3 one too large fails the oracle at k=3 n=5,
+        # in the child as in one process
+        forks, mask = forking
+        _write_corrupt_cache(tmp_path)
+        argv = ("--cache-dir", str(tmp_path), "verify", "--level", "full")
+        want = self._one_process(capsys, monkeypatch, *argv)
+        assert want[0] == 1
+        assert "FAIL exhaustive-oracle: k=3 n=5\n" in want[1]
+        assert run_cli(capsys, *argv) == want
+        assert_left_clean(mask)
+        assert forks == [1]
+
+    def test_dead_child_is_an_error_line(self, capsys, monkeypatch, forking):
+        # a child killed, e.g. for lack of memory, ends the command with
+        # one error line, after the lines of the parent's checks
+        forks, mask = forking
+        parent = os.getpid()
+        count = kgonal.cli.count_structures
+
+        def dies_in_child(params, n):
+            if os.getpid() != parent:
+                os._exit(3)
+            return count(params, n)
+
+        monkeypatch.setattr("kgonal.cli.count_structures", dies_in_child)
+        code, out, err = run_cli(capsys, "verify", "--level", "full")
+        assert_left_clean(mask)
+        assert code == 1
+        assert err == "error: the exhaustive oracle ended without its result\n"
+        assert "all checks passed" not in out
+        assert out.count("\n") == out.count("PASS") == 5
+        assert forks == [1]
+
+    def test_cache_written_from_both_sides(self, capsys, monkeypatch, tmp_path, forking):
+        # parent and child both store b_k3..b_k6, at different orders; a
+        # shorter table may win the rename, which is a miss, not a wrong
+        # table
+        forks, mask = forking
+        want = self._one_process(capsys, monkeypatch, "verify", "--level", "full")
+        argv = ("--cache-dir", str(tmp_path), "verify", "--level", "full")
+        assert [run_cli(capsys, *argv) for _ in range(2)] == [want, want]
+        assert_left_clean(mask)
+        assert forks == [1, 1]
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert names == sorted(f"b_k{k}.json" for k in range(2, 13))
+        for k in range(2, 13):
+            order = json.loads((tmp_path / f"b_k{k}.json").read_text())["order"]
+            assert cache.load_b(tmp_path, k, order) is not None, k
 
 
 class TestCache:

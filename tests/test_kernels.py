@@ -102,7 +102,42 @@ def test_solve_b_paths_match_reference(path, crossover, piece, monkeypatch):
             # without power_out, C still arrives and is dropped
             assert kernels.solve_b(p, 120) == want, (p, cap)
             assert_no_child_left()
-    assert len(forks) == (12 if path == "forked" else 0)
+    # p = 1 is one pass and never forks
+    assert len(forks) == (8 if path == "forked" else 0)
+
+
+@pytest.mark.parametrize("path", ["forked", "one-process"])
+def test_solve_b_at_p1_is_one_pass(path, monkeypatch):
+    # at p = 1, C = y: the power pass alone solves it on either path,
+    # and hands out C and y as two lists; p >= 2 runs the y pass too,
+    # in the parent beside a forked power pass
+    _take_path(monkeypatch, path)
+    forks = _count_forks(monkeypatch)
+    passes = []
+    online = kernels._online
+
+    def spy(out, sums, scale, what, ready=None):
+        passes.append(what)
+        online(out, sums, scale, what, ready)
+
+    monkeypatch.setattr(kernels, "_online", spy)
+    c = []
+    b = kernels.solve_b(1, 120, c)
+    assert b == c == solve_b_reference(1, 120)
+    assert b is not c
+    assert passes == ["power update"]
+    assert kernels.solve_b(1, 120) == b
+    assert passes == ["power update"] * 2
+    assert forks == []
+    for p in (2, 11):
+        passes.clear()
+        assert kernels.solve_b(p, 120) == solve_b_reference(p, 120)
+        assert_no_child_left()
+        if path == "forked":
+            assert passes == ["y recurrence"]
+        else:
+            assert passes == ["power update", "y recurrence"]
+    assert len(forks) == (2 if path == "forked" else 0)
 
 
 def _break_power_pass(monkeypatch):
@@ -269,10 +304,9 @@ def test_fork_threshold(monkeypatch):
         assert not kernels._fork_pays(p, 250)
         assert not kernels._fork_pays(p, 500)
     assert kernels._fork_pays(11, 1000)
-    assert kernels._fork_pays(1, cli.ORDER_CEILING)
-    # from order 588 at p = 11 and from 884 at p = 1
+    # from order 588 at p = 11; p = 1 is one pass and never forks
     assert kernels._fork_pays(11, 600) and not kernels._fork_pays(11, 580)
-    assert kernels._fork_pays(1, 890) and not kernels._fork_pays(1, 880)
+    assert not kernels._fork_pays(1, cli.ORDER_CEILING)
     # never on one CPU, nor beside another thread
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert not kernels._fork_pays(11, 1000)
