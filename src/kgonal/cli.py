@@ -494,17 +494,19 @@ def cmd_verify(args: argparse.Namespace, cache_dir: Path | None) -> int:
     sends, so stdout is the same bytes as in one process.  A child that
     dies raises ChildProcessError, which main reports as one error line.
     """
-    checks = list(_verify_checks(args.level, args.oracle, cache_dir))
-    outcomes = [partial(_failure, check) for _, check in checks]
+    outcomes = [
+        (name, partial(_failure, check))
+        for name, check in _verify_checks(args.level, args.oracle, cache_dir)
+    ]
     with ExitStack() as stack:
-        if checks[-1][0] == "exhaustive-oracle" and may_fork():
+        name, oracle = outcomes[-1]
+        if name == "exhaustive-oracle" and may_fork():
             from kgonal import forked
 
-            oracle = outcomes[-1]
             child = forked.child(lambda send: send(oracle()), "the exhaustive oracle")
-            outcomes[-1] = stack.enter_context(child).receive
+            outcomes[-1] = (name, stack.enter_context(child).receive)
         failures = 0
-        for (name, _), outcome in zip(checks, outcomes):
+        for name, outcome in outcomes:
             message = outcome()
             if message is None:
                 sys.stdout.write(f"PASS {name}\n")
