@@ -88,7 +88,8 @@ def load_b(cache_dir: Path, k: int, order: int) -> tuple[list[int], list[int]] |
         if doc.get("sha256") != digest.hexdigest():
             return None
         return b, c
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+    # json raises RecursionError on a file nested deeper than it can parse
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError):
         return None
 
 

@@ -26,13 +26,19 @@ dropped after it: the reversal of a page is the page of its children's
 reversals in reverse order, and that of a structure is the structure of
 its pages' reversals, sorted.
 
-Only the structures below size n are stored, because they are the
-children.  Size n is streamed once: a structure of size n is either one
-new page of size n or a multiset of at least two smaller pages, and the
-one pass counts both |B_n| and the reversal-fixed structures without
-storing any of them.  For k = 6 and n = 6 that stores 4 666 structures
-and streams 44 322.  Nothing is kept between calls: rebuilding the
-smaller sizes costs little next to streaming size n.
+One enumerator counts every size from 0 to n.  The structures below
+size n are stored, because they are the children, so their counts are
+the lengths of their id ranges and their fixed counts are read off the
+structure reversal table.  Size n is streamed once: a structure of size
+n is either one new page of size n or a multiset of at least two smaller
+pages, and the one pass counts both |B_n| and the reversal-fixed
+structures without storing any of them.  For k = 6 and n = 6 that stores
+4 666 structures and streams 44 322.  Every streamed structure is
+counted, but only one that might be fixed is compared with its image:
+reversal reverses a new page's composition of child sizes, so only a
+palindromic composition can give a fixed page, and a fixed multiset
+holds the image of each of its pages, its largest among them.  Nothing
+is kept between calls.
 
 Nothing here decodes an id back into a structure; the tests' decoded
 oracle (tests/decoded_oracle.py) does, through _Enumerator.images.
@@ -103,20 +109,37 @@ class _Enumerator:
                 struct_img.append(on_struct([page_img[p] for p in self.structs[sid]]))
         return page_img, struct_img
 
-    def count(self) -> tuple[int, int]:
-        """|B_n| and the reversal-fixed count, from one pass over size n."""
+    def count(self) -> list[tuple[int, int]]:
+        """|B_m| and the reversal-fixed count for m = 0..n.
+
+        The stored sizes are counted from their id ranges and the
+        structure reversal table; size n from one pass, in which only a
+        structure that might be fixed is compared with its image.
+        """
         rev_page, rev_struct = self.images(
             lambda kids: self.page_id[tuple(reversed(kids))],
             lambda pages: self.struct_id[tuple(sorted(pages))],
         )
+        counts = [(len(ids), sum(rev_struct[s] == s for s in ids)) for ids in self.struct_range]
+        if self.n == 0:
+            # size 0, the empty structure, is always stored
+            return counts
         total = fixed = 0
         for pages in self.multisets(self.n, 0):
             total += 1
-            fixed += tuple(sorted(map(rev_page.__getitem__, pages))) == pages
-        for kids in self.new_pages(self.n):
-            total += 1
-            fixed += tuple(map(rev_struct.__getitem__, reversed(kids))) == kids
-        return total, fixed
+            # a fixed multiset holds the image of each of its pages
+            if rev_page[pages[-1]] in pages:
+                fixed += tuple(sorted(map(rev_page.__getitem__, pages))) == pages
+        for split in _compositions(self.n - 1, self.k - 1):
+            # reversal reverses the children's sizes, so only a
+            # palindromic split can hold a fixed page
+            mirrored = split == split[::-1]
+            for kids in product(*(self.struct_range[c] for c in split)):
+                total += 1
+                if mirrored:
+                    fixed += tuple(map(rev_struct.__getitem__, reversed(kids))) == kids
+        counts.append((total, fixed))
+        return counts
 
 
 def _compositions(total: int, slots: int):
@@ -130,8 +153,8 @@ def _compositions(total: int, slots: int):
             yield (first,) + rest
 
 
-def count_structures(params: GonalParams, n: int) -> tuple[int, int]:
-    """Numbers of structures with exactly n polygons: all, and those fixed by reversal."""
+def count_structures(params: GonalParams, n: int) -> list[tuple[int, int]]:
+    """For m = 0..n, the numbers of structures with m polygons: all, and those fixed by reversal."""
     if n < 0:
         raise ValueError("n must be >= 0")
     return _Enumerator(params.k, n).count()

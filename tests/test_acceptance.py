@@ -342,10 +342,11 @@ def test_criterion_6_oracle_equivalence(capsys):
         params = GonalParams(k)
         table = table_for(k, 6)
         fixed_expected = reversal_fixed(table)
+        counts = count_structures(params, 6)
         for n in range(7):
             structures = enumerate_b(params, n)
             assert len(structures) == table.int_coeffs(1)[n], f"k={k} n={n}"
-            assert count_structures(params, n)[1] == fixed_expected[n], f"k={k} n={n}"
+            assert counts[n][1] == fixed_expected[n], f"k={k} n={n}"
             for s in structures:
                 assert reversal(reversal(s)) == s
             checked += len(structures)

@@ -26,7 +26,7 @@ from kgonal.cli import (
     render_table,
 )
 import kgonal
-from kgonal import cache, kernels
+from kgonal import cache, kernels, oracle
 from kgonal.asymptotics import solve_xi
 from kgonal.bseries import BTable
 from kgonal.kernels import IntegrityError, long_decimals
@@ -837,6 +837,20 @@ class TestVerify:
         assert_left_clean(mask)
         assert forks == [1]
 
+    def test_oracle_builds_one_enumerator_per_k(self, capsys, monkeypatch):
+        # every n of one k is counted by one enumerator of the largest n
+        built = []
+
+        class Recorded(oracle._Enumerator):
+            def __init__(self, k, n):
+                super().__init__(k, n)
+                built.append((k, n))
+
+        monkeypatch.setattr(oracle, "_Enumerator", Recorded)
+        code, _, _ = self._one_process(capsys, monkeypatch, "verify", "--level", "full")
+        assert code == 0
+        assert built == [(3, 6), (4, 6), (5, 6), (6, 6)]
+
     def test_quick_level_makes_no_fork(self, capsys, forking):
         forks, mask = forking
         code, out, _ = run_cli(capsys, "verify", "--level", "quick")
@@ -923,6 +937,16 @@ class TestCache:
         # the bad entry was replaced by a good one
         stored = json.loads((tmp_path / "b_k4.json").read_text())
         assert stored["coefficients"][:5] == ["1", "1", "4", "19", "107"]
+
+    def test_deeply_nested_file_is_a_miss(self, capsys, tmp_path):
+        # json gives up on this nesting with RecursionError, which is a
+        # miss like any other unreadable file, and store_b replaces it
+        argv = ("count", "--k", "5", "--family", "b", "--order", "5")
+        want = run_cli(capsys, *argv)
+        assert want[0] == 0
+        (tmp_path / "b_k5.json").write_text("[" * 200000 + "]" * 200000)
+        assert run_cli(capsys, "--cache-dir", str(tmp_path), *argv) == want
+        assert cache.load_b(tmp_path, 5, 5) is not None
 
     def test_altered_value_is_a_miss(self, capsys, tmp_path):
         # a well-formed file whose b_5 was changed no longer matches its

@@ -26,7 +26,7 @@ def test_single_polygon():
         assert len(structures) == 1
         (s,) = structures
         assert polygon_count(s) == 1
-        assert count_structures(GonalParams(k), 1)[1] == 1
+        assert count_structures(GonalParams(k), 1)[1][1] == 1
 
 
 def test_two_polygons_k3():
@@ -36,7 +36,7 @@ def test_two_polygons_k3():
 def test_two_polygons_k4():
     structures = enumerate_b(GonalParams(4), 2)
     assert len(structures) == 4
-    assert count_structures(GonalParams(4), 2)[1] == 2
+    assert count_structures(GonalParams(4), 2)[2][1] == 2
 
 
 def test_k3_two_polygon_orbit():
@@ -69,16 +69,18 @@ def test_fixed_counts_match_even_alpha():
     for k in (4, 6):
         params = GonalParams(k)
         alpha = reversal_fixed(compute_b(params, 5))
+        counts = count_structures(params, 5)
         for n in range(6):
-            assert count_structures(params, n)[1] == alpha[n], (k, n)
+            assert counts[n][1] == alpha[n], (k, n)
 
 
 def test_fixed_counts_match_odd_symmetric():
     for k in (3, 5):
         params = GonalParams(k)
         sym = reversal_fixed(compute_b(params, 5))
+        counts = count_structures(params, 5)
         for n in range(6):
-            assert count_structures(params, n)[1] == sym[n], (k, n)
+            assert counts[n][1] == sym[n], (k, n)
 
 
 def test_edge_rooted_identity_k4():
@@ -86,7 +88,7 @@ def test_edge_rooted_identity_k4():
     table = compute_b(params, 3)
     rooted = family_counts(4, "edge-rooted-unlabelled", 3)
     b = table.int_coeffs(1)
-    count = count_structures(params, 3)[1]
+    count = count_structures(params, 3)[3][1]
     assert (b[3] + count) // 2 == rooted[3] == 12
 
 
@@ -100,9 +102,10 @@ def test_edge_rooted_orbit_count_k3():
     # edge-rooted count: (|all| + |fixed|) / 2.
     params = GonalParams(3)
     row = family_counts(3, "edge-rooted-unlabelled", 4)
+    counts = count_structures(params, 4)
     for n in range(5):
         total = len(enumerate_b(params, n))
-        fixed = count_structures(params, n)[1]
+        fixed = counts[n][1]
         assert (total + fixed) % 2 == 0
         assert (total + fixed) // 2 == int(row[n])
 
@@ -120,10 +123,11 @@ def _plain_reversal(s):
 @pytest.mark.parametrize("k", range(2, 8))
 def test_memoized_count_matches_plain_reversal(k):
     params = GonalParams(k)
+    counts = count_structures(params, 5)
     for n in range(6):
         structures = enumerate_b(params, n)
         fixed = sum(reversal(s) == s for s in structures)
-        assert count_structures(params, n)[1] == fixed, (k, n)
+        assert counts[n][1] == fixed, (k, n)
         assert fixed == sum(_plain_reversal(s) == s for s in structures), (k, n)
 
 
@@ -141,11 +145,13 @@ def test_enumeration_is_canonical_as_drawn(k):
 
 @pytest.mark.parametrize("k", range(2, 8))
 def test_streamed_counts_match_enumeration(k):
+    # sizes 0..4 are counted from the stored structures, size 5 streamed
     params = GonalParams(k)
-    for n in range(6):
-        structures = enumerate_b(params, n)
-        fixed = sum(_plain_reversal(s) == s for s in structures)
-        assert count_structures(params, n) == (len(structures), fixed), (k, n)
+    want = []
+    for m in range(6):
+        structures = enumerate_b(params, m)
+        want.append((len(structures), sum(_plain_reversal(s) == s for s in structures)))
+    assert count_structures(params, 5) == want
 
 
 def test_count_stores_nothing_of_its_own_size():
@@ -155,7 +161,7 @@ def test_count_stores_nothing_of_its_own_size():
         b = compute_b(GonalParams(k), 5).int_coeffs(1)
         for n in range(6):
             enumerator = oracle._Enumerator(k, n)
-            assert enumerator.count()[0] == b[n]
+            assert enumerator.count()[n][0] == b[n]
             assert len(enumerator.struct_range) == max(n, 1)
             assert len(enumerator.structs) == sum(b[: max(n, 1)])
 
@@ -180,7 +186,7 @@ def test_count_leaves_no_module_level_memo(monkeypatch):
     want = (compute_b(params, 5).int_coeffs(1)[5], reversal_fixed(compute_b(params, 5))[5])
     monkeypatch.setattr(oracle, "_Enumerator", Recorded)
     names = {name: id(value) for name, value in vars(oracle).items()}
-    assert count_structures(params, 5) == want
+    assert count_structures(params, 5)[5] == want
     gc.collect()
     assert len(enumerators) == 1
     assert all(ref() is None for ref in enumerators)
