@@ -179,12 +179,16 @@ def solve_xi(
     after the first step shorter than tol.  Returns (xi, iterations,
     residual): iterations counts the Newton steps taken, the short last
     one included, and residual is |F(xi)| from one more evaluation of
-    omega at the returned xi.
+    omega at the returned xi.  The solve works at dps digits, or at
+    log10(p) + 12 where that is more: xi lies within about xi/p of both
+    ends of its bracket, which fewer digits cannot tell apart.
     """
     from mpmath import e as euler_e
     from mpmath import mp, mpf
 
     p = params.p
+    # 30103 / 100000 is log10(2), low by less than 1e-5
+    dps = max(dps, p.bit_length() * 30103 // 100000 + 12)
     with mp.workdps(dps):
         x = rho(p + 1)
         tol_mp = mpf(tol)

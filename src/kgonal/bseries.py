@@ -13,8 +13,9 @@ both.  Every other power is one pass of the kernel's online recurrence.
 Two independent routes to b are provided.  compute_b solves the
 exponential fixed point y = exp(sum_i x^i y^{k-1}(x^i)/i) through the
 integer kernel and is fast; recurrence_crosscheck expands the same
-counts by literal (k-1)-tuple sums with a divisibility side condition
-and is kept deliberately naive as a test oracle.
+counts by (k-1)-tuple sums with a divisibility side condition, read off
+powers of b that it builds by schoolbook products of its own, and is
+kept apart from the kernel as a test oracle.
 """
 
 from __future__ import annotations
@@ -66,8 +67,6 @@ class BTable:
     and a request past the stored prefix rebuilds it to the new length.
     Every stored value is a correct prefix of b^j, so concurrent lookup
     and insert under the interpreter lock can at worst repeat work.
-    oriented holds the oriented counts a_o to the full order once
-    oriented.oriented_series has built them, for every later reader.
     """
 
     def __init__(self, params: GonalParams, b: list[int], c: list[int]) -> None:
@@ -80,7 +79,6 @@ class BTable:
         if len(c) != len(b):
             raise ValueError(f"a table of order {self.order} needs b^{params.p} to that order")
         self.powers = {params.p: c, 1: b}
-        self.oriented: list[int] | None = None
 
     def __repr__(self) -> str:
         return f"BTable(params={self.params!r}, order={self.order})"
@@ -139,30 +137,28 @@ def recurrence_crosscheck(params: GonalParams, order: int) -> list[int]:
     non-negative integers such that |a|+1 divides j, of
     (|a|+1) * b_{a_1} * ... * b_{a_{k-1}} * b_{n-j}.
 
-    The tuple sum with |a| = e - 1 is evaluated once, as soon as
-    b_{e-1} is final, by direct recursion with no memo and no shared
-    power tables, so agreement with compute_b crosses two genuinely
-    different arithmetic routes.  Feasible for small orders only: each
-    tuple sum costs O(order^{k-1}).
+    The tuple sum with |a| = e - 1 is [x^{e-1}] b^{k-1}.  The function
+    keeps its own prefix of every power b^j, j = 1..k-1, and extends
+    each by one schoolbook Cauchy product term as soon as b_{e-1} is
+    final, so each tuple sum costs O(k e) products.  It shares no power
+    table, logarithmic derivative or block product with the kernel, and
+    divides only once per n, checked, so agreement with compute_b
+    crosses two genuinely different arithmetic routes.
     """
     parts = params.p
     b: list[int] = [1]
+    # powers[j - 1] is the prefix of b^j built so far
+    powers = [b] + [[1] for _ in range(parts - 1)]
     # weights[e] = e * (the tuple sum of parts indices summing to e - 1)
     weights = [0]
-
-    def tuple_sum(remaining: int, total: int) -> int:
-        # sum over ordered tuples of `remaining` indices summing to `total`
-        if remaining == 0:
-            return 1 if total == 0 else 0
-        acc = 0
-        for a in range(total + 1):
-            acc += b[a] * tuple_sum(remaining - 1, total - a)
-        return acc
-
     for n in range(1, order + 1):
-        # b_{n-1} is final: the tuple sum for e = n is too, and is
-        # evaluated once for every later n
-        weights.append(n * tuple_sum(parts, n - 1))
+        # b_{n-1} is final: so is every power to n - 1, and the tuple sum
+        # for e = n, which is kept for every later n
+        t = n - 1
+        if t:
+            for lower, power in zip(powers, powers[1:]):
+                power.append(sum(b[i] * lower[t - i] for i in range(t + 1)))
+        weights.append(n * powers[-1][t])
         acc = 0
         for j in range(1, n + 1):
             for e in range(1, j + 1):

@@ -12,8 +12,7 @@ import argparse
 import json
 import math
 import sys
-from contextlib import ExitStack
-from functools import partial
+from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -25,7 +24,7 @@ from kgonal.asymptotics import (
 )
 from kgonal.bseries import BTable, GonalParams, compute_b, recurrence_crosscheck
 from kgonal.cache import resolve_cache_dir
-from kgonal.kernels import IntegrityError, exact_count, long_decimals, may_fork, solve_work
+from kgonal.kernels import IntegrityError, exact_count, long_decimals, solve_work
 from kgonal.labelled import (
     burnside_b,
     labelled_oriented,
@@ -244,7 +243,7 @@ def render_table(
 
     A table of two columns or more whose work reaches TABLE_FORK_WORK
     computes about half of its columns in a forked child when
-    kernels.may_fork allows it (kgonal.forked.split): the child takes the
+    forked.may_fork allows it (kgonal.forked.split): the child takes the
     costliest columns, as many as bring the costs of the two halves
     closest, and the parent the rest.  Each half reads and writes the
     cache files of its own columns, and neither half's solves fork
@@ -266,10 +265,12 @@ def render_table(
     def column(k: int) -> list[int]:
         return unlabelled_series(compute_b(GonalParams(k), order, cache_dir))
 
-    if len(ks) >= 2 and cost >= TABLE_FORK_WORK and may_fork():
+    if len(ks) >= 2 and cost >= TABLE_FORK_WORK:
         from kgonal import forked
 
-        columns = dict(zip(ks, forked.split(column, ks, costs, "the forked half of the table")))
+        ahead = list(accumulate(costs, initial=0))
+        cut = min(range(len(ks) + 1), key=lambda i: abs(cost - 2 * ahead[i]))
+        columns = dict(zip(ks, forked.split(column, ks, cut, "the forked half of the table")))
     else:
         columns = {k: column(k) for k in ks}
     with long_decimals():
@@ -485,33 +486,29 @@ def _failure(check) -> str | None:
 def cmd_verify(args: argparse.Namespace, cache_dir: Path | None) -> int:
     """Run the checks of the level and print one PASS or FAIL line each, in order.
 
-    The exhaustive oracle, about 40 % of the full level's work, runs in
-    a forked child when kernels.may_fork allows it (kgonal.forked.child),
-    forked before the first check so that it starts from the heap the
-    imports left.  The parent runs the other checks meanwhile, then
-    prints the oracle's line from the None or failure message the child
-    sends, so stdout is the same bytes as in one process.  A child that
-    dies raises ChildProcessError, which main reports as one error line.
+    The exhaustive oracle, about two thirds of the full level's work,
+    runs in a forked child when forked.may_fork allows it
+    (kgonal.forked.split), forked before the first check so that it
+    starts from the heap the imports left.  The parent runs the other
+    checks meanwhile, printing each line as its check ends, then prints
+    the oracle's line from the None or failure message the child sends,
+    so stdout is the same bytes as in one process.  A child that dies
+    raises ChildProcessError, which main reports as one error line.
     """
-    outcomes = [
-        (name, partial(_failure, check))
-        for name, check in _verify_checks(args.level, args.oracle, cache_dir)
-    ]
-    with ExitStack() as stack:
-        name, oracle = outcomes[-1]
-        if name == "exhaustive-oracle" and may_fork():
-            from kgonal import forked
+    names, checks = zip(*_verify_checks(args.level, args.oracle, cache_dir))
+    if names[-1] == "exhaustive-oracle":
+        from kgonal import forked
 
-            child = forked.child(lambda send: send(oracle()), "the exhaustive oracle")
-            outcomes[-1] = (name, stack.enter_context(child).receive)
-        failures = 0
-        for name, outcome in outcomes:
-            message = outcome()
-            if message is None:
-                sys.stdout.write(f"PASS {name}\n")
-            else:
-                failures += 1
-                sys.stdout.write(f"FAIL {name}: {message}\n")
+        messages = forked.split(_failure, checks, len(checks) - 1, "the exhaustive oracle")
+    else:
+        messages = map(_failure, checks)
+    failures = 0
+    for name, message in zip(names, messages):
+        if message is None:
+            sys.stdout.write(f"PASS {name}\n")
+        else:
+            failures += 1
+            sys.stdout.write(f"FAIL {name}: {message}\n")
     if failures:
         sys.stdout.write(f"{failures} check(s) failed\n")
         return 1

@@ -1,26 +1,28 @@
 """Passes run in a forked child on a second CPU, streamed back to the parent.
 
-One helper, child, runs a callable in a child made by os.fork and hands
-the parent what it sends.  It has three users, and each imports this
-module only when it forks, so no other command compiles it:
+Two helpers fork, and their callers import this module only past a gate
+of their own, so no other command compiles it:
 
-- kernels.solve_b, from kernels.FORK_WORK at k > 2: the child runs the
-  power pass and streams each final block of the series sums, then
-  C = b^(k-1); the parent runs the y pass as the blocks arrive
-  (solve_b below);
-- cli.render_table, from cli.TABLE_FORK_WORK: the child computes about
-  half of the table's columns, split by their cost, and sends each one
-  once it is done; the parent computes the rest (split below);
-- cli.cmd_verify, whenever the exhaustive oracle runs: the child runs
-  that check and sends None or its failure message; the parent runs
-  the other checks meanwhile.
+- split runs compute over a list of items, the parent the items before
+  a cut and a child the items from it.  cli.render_table uses it from
+  cli.TABLE_FORK_WORK, with about half of the table's columns, split by
+  their cost, in the child, and cli.cmd_verify whenever the exhaustive
+  oracle runs, with that one check in the child and the others in the
+  parent;
+- solve_b runs kernels.solve_b from kernels.FORK_WORK at k > 2: the
+  child runs the power pass and streams each final block of the series
+  sums, then C = b^(k-1); the parent runs the y pass as the blocks
+  arrive.
 
-Each message is one marshal dump, framed by its length, through an
-os.pipe.  The child ends through os._exit on every path, so it runs no
-atexit handler and flushes no buffer it inherited.  Its exception
-reaches the parent as the same class with the same message.  The
-parent reaps the child before the helper returns or raises, and kills
-it first when it is itself unwinding.
+may_fork decides for every caller whether this process may fork at
+all.  Each helper runs its child through child, which hands the parent
+what the child sends.  Each message is one marshal dump, framed by its
+length, through an os.pipe.  The child ends through os._exit on every
+path, so it runs no atexit handler and flushes no buffer it inherited.
+Its exception reaches the parent as the same class with the same
+message.
+The parent reaps the child before the helper returns, raises or is
+closed, and kills it first when it is itself unwinding.
 
 For as long as the child lives, parent and child are each pinned to a
 different CPU of the process's affinity mask: each pins itself, the
@@ -32,10 +34,9 @@ in none of 48 once pinned.  End to end, pinning left table --order 250
 unchanged (median ratio 1.00 over 16 pairs; 2 vCPU, Python 3.11), so
 it guards against that case rather than speeding up the usual one.  A
 side whose sched_setaffinity fails runs unpinned, which still leaves
-the other side a CPU of its own.  Only one fork is live at
-a time: `live` is true in the child and in the parent until the reap,
-and kernels.may_fork reads it, so neither half forks again, pinned or
-not.
+the other side a CPU of its own.  Only one fork is live at a time:
+`live` is true in the child and in the parent until the reap, and
+may_fork reads it, so neither half forks again, pinned or not.
 """
 
 from __future__ import annotations
@@ -44,13 +45,13 @@ import builtins
 import marshal
 import os
 import signal
+import sys
 from contextlib import contextmanager
-from itertools import accumulate
 from typing import Any, Callable, Iterator, NoReturn, Sequence, TypeVar
 
 from kgonal import kernels
 
-__all__ = ["live", "Messages", "child", "split", "solve_b"]
+__all__ = ["live", "may_fork", "split", "solve_b"]
 
 T = TypeVar("T")
 
@@ -67,6 +68,24 @@ PIPE_BYTES = 1 << 20
 READ_BYTES = 1 << 16
 
 live = False
+
+
+def may_fork() -> bool:
+    """Whether this process may run a pass in a forked child.
+
+    Only with two CPUs to run on, only in a process of one thread, and
+    only when no fork is live: neither half of a fork forks again.  The
+    child is a copy of the calling thread alone, and a lock that another
+    thread held at the fork would stay held in it.
+    """
+    threading = sys.modules.get("threading")
+    return (
+        not live
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and (threading is None or threading.active_count() == 1)
+    )
 
 
 class Messages:
@@ -220,33 +239,39 @@ def _run_child(
         os._exit(code)
 
 
-def split(compute: Callable[[T], Any], items: Sequence[T], costs: Sequence[float], what: str) -> list:
-    """[compute(x) for x in items], with about half of the cost computed in a forked child.
+def split(compute: Callable[[T], Any], items: Sequence[T], cut: int, what: str) -> Iterator:
+    """compute(x) for each x of items, in order, with items[cut:] computed in a forked child.
 
-    The child takes the last items, as many as bring the costs of the
-    two halves closest, and sends each result as soon as it is done.
-    The parent computes the first items, and reads what the child has
-    sent after each of them.
+    A generator.  Where may_fork allows it and the child has items to
+    compute, the child computes items[cut:] and sends each result as
+    soon as it is done.  The parent yields its own results as it
+    computes them, reading what the child has sent after each, then
+    reaps the child and yields the child's results.  Closing the
+    generator before then kills and reaps the child.  Otherwise every
+    item is computed here, as it is asked for.
     """
-    total = sum(costs)
-    ahead = list(accumulate(costs, initial=0))
-    cut = min(range(len(items) + 1), key=lambda i: abs(total - 2 * ahead[i]))
+    if cut >= len(items) or not may_fork():
+        yield from map(compute, items)
+        return
 
     def work(send: Callable[[object], None]) -> None:
         for x in items[cut:]:
             send(compute(x))
 
     with child(work, what) as messages:
-        results = []
         for x in items[:cut]:
-            results.append(compute(x))
+            yield compute(x)
             messages.drain()
-        results.extend(messages.receive() for _ in items[cut:])
-    return results
+        rest = [messages.receive() for _ in items[cut:]]
+    yield from rest
 
 
 def solve_b(p: int, order: int, power_out: list[int] | None) -> list[int]:
-    """kernels.solve_b with the power pass in a forked child and the y pass here."""
+    """kernels.solve_b with the power pass in a forked child and the y pass here.
+
+    kernels.solve_b calls it where kernels._fork_pays allows: work of at
+    least kernels.FORK_WORK at p > 1, and may_fork.
+    """
 
     def power_pass(send: Callable[[object], None]) -> None:
         c: list[int] = []

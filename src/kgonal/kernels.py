@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import decimal
 import math
-import os
 import sys
 from contextlib import contextmanager
 from decimal import Decimal
@@ -62,7 +61,6 @@ __all__ = [
     "add_products",
     "add_at_multiples",
     "long_decimals",
-    "may_fork",
 ]
 
 # the kernels are plain Python; benchmarks report this name.  The setup
@@ -396,14 +394,14 @@ def solve_b(p: int, order: int, power_out: list[int] | None = None) -> list[int]
     from it, sums; the y pass runs against sums.
 
     A solve whose work, solve_work(p, order), reaches FORK_WORK runs
-    the power pass in a child made by os.fork (kgonal.forked) when
-    may_fork allows it: two CPUs, one thread, and no fork already live,
-    so no solve forks inside either half of a split table.  The child
-    streams each final block of sums
-    through a pipe with marshal, and finally sends C; the parent runs
-    the y pass as the blocks arrive, so the two passes share the wall
-    time, pinned to two different CPUs while the child lives.  Smaller
-    solves run the two passes one after the other in this process.  The
+    the power pass in a child made by os.fork (kgonal.forked.solve_b)
+    when forked.may_fork allows it: two CPUs, one thread, and no fork
+    already live, so no solve forks inside either half of a split
+    table.  The child streams each final block of sums through a pipe
+    with marshal, and finally sends C; the parent runs the y pass as
+    the blocks arrive, so the two passes share the wall time, pinned to
+    two different CPUs while the child lives.  Smaller solves run the
+    two passes one after the other in this process.  The
     child always ends through os._exit, so it runs no atexit handler and
     flushes no buffer it inherited.  An exception in it reaches the
     caller as the same class with the same message.  The parent reaps
@@ -451,27 +449,16 @@ def solve_work(p: int, order: int) -> float:
 
 
 def _fork_pays(p: int, order: int) -> bool:
-    """Whether solve_b runs its power pass in a forked child; never at p = 1, a single pass."""
-    return p > 1 and solve_work(p, order) >= FORK_WORK and may_fork()
+    """Whether solve_b runs its power pass in a forked child; never at p = 1, a single pass.
 
-
-def may_fork() -> bool:
-    """Whether this process may run a pass in a forked child (kgonal.forked).
-
-    Only with two CPUs to run on, only in a process of one thread, and
-    only when no fork is live: neither half of a fork forks again.  The
-    child is a copy of the calling thread alone, and a lock that another
-    thread held at the fork would stay held in it.
+    kgonal.forked is imported only past the work gate, so a small solve
+    never compiles it.
     """
-    threading = sys.modules.get("threading")
-    forked = sys.modules.get("kgonal.forked")
-    return (
-        hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-        and (threading is None or threading.active_count() == 1)
-        and not (forked is not None and forked.live)
-    )
+    if p <= 1 or solve_work(p, order) < FORK_WORK:
+        return False
+    from kgonal import forked
+
+    return forked.may_fork()
 
 
 def _power_pass(

@@ -123,13 +123,9 @@ def oriented_series(table: BTable) -> list[int]:
     """Series of oriented unlabelled counts a_{o,n} up to the table order.
 
     oriented_count at every index, largest first, so that each power
-    prefix is built once.  The series is kept on the table, so every
-    later call, unlabelled_series's included, reads it back.
+    prefix is built once.
     """
-    got = table.oriented
-    if got is None:
-        got = table.oriented = [oriented_count(table, n) for n in range(table.order, -1, -1)][::-1]
-    return got
+    return [oriented_count(table, n) for n in range(table.order, -1, -1)][::-1]
 
 
 def oriented_count(table: BTable, n: int) -> int:

@@ -6,7 +6,7 @@ import pytest
 
 
 def two_cpus(monkeypatch):
-    """Let kernels.may_fork see two CPUs: the real mask where it has two, else {0, 1}."""
+    """Let forked.may_fork see two CPUs: the real mask where it has two, else {0, 1}."""
     if len(os.sched_getaffinity(0)) < 2:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 

@@ -99,6 +99,15 @@ def test_two_routes_agree():
         assert compute_b(params, 10).int_coeffs(1) == recurrence_crosscheck(params, 10)
 
 
+def test_two_routes_agree_at_order_40():
+    # each tuple sum is read off the crosscheck's own powers of b; a sum
+    # over the tuples themselves costs O(order^(k-1)) and would not finish
+    # at k = 12, order 40
+    for k in range(2, 13):
+        params = GonalParams(k)
+        assert recurrence_crosscheck(params, 40) == compute_b(params, 40).int_coeffs(1), k
+
+
 def _powered_self_sum(y: Series, power: int) -> Series:
     # sum_i x^i (y^power)(x^i) / i at y's order
     order = y.order

@@ -30,7 +30,7 @@ from kgonal import cache, kernels, oracle
 from kgonal.asymptotics import solve_xi
 from kgonal.bseries import BTable
 from kgonal.kernels import IntegrityError, long_decimals
-from kgonal.universal import UniversalConstant
+from kgonal.universal import UniversalConstant, universal_c, xi_from_expansion
 from forks import assert_left_clean, spy_forks, two_cpus
 
 GOLDEN = pathlib.Path(__file__).parents[1] / "src" / "kgonal" / "data" / "unlabelled_golden.csv"
@@ -567,6 +567,17 @@ class TestConstants:
             doc["alpha_bar_product_form"], rel=1e-3
         )
 
+    @pytest.mark.parametrize("p", [10**32, 10**100 + 1], ids=["1e32", "1e100+1"])
+    def test_large_p_stays_in_its_bracket(self, capsys, p):
+        # xi lies within about xi/p of both ends of its bracket, which 30
+        # digits cannot resolve at p = 10^32: "xi escaped its bracket"
+        code, out, err = run_cli(
+            capsys, "constants", "--p", str(p), "--no-empirical", "--series-order", "60"
+        )
+        assert (code, err) == (0, "")
+        want = xi_from_expansion(p, [universal_c(m).value(30) for m in (1, 2, 3)])
+        assert json.loads(out)["xi"] == pytest.approx(want, rel=1e-12)
+
     def test_rejects_bad_p(self, capsys):
         code, _, err = run_cli(capsys, "constants", "--p", "0")
         assert code == 1
@@ -821,7 +832,7 @@ class TestVerify:
 
     def _one_process(self, capsys, monkeypatch, *argv):
         with monkeypatch.context() as patch:
-            patch.setattr("kgonal.cli.may_fork", lambda: False)
+            patch.setattr("kgonal.forked.may_fork", lambda: False)
             return run_cli(capsys, *argv)
 
     @pytest.mark.parametrize(

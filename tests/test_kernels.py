@@ -290,9 +290,63 @@ def test_split_matches_one_process(monkeypatch, size):
         return [i] * size + [parent]
 
     items = range(8)
-    assert forked.split(compute, items, [1] * 8, "a test split") == [compute(i) for i in items]
+    assert list(forked.split(compute, items, 4, "a test split")) == [compute(i) for i in items]
     assert_left_clean(mask)
     assert forks == [1]
+
+
+@pytest.mark.parametrize("cut", [0, 1, 5, 6])
+def test_split_child_computes_the_items_from_the_cut(monkeypatch, cut):
+    two_cpus(monkeypatch)
+    mask = os.sched_getaffinity(0)
+    forks = spy_forks(monkeypatch)
+    parent = os.getpid()
+    items = range(10, 17)
+    got = list(forked.split(lambda x: (x * x, os.getpid() != parent), items, cut, "a test split"))
+    assert_left_clean(mask)
+    assert forks == [1]
+    assert [square for square, _ in got] == [x * x for x in items]
+    assert [in_child for _, in_child in got] == [i >= cut for i in range(len(items))]
+
+
+def test_split_closed_early_kills_the_child(monkeypatch):
+    # the child's item would take a minute; closing the generator after
+    # the parent's first result kills it instead of waiting
+    two_cpus(monkeypatch)
+    mask = os.sched_getaffinity(0)
+    parent = os.getpid()
+
+    def compute(x):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return x
+
+    start = time.monotonic()
+    results = forked.split(compute, range(3), 2, "a test split")
+    assert next(results) == 0
+    assert forked.live
+    results.close()
+    assert time.monotonic() - start < 30
+    assert not forked.live
+    assert_left_clean(mask)
+
+
+def test_split_without_a_fork(monkeypatch):
+    # with no fork allowed, or nothing from the cut on, every item is
+    # computed in this process
+    two_cpus(monkeypatch)
+    forks = spy_forks(monkeypatch)
+    parent = os.getpid()
+    items = range(6)
+
+    def compute(x):
+        assert os.getpid() == parent
+        return -x
+
+    assert list(forked.split(compute, items, 6, "a test split")) == [-x for x in items]
+    monkeypatch.setattr(forked, "may_fork", lambda: False)
+    assert list(forked.split(compute, items, 3, "a test split")) == [-x for x in items]
+    assert forks == []
 
 
 def test_fork_threshold(monkeypatch):

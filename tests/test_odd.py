@@ -32,11 +32,12 @@ def test_row_spot_values():
 
 
 @pytest.mark.parametrize("n", [1, 4, 9])
-def test_recurrence_rejects_inexact_count(n):
+def test_recurrence_rejects_inexact_count(n, monkeypatch):
     # a_{o,n} one too high adds 2n to the numerator of 4n a_n
     table = compute_b(GonalParams(5), 10)
-    table.oriented = list(oriented_series(table))
-    table.oriented[n] += 1
+    a_o = oriented_series(table)
+    a_o[n] += 1
+    monkeypatch.setattr("kgonal.odd.oriented_series", lambda _: a_o)
     with pytest.raises(IntegrityError, match=f"recurrence count at n={n}:"):
         odd_recurrence(table)
 

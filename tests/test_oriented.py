@@ -112,19 +112,6 @@ def test_series_builds_no_kth_power():
     assert table.powers[11] is kept
 
 
-@pytest.mark.parametrize("k", [5, 6])
-def test_series_built_once_per_table(k, monkeypatch):
-    # unlabelled_series reads the a_o that an earlier oriented_series left
-    # on the table; a second evaluation would call oriented_count again
-    table = compute_b(GonalParams(k), 30)
-    want = unlabelled_series(compute_b(GonalParams(k), 30))
-    a_o = oriented_series(table)
-    assert table.oriented is a_o
-    monkeypatch.setattr(oriented, "oriented_count", None)
-    assert oriented_series(table) is a_o
-    assert unlabelled_series(table) == want
-
-
 @pytest.mark.parametrize("order", [20, 250, 251])
 @pytest.mark.parametrize("k", range(2, 13))
 def test_each_power_built_once_per_table(k, order, monkeypatch):
