@@ -73,7 +73,7 @@ M_MAX_CEILING = 53
 # b and the layers on it cost about order^3 in time at fixed k (a table
 # column of k = 12 took 0.44-0.52 s at order 500 and 2.7-3.2 s at 1000).
 # At order 1600 and k = 12 the slowest family, count --family
-# unlabelled, takes 14-18 s of wall time (16-20 s of CPU), count
+# unlabelled, takes 12-13 s of wall time (13.6-15.0 s of CPU), count
 # --family b 2.6-3.2 s (4.6-5.5 s of CPU in two processes), and
 # constants --p 11 --series-order 1600 2.5-3.0 s (4.4-5.0 s of CPU).
 # Forking the power pass of solve_b halved the solve's wall time, but

@@ -1,14 +1,14 @@
-"""Passes run in a forked child on a second CPU, streamed back to the parent.
+"""Passes run in a forked child on a second CPU, their results sent back to the parent.
 
 Two helpers fork, and their callers import this module only past a gate
 of their own, so no other command compiles it:
 
 - split runs compute over a list of items, the parent the items before
-  a cut and a child the items from it.  cli.render_table uses it from
-  cli.TABLE_FORK_WORK, with about half of the table's columns, split by
-  their cost, in the child, and cli.cmd_verify whenever the exhaustive
-  oracle runs, with that one check in the child and the others in the
-  parent;
+  a cut and a child the items from it, whose results it sends back as
+  one message.  cli.render_table uses it from cli.TABLE_FORK_WORK, with
+  about half of the table's columns, split by their cost, in the child,
+  and cli.cmd_verify whenever the exhaustive oracle runs, with that one
+  check in the child and the others in the parent;
 - solve_b runs kernels.solve_b from kernels.FORK_WORK at k > 2: the
   child runs the power pass and streams each final block of the series
   sums, then C = b^(k-1); the parent runs the y pass as the blocks
@@ -16,11 +16,13 @@ of their own, so no other command compiles it:
 
 may_fork decides for every caller whether this process may fork at
 all.  Each helper runs its child through child, which hands the parent
-what the child sends.  Each message is one marshal dump, framed by its
-length, through an os.pipe.  The child ends through os._exit on every
-path, so it runs no atexit handler and flushes no buffer it inherited.
-Its exception reaches the parent as the same class with the same
-message.
+a receive() that waits for the child's next message.  Each message is
+8 bytes of length, then one marshal dump, written to an os.pipe of the
+system's default capacity: a message larger than the pipe holds the
+child in its write until the parent reads it.  The child ends through
+os._exit on every path, so it runs no atexit handler and flushes no
+buffer it inherited.  Its exception reaches the parent as the same
+class with the same message.
 The parent reaps the child before the helper returns, raises or is
 closed, and kills it first when it is itself unwinding.
 
@@ -47,25 +49,13 @@ import os
 import signal
 import sys
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, NoReturn, Sequence, TypeVar
+from typing import Any, BinaryIO, Callable, Iterator, NoReturn, Sequence, TypeVar
 
 from kgonal import kernels
 
 __all__ = ["live", "may_fork", "split", "solve_b"]
 
 T = TypeVar("T")
-
-# a table's half arrives while the parent computes its own half.  A pipe
-# of this many bytes, Linux's limit for an unprivileged process, holds
-# the whole half at order 250 (90 kB) and three columns of k = 12 at
-# order 1000, so the child seldom waits for the parent's next drain.
-# Against the default of 64 kB, table --k-min 2 --k-max 12 took 0.96 of
-# the time at order 250 (faster in 8 of 10 pairs) and 0.82 at order 600
-# (4 of 4; 2 vCPU, Python 3.11)
-PIPE_BYTES = 1 << 20
-
-# the parent reads the pipe in chunks of this many bytes
-READ_BYTES = 1 << 16
 
 live = False
 
@@ -88,72 +78,21 @@ def may_fork() -> bool:
     )
 
 
-class Messages:
-    """The parent's end of the pipe from a child: its messages, in order.
-
-    Each message is 8 bytes of length, then one marshal dump of (tag,
-    payload).  Bytes read ahead of need are kept as bytes and loaded only
-    when received, so a drain between two passes of the parent allocates
-    no objects among theirs: loading a table's columns as they arrived
-    raised the peak RSS of table --order 250 by 1 %.
-    """
-
-    def __init__(self, fd: int, what: str) -> None:
-        self._fd = fd
-        self._what = what
-        self._data = bytearray()
-
-    def receive(self) -> Any:
-        """The payload of the next message; the child's error is raised here."""
-        size = int.from_bytes(self._take(8), "little")
-        tag, payload = marshal.loads(self._take(size))
-        if tag == "error":
-            name, message = payload
-            # the package's errors live in kernels, the others are builtins
-            cls = getattr(kernels, name, None) or getattr(builtins, name, None)
-            if not (isinstance(cls, type) and issubclass(cls, Exception)):
-                raise ChildProcessError(f"{name}: {message}")
-            raise cls(message)
-        return payload
-
-    def drain(self) -> None:
-        """Read what the pipe already holds, without waiting, to make room for the child."""
-        os.set_blocking(self._fd, False)
-        try:
-            while chunk := os.read(self._fd, READ_BYTES):
-                self._data += chunk
-        except BlockingIOError:
-            pass
-        finally:
-            os.set_blocking(self._fd, True)
-
-    def _take(self, size: int) -> bytes:
-        while len(self._data) < size:
-            chunk = os.read(self._fd, max(size - len(self._data), READ_BYTES))
-            if not chunk:
-                raise ChildProcessError(f"{self._what} ended without its result")
-            self._data += chunk
-        taken = bytes(self._data[:size])
-        del self._data[:size]
-        return taken
-
-
 @contextmanager
-def child(work: Callable[[Callable[[object], None]], None], what: str) -> Iterator[Messages]:
+def child(work: Callable[[Callable[[object], None]], None], what: str) -> Iterator[Callable[[], Any]]:
     """Run work(send) in a forked child; the block reads what it sends.
 
-    Each send(payload) in the child reaches the parent through
-    Messages.receive.  An exception in work is sent in place of the
-    rest, and the parent raises it when it reads that far.  A child
-    that ends before the message the parent waits for, or ends with a
-    non-zero status, raises ChildProcessError naming `what`.  The block
-    must read every message the child sends.
+    The block gets receive(), which waits for the child's next message
+    and returns what the child passed to send.  An exception in work is
+    sent in place of the rest, and receive raises it when it reads that
+    far.  A child that ends before the message the parent waits for, or
+    ends with a non-zero status, raises ChildProcessError naming `what`.
+    The block must read every message the child sends.
     """
     global live
     mask = os.sched_getaffinity(0)
     read_fd, write_fd = os.pipe()
     try:
-        _widen(write_fd)
         pid = os.fork()
     except BaseException:
         os.close(read_fd)
@@ -167,10 +106,8 @@ def child(work: Callable[[Callable[[object], None]], None], what: str) -> Iterat
     pinned = len(cpus) >= 2 and _set_affinity({cpus[0]})
     finished = False
     try:
-        try:
-            yield Messages(read_fd, what)
-        finally:
-            os.close(read_fd)
+        with open(read_fd, "rb") as stream:
+            yield lambda: _receive(stream, what)
         finished = True
     finally:
         if not finished:
@@ -186,14 +123,24 @@ def child(work: Callable[[Callable[[object], None]], None], what: str) -> Iterat
         raise ChildProcessError(f"{what} ended with wait status {status}")
 
 
-def _widen(fd: int) -> None:
-    """Raise the capacity of the pipe to PIPE_BYTES where Linux allows it."""
-    try:
-        import fcntl
+def _receive(stream: BinaryIO, what: str) -> Any:
+    """The payload of the next message on stream; the child's error is raised here."""
 
-        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-    except (ImportError, AttributeError, OSError):
-        pass
+    def take(size: int) -> bytes:
+        data = stream.read(size)
+        if len(data) < size:
+            raise ChildProcessError(f"{what} ended without its result")
+        return data
+
+    tag, payload = marshal.loads(take(int.from_bytes(take(8), "little")))
+    if tag == "error":
+        name, message = payload
+        # the package's errors live in kernels, the others are builtins
+        cls = getattr(kernels, name, None) or getattr(builtins, name, None)
+        if not (isinstance(cls, type) and issubclass(cls, Exception)):
+            raise ChildProcessError(f"{name}: {message}")
+        raise cls(message)
+    return payload
 
 
 def _set_affinity(cpus: set[int]) -> bool:
@@ -243,26 +190,25 @@ def split(compute: Callable[[T], Any], items: Sequence[T], cut: int, what: str) 
     """compute(x) for each x of items, in order, with items[cut:] computed in a forked child.
 
     A generator.  Where may_fork allows it and the child has items to
-    compute, the child computes items[cut:] and sends each result as
-    soon as it is done.  The parent yields its own results as it
-    computes them, reading what the child has sent after each, then
-    reaps the child and yields the child's results.  Closing the
-    generator before then kills and reaps the child.  Otherwise every
-    item is computed here, as it is asked for.
+    compute, the child computes items[cut:] and sends their results as
+    one list.  The parent yields its own results as it computes them,
+    then receives that list, reaps the child and yields the list.  A
+    list too large for the pipe holds the child in its write until the
+    parent reads it.  Closing the generator, or an error in the
+    parent's half, before the list is received kills and reaps the
+    child.  Otherwise every item is computed here, as it is asked for.
     """
     if cut >= len(items) or not may_fork():
         yield from map(compute, items)
         return
 
     def work(send: Callable[[object], None]) -> None:
-        for x in items[cut:]:
-            send(compute(x))
+        send([compute(x) for x in items[cut:]])
 
-    with child(work, what) as messages:
+    with child(work, what) as receive:
         for x in items[:cut]:
             yield compute(x)
-            messages.drain()
-        rest = [messages.receive() for _ in items[cut:]]
+        rest = receive()
     yield from rest
 
 
@@ -280,16 +226,16 @@ def solve_b(p: int, order: int, power_out: list[int] | None) -> list[int]:
         # of the power pass is seen
         send(c if power_out is not None else None)
 
-    with child(power_pass, "the power pass of solve_b") as messages:
+    with child(power_pass, "the power pass of solve_b") as receive:
         sums = [0]
 
         def ready(n: int) -> None:
             while len(sums) <= n + 1:
-                sums.extend(messages.receive())
+                sums.extend(receive())
 
         y = [1] + [0] * order
         kernels._online(y, sums, 1, "y recurrence", ready)
-        c = messages.receive()
+        c = receive()
     if power_out is not None:
         power_out[:] = c
     return y

@@ -4,6 +4,7 @@ kernel, and the division checks."""
 
 import hashlib
 import os
+import signal
 import threading
 import time
 from fractions import Fraction
@@ -277,8 +278,8 @@ def test_forked_solve_when_pinning_fails(monkeypatch):
 @pytest.mark.parametrize("size", [10, 200_000], ids=["short", "past-the-pipe"])
 def test_split_matches_one_process(monkeypatch, size):
     # the child's half, 4 results of size ints, arrives in order whether
-    # the child ended before the parent read it ("short", read at EOF by
-    # a drain) or waited on a full pipe until the parent drained it
+    # the child's one message fits the pipe ("short") or waits on it
+    # until the parent reads it after its own half ("past-the-pipe")
     two_cpus(monkeypatch)
     mask = os.sched_getaffinity(0)
     forks = spy_forks(monkeypatch)
@@ -327,6 +328,41 @@ def test_split_closed_early_kills_the_child(monkeypatch):
     assert forked.live
     results.close()
     assert time.monotonic() - start < 30
+    assert not forked.live
+    assert_left_clean(mask)
+
+
+def test_split_error_kills_a_child_blocked_in_its_write(monkeypatch):
+    # the child's one message, 4 lists of 50 000 ints, is larger than a
+    # pipe of the default 64 kB, so the child waits in its write; the
+    # parent's own item fails after the child has computed its half,
+    # and the child is killed and reaped instead of read
+    two_cpus(monkeypatch)
+    mask = os.sched_getaffinity(0)
+    parent = os.getpid()
+    kills = []
+    kill = os.kill
+    monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append(sig) or kill(pid, sig))
+    computed, tell = os.pipe()
+
+    def compute(x):
+        if os.getpid() != parent:
+            if x == 7:
+                os.write(tell, b"7")
+            return [x] * 50_000
+        assert os.read(computed, 1) == b"7"
+        time.sleep(0.2)
+        raise kernels.IntegrityError("the parent's item failed")
+
+    start = time.monotonic()
+    try:
+        with pytest.raises(kernels.IntegrityError, match="the parent's item failed"):
+            next(forked.split(compute, range(8), 4, "a test split"))
+    finally:
+        os.close(computed)
+        os.close(tell)
+    assert time.monotonic() - start < 10
+    assert kills == [signal.SIGKILL]
     assert not forked.live
     assert_left_clean(mask)
 
