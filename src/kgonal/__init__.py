@@ -11,8 +11,9 @@ The modules are layered:
                 lists, and the errors every exact check raises
     bseries     the fundamental edge-rooted series b(x), b^{k-1} beside
                 it, and its other powers through the same kernel
-    labelled    closed-form labelled counts, cycle-type fixed points and
-                the Burnside sum over integer partitions
+    labelled    closed-form labelled counts, fixed points of a cycle type
+                given as its multiplicity tuple, and the Burnside sum
+                over integer partitions
     oriented    unlabelled counts up to orientation-preserving maps, the
                 structures fixed by reversing the root edge, and the
                 unlabelled counts with reflections, one route for every k

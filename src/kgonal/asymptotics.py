@@ -169,7 +169,6 @@ def solve_xi(
     params: GonalParams,
     b: Sequence[int],
     tol: float = DEFAULT_TOL,
-    dps: int = DEFAULT_DPS,
 ) -> tuple[mpf, int, mpf]:
     """Root of F(x) = x - g(x), g(x) = (1/(e p)) omega(x)^{-p}, by Newton.
 
@@ -179,16 +178,16 @@ def solve_xi(
     after the first step shorter than tol.  Returns (xi, iterations,
     residual): iterations counts the Newton steps taken, the short last
     one included, and residual is |F(xi)| from one more evaluation of
-    omega at the returned xi.  The solve works at dps digits, or at
-    log10(p) + 12 where that is more: xi lies within about xi/p of both
-    ends of its bracket, which fewer digits cannot tell apart.
+    omega at the returned xi.  The solve works at DEFAULT_DPS digits, or
+    at log10(p) + 12 where that is more: xi lies within about xi/p of
+    both ends of its bracket, which fewer digits cannot tell apart.
     """
     from mpmath import e as euler_e
     from mpmath import mp, mpf
 
     p = params.p
     # 30103 / 100000 is log10(2), low by less than 1e-5
-    dps = max(dps, p.bit_length() * 30103 // 100000 + 12)
+    dps = max(DEFAULT_DPS, p.bit_length() * 30103 // 100000 + 12)
     with mp.workdps(dps):
         x = rho(p + 1)
         tol_mp = mpf(tol)
@@ -216,7 +215,6 @@ def constants(
     iterations: int = 0,
     residual: float | mpf = 0.0,
     tol: float = DEFAULT_TOL,
-    dps: int = DEFAULT_DPS,
     alpha_bar_empirical: float | None = None,
 ) -> AsymptoticReport:
     """Assemble the full constant report at a solved xi."""
@@ -225,9 +223,9 @@ def constants(
     from mpmath import sqrt as mp_sqrt
 
     p = params.p
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
         xi = mpf(xi)
-        omega, omega_prime = omega_eval(params, b, xi, dps)
+        omega, omega_prime = omega_eval(params, b, xi, DEFAULT_DPS)
         r = xi * (omega_prime / omega)
         inv_p = mpf(1) / p
         tau0 = (1 / (p * xi)) ** inv_p
@@ -263,7 +261,6 @@ def empirical_amplitude(
     xi: float | mpf,
     exponent: float,
     n_probe: int,
-    dps: int = 40,
 ) -> float:
     """Richardson-extrapolated limit of count(n) xi^n n^exponent, n = n_probe.
 
@@ -282,7 +279,7 @@ def empirical_amplitude(
         raise ValueError("probe index beyond the computed counts") from None
     from mpmath import mp, mpf
 
-    with mp.workdps(dps):
+    with mp.workdps(40):
         x = mpf(xi)
         e = mpf(exponent)
 

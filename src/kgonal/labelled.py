@@ -7,18 +7,19 @@ over the order-2 reflection.  Averaging over all relabellings instead
 recovers the unlabelled b_n; the per-cycle-type fixed point counts
 needed for that sum also have a closed form, which is what burnside_b
 sums over the integer partitions of n as an independent route to b.
+A cycle type is a plain tuple of multiplicities: counts[i-1] cycles of
+length i.
 """
 
 from __future__ import annotations
 
-from math import factorial
-from typing import Iterator, NamedTuple
+from math import factorial, prod
+from typing import Iterator
 
 from kgonal.bseries import GonalParams
 from kgonal.kernels import exact_count
 
 __all__ = [
-    "CycleType",
     "labelled_rooted",
     "fixed_point_count",
     "labelled_oriented",
@@ -26,47 +27,6 @@ __all__ = [
     "burnside_b",
     "partitions",
 ]
-
-
-class CycleType(NamedTuple("CycleType", [("counts", tuple[int, ...])])):
-    """Cycle type of a permutation; counts[i-1] cycles of length i.
-
-    A named tuple: immutable, and equal and hashed by counts.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, counts: tuple[int, ...]) -> CycleType:
-        if any(c < 0 for c in counts):
-            raise ValueError("cycle counts must be non-negative")
-        return super().__new__(cls, counts)
-
-    @staticmethod
-    def from_parts(parts: tuple[int, ...]) -> CycleType:
-        if not parts:
-            return CycleType(())
-        out = [0] * max(parts)
-        for part in parts:
-            out[part - 1] += 1
-        return CycleType(tuple(out))
-
-    def count(self, i: int) -> int:
-        return self.counts[i - 1] if 1 <= i <= len(self.counts) else 0
-
-    def sigma(self, i: int, drop_own: bool = False) -> int:
-        """sum of d * (d-cycle count) over divisors d of i; optionally d < i only."""
-        acc = 0
-        for d in range(1, i + 1):
-            if i % d == 0 and not (drop_own and d == i):
-                acc += d * self.count(d)
-        return acc
-
-    def centralizer(self) -> int:
-        """prod_i i^{n_i} n_i!, the size of the centralizer of a permutation of this type."""
-        z = 1
-        for i, n_i in enumerate(self.counts, start=1):
-            z *= i**n_i * factorial(n_i)
-        return z
 
 
 def labelled_rooted(params: GonalParams, n: int) -> int:
@@ -78,24 +38,26 @@ def labelled_rooted(params: GonalParams, n: int) -> int:
     return params.m(n) ** (n - 1)
 
 
-def fixed_point_count(params: GonalParams, t: CycleType) -> int:
-    """Oriented-edge-rooted structures fixed by a relabelling of type t.
+def fixed_point_count(params: GonalParams, counts: tuple[int, ...]) -> int:
+    """Oriented-edge-rooted structures fixed by a relabelling with counts[i-1] i-cycles.
 
     Product over cycle lengths i with at least one i-cycle of
 
         (1 + (k-1) s_i)^{n_i - 1} * (1 + (k-1) s*_i)
 
-    where s_i sums d * n_d over divisors d of i and s*_i drops the d = i
-    term.  Lengths with n_i = 0 contribute factor 1 (s_i = s*_i there,
-    so the pair would cancel anyway).
+    where n_i = counts[i-1], s*_i sums d * n_d over the proper divisors
+    d of i, and s_i = s*_i + i * n_i adds the d = i term.  Lengths with
+    n_i = 0 contribute factor 1 (s_i = s*_i there, so the pair would
+    cancel anyway).
     """
+    if any(c < 0 for c in counts):
+        raise ValueError("cycle counts must be non-negative")
     km1 = params.k - 1
     acc = 1
-    for i in range(1, len(t.counts) + 1):
-        n_i = t.count(i)
-        if n_i == 0:
-            continue
-        acc *= (1 + km1 * t.sigma(i)) ** (n_i - 1) * (1 + km1 * t.sigma(i, drop_own=True))
+    for i, n_i in enumerate(counts, start=1):
+        if n_i:
+            s_star = sum(d * counts[d - 1] for d in range(1, i // 2 + 1) if i % d == 0)
+            acc *= (1 + km1 * (s_star + i * n_i)) ** (n_i - 1) * (1 + km1 * s_star)
     return acc
 
 
@@ -128,11 +90,11 @@ def labelled_unoriented(params: GonalParams, n: int) -> int:
 def burnside_b(params: GonalParams, n: int) -> int:
     """b_n as the average of fixed-point counts over all cycle types.
 
-    Independent of the series route: sums fixed_point_count(t) / z(t)
-    over the partitions t of n, with z the usual centralizer size
-    prod_i i^{n_i} n_i!.  z(t) divides n!, so the sum runs in integers
-    as sum fixed_point_count(t) n!/z(t), and its division by n! must
-    be exact.
+    Independent of the series route: each partition of n becomes its
+    multiplicity tuple (n_1, n_2, ...), and the sum runs over
+    fixed_point_count / z with z the usual centralizer size
+    prod_i i^{n_i} n_i!.  z divides n!, so the sum runs in integers as
+    sum fixed_point_count n!/z, and its division by n! must be exact.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -141,8 +103,12 @@ def burnside_b(params: GonalParams, n: int) -> int:
     n_fact = factorial(n)
     total = 0
     for parts in partitions(n):
-        t = CycleType.from_parts(parts)
-        total += fixed_point_count(params, t) * (n_fact // t.centralizer())
+        # parts[0] is the largest part
+        counts = [0] * parts[0]
+        for part in parts:
+            counts[part - 1] += 1
+        z = prod(i**n_i * factorial(n_i) for i, n_i in enumerate(counts, start=1))
+        total += fixed_point_count(params, tuple(counts)) * (n_fact // z)
     return exact_count(total, n_fact, f"Burnside average at n={n}")
 
 

@@ -63,7 +63,7 @@ vertices, swapping k/2 pairs of edges (x b^{k/2}(x^2)).  Hence
 one dot product per coefficient of y with the Q the reversal_fixed
 solve already builds, and one checked division by 4.  Re-rooting every
 enumerated structure (tests/unrooted_oracle.py) gives the same a_n for
-k = 3..6.
+k = 3..6, and re-rooting it along its orientation alone the same a_o.
 """
 
 from __future__ import annotations

@@ -138,17 +138,17 @@ def universal_c(m: int) -> UniversalConstant:
     return UniversalConstant(m, tuple(terms))
 
 
-def xi_from_expansion(p: int, values: Sequence[mpf], dps: int = 30) -> float:
-    """Partial sum sum_{m<=len(values)} c_m / p^m, summed at dps digits.
+def xi_from_expansion(p: int, values: Sequence[mpf]) -> float:
+    """Partial sum sum_{m<=len(values)} c_m / p^m, summed at 30 digits.
 
-    values holds c_1, c_2, ... already evaluated to at least dps digits,
+    values holds c_1, c_2, ... already evaluated to at least 30 digits,
     as the universal command prints them before it sums them.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     from mpmath import mp, mpf
 
-    with mp.workdps(dps):
+    with mp.workdps(30):
         acc = mpf(0)
         for m, value in enumerate(values, start=1):
             acc += value / mpf(p) ** m

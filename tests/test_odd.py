@@ -7,7 +7,7 @@ import pytest
 from kgonal.bseries import GonalParams, compute_b
 from kgonal.cli import family_counts
 from kgonal.kernels import IntegrityError
-from kgonal.odd import odd_omega, odd_recurrence
+from kgonal.odd import odd_recurrence
 from kgonal.oriented import oriented_series, reversal_fixed, unlabelled_series
 from fraction_series import Series, exp
 
@@ -40,23 +40,6 @@ def test_recurrence_rejects_inexact_count(n, monkeypatch):
     monkeypatch.setattr("kgonal.odd.oriented_series", lambda _: a_o)
     with pytest.raises(IntegrityError, match=f"recurrence count at n={n}:"):
         odd_recurrence(table)
-
-
-def test_omega_values():
-    table3 = compute_b(GonalParams(3), 6)
-    assert odd_omega(table3, 1) == 2
-    assert odd_omega(table3, 2) == 0
-    table5 = compute_b(GonalParams(5), 6)
-    assert odd_omega(table5, 3) == 4
-
-
-def test_omega_index_range():
-    # the weight reads b^h only as far as the table's own readers build
-    # it, so an index past the order is refused, whatever is memoized
-    table = compute_b(GonalParams(3), 6)
-    for n in (0, 7):
-        with pytest.raises(ValueError):
-            odd_omega(table, n)
 
 
 def test_routes_agree():

@@ -9,7 +9,7 @@ from kgonal.bseries import GonalParams, compute_b
 from kgonal.cli import family_counts
 from kgonal import oracle
 from kgonal.oracle import count_structures
-from kgonal.oriented import reversal_fixed, unlabelled_series
+from kgonal.oriented import oriented_series, reversal_fixed, unlabelled_series
 import decoded_oracle
 from decoded_oracle import enumerate_b, reversal
 from unrooted_oracle import unrooted_count
@@ -200,3 +200,12 @@ def test_unrooted_count_matches_unlabelled_series(k):
     params = GonalParams(k)
     want = unlabelled_series(compute_b(params, 5))
     assert [unrooted_count(params, n) for n in range(6)] == want
+
+
+@pytest.mark.parametrize("k", range(3, 7))
+def test_oriented_unrooted_count_matches_oriented_series(k):
+    # the only check of a_{o,n} against enumeration: re-rooting along the
+    # orientation alone; a_o differs from a from n = 4 on at every k here
+    params = GonalParams(k)
+    want = oriented_series(compute_b(params, 5))
+    assert [unrooted_count(params, n, oriented=True) for n in range(6)] == want
