@@ -138,27 +138,42 @@ def recurrence_crosscheck(params: GonalParams, order: int) -> list[int]:
     (|a|+1) * b_{a_1} * ... * b_{a_{k-1}} * b_{n-j}.
 
     The tuple sum with |a| = e - 1 is [x^{e-1}] b^{k-1}.  The function
-    keeps its own prefix of every power b^j, j = 1..k-1, and extends
-    each by one schoolbook Cauchy product term as soon as b_{e-1} is
-    final, so each tuple sum costs O(k e) products.  It shares no power
-    table, logarithmic derivative or block product with the kernel, and
-    divides only once per n, checked, so agreement with compute_b
-    crosses two genuinely different arithmetic routes.
+    keeps its own prefixes of the squares b^(2^i), 2^i <= k-1, and of
+    the running products of those squares over the set bits of k-1, the
+    last of which is b^{k-1}.  It extends each by one schoolbook Cauchy
+    product term as soon as b_{e-1} is final, so it holds O(log k)
+    prefixes and each tuple sum costs O(e log k) products.  It shares
+    no power table, logarithmic derivative or block product with the
+    kernel, and divides only once per n, checked, so agreement with
+    compute_b crosses two genuinely different arithmetic routes.
     """
     parts = params.p
     b: list[int] = [1]
-    # powers[j - 1] is the prefix of b^j built so far
-    powers = [b] + [[1] for _ in range(parts - 1)]
+    # each (out, f, g) is the prefix of f * g built so far, listed after
+    # the prefixes it reads: the squares, and the products over the set
+    # bits of parts that reach each square
+    products: list[tuple[list[int], list[int], list[int]]] = []
+    square, power = b, None
+    for i in range(parts.bit_length()):
+        if i:
+            products.append(([1], square, square))
+            square = products[-1][0]
+        if parts >> i & 1:
+            if power is None:
+                power = square
+            else:
+                products.append(([1], power, square))
+                power = products[-1][0]
     # weights[e] = e * (the tuple sum of parts indices summing to e - 1)
     weights = [0]
     for n in range(1, order + 1):
-        # b_{n-1} is final: so is every power to n - 1, and the tuple sum
+        # b_{n-1} is final: so is every prefix to n - 1, and the tuple sum
         # for e = n, which is kept for every later n
         t = n - 1
         if t:
-            for lower, power in zip(powers, powers[1:]):
-                power.append(sum(b[i] * lower[t - i] for i in range(t + 1)))
-        weights.append(n * powers[-1][t])
+            for out, f, g in products:
+                out.append(sum(f[i] * g[t - i] for i in range(t + 1)))
+        weights.append(n * power[t])
         acc = 0
         for j in range(1, n + 1):
             for e in range(1, j + 1):

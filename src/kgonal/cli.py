@@ -14,7 +14,7 @@ import math
 import sys
 from itertools import accumulate
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import Iterable, Iterator
 
 from kgonal.asymptotics import (
     NonConvergenceError,
@@ -22,7 +22,7 @@ from kgonal.asymptotics import (
     empirical_amplitude,
     solve_xi,
 )
-from kgonal.bseries import BTable, GonalParams, compute_b, recurrence_crosscheck
+from kgonal.bseries import GonalParams, compute_b, recurrence_crosscheck
 from kgonal.cache import resolve_cache_dir
 from kgonal.kernels import IntegrityError, exact_count, long_decimals, solve_work
 from kgonal.labelled import (
@@ -35,9 +35,6 @@ from kgonal.odd import odd_recurrence
 from kgonal.oracle import count_structures
 from kgonal.oriented import oriented_count, oriented_series, reversal_fixed, unlabelled_series
 from kgonal.universal import universal_c, xi_from_expansion
-
-if TYPE_CHECKING:
-    from mpmath import mpf
 
 __all__ = [
     "main",
@@ -238,8 +235,14 @@ def cmd_count(args: argparse.Namespace, cache_dir: Path | None) -> int:
 
 def render_table(
     k_min: int, k_max: int, order: int, fmt: str = "csv", cache_dir: Path | None = None
-) -> str:
-    """The unlabelled-count matrix, one column per polygon size.
+) -> Iterable[str]:
+    """The unlabelled-count matrix, one column per polygon size, as text pieces.
+
+    The arguments are checked and the columns computed before this
+    returns.  The CSV text is then made one line per row as the pieces
+    are read, so a writer can send each row as it is made and hold no
+    more than one row of text; JSON is one piece, the whole document.
+    Either way the pieces joined are the whole table.
 
     A table of two columns or more whose work reaches TABLE_FORK_WORK
     computes about half of its columns in a forked child when
@@ -270,50 +273,40 @@ def render_table(
 
         ahead = list(accumulate(costs, initial=0))
         cut = min(range(len(ks) + 1), key=lambda i: abs(cost - 2 * ahead[i]))
-        columns = dict(zip(ks, forked.split(column, ks, cut, "the forked half of the table")))
+        columns = list(forked.split(column, ks, cut, "the forked half of the table"))
     else:
-        columns = {k: column(k) for k in ks}
+        columns = [column(k) for k in ks]
+    if fmt == "csv":
+        return _csv_rows(ks, columns)
     with long_decimals():
-        if fmt == "csv":
-            lines = ["n," + ",".join(f"k{k}" for k in ks)]
-            for n in range(order + 1):
-                lines.append(
-                    str(n) + "," + ",".join(str(columns[k][n]) for k in ks)
-                )
-            return "\n".join(lines) + "\n"
         doc = {
             "k_min": k_min,
             "k_max": k_max,
             "order": order,
             "columns": [f"k{k}" for k in ks],
             "rows": [
-                {
-                    "n": n,
-                    "values": [str(columns[k][n]) for k in ks],
-                }
-                for n in range(order + 1)
+                {"n": n, "values": [str(c) for c in row]}
+                for n, row in enumerate(zip(*columns))
             ],
         }
-    return json.dumps(doc, indent=2) + "\n"
+    return [json.dumps(doc, indent=2) + "\n"]
+
+
+def _csv_rows(ks: range, columns: list[list[int]]) -> Iterator[str]:
+    """The CSV lines of render_table, newline included, made one at a time."""
+    yield "n," + ",".join(f"k{k}" for k in ks) + "\n"
+    for n, row in enumerate(zip(*columns)):
+        # the limit is lifted only while a row converts, never while the
+        # reader holds the iterator
+        with long_decimals():
+            line = f"{n}," + ",".join(map(str, row)) + "\n"
+        yield line
 
 
 def cmd_table(args: argparse.Namespace, cache_dir: Path | None) -> int:
-    sys.stdout.write(
-        render_table(args.k_min, args.k_max, args.order, args.format, cache_dir)
-    )
+    for piece in render_table(args.k_min, args.k_max, args.order, args.format, cache_dir):
+        sys.stdout.write(piece)
     return 0
-
-
-def alpha_bar_probe(table: BTable, xi: float | mpf) -> float:
-    """Richardson estimate of alpha_bar from the oriented counts at the table order.
-
-    empirical_amplitude calls oriented_count at the three indices it
-    reads, largest first, so only those counts are built and each power
-    prefix they read is built once.
-    """
-    # the square-root singularity puts n^{-5/2} in front of the
-    # unrooted-type counts at every page size
-    return empirical_amplitude(lambda m: oriented_count(table, m), xi, 2.5, n_probe=table.order)
 
 
 def constants_report(
@@ -325,9 +318,16 @@ def constants_report(
 ) -> dict:
     """The full constant report for one p, as a JSON-ready dict.
 
-    With with_empirical, b is solved to EMPIRICAL_ORDER (or series_order
-    if larger) and alpha_bar_probe reads three oriented counts from that
-    table; the xi solve and the report read its b cut at series_order.
+    Two stages, exact then analytic.  The exact stage solves b, to
+    EMPIRICAL_ORDER (or series_order if larger) with with_empirical,
+    and takes the probe's oriented counts a_{o,n} at n = N, N/2 and N/4
+    of that order N, largest first, so that each power prefix they read
+    is built once.  Only b cut at series_order and those three
+    ints outlive it: the table, with b^{k-1} and the powers the probe
+    built, is let go before the analytic stage loads mpmath, which is
+    where the command's memory peaks.  The analytic stage then solves
+    xi, extrapolates alpha_bar from the three counts and builds the
+    report.
     """
     params = GonalParams(p + 1)
     probe_order = max(series_order, EMPIRICAL_ORDER) if with_empirical else series_order
@@ -335,14 +335,18 @@ def constants_report(
     table = compute_b(params, probe_order, cache_dir)
     # solve_b is prefix-stable, so this is b solved to series_order
     b = table.int_coeffs(1)[: series_order + 1]
-    if not with_empirical:
-        # the xi solve and the report read b alone, so the b^{k-1} the
-        # solve kept is let go before mpmath loads
-        table = None
+    counts = {}
+    if with_empirical:
+        # the indices empirical_amplitude reads, in its order
+        indices = (probe_order, probe_order // 2, probe_order // 4)
+        counts = {m: oriented_count(table, m) for m in indices}
+    del table
     xi, iterations, residual = solve_xi(params, b, tol)
     empirical = None
     if with_empirical:
-        empirical = alpha_bar_probe(table, xi)
+        # the square-root singularity puts n^{-5/2} in front of the
+        # unrooted-type counts at every page size
+        empirical = empirical_amplitude(counts.__getitem__, xi, 2.5, n_probe=probe_order)
     report = constants(
         params,
         b,
@@ -452,7 +456,7 @@ def _verify_checks(level: str, with_oracle: bool, cache_dir: Path | None):
                 _require(2 * a[n] - a_o[n] >= 0, f"k={k} n={n}")
 
     def check_golden_table():
-        table = render_table(2, 12, 20, "csv", cache_dir)
+        table = "".join(render_table(2, 12, 20, "csv", cache_dir))
         _require(table == packaged_golden_table(), "differs from the packaged golden table")
 
     def check_oracle():

@@ -252,9 +252,9 @@ class TestEmpirical:
             empirical_amplitude({}.__getitem__, 0.3, 1.5, n_probe=16)
 
     def test_calls_its_count_once_at_each_probe_largest_first(self):
-        # a count that builds power prefixes on demand, as
-        # cli.alpha_bar_probe's does, builds each of them once when the
-        # largest index comes first
+        # a count that builds power prefixes on demand, as criterion 3's
+        # oriented_count does, builds each of them once when the largest
+        # index comes first
         calls = []
 
         def count(m):

@@ -93,8 +93,12 @@ def test_crosscheck_anchors():
 
 
 def test_two_routes_agree():
-    # the acceptance sweep goes to k=8, order 12; keep the unit test snappy
-    for k in (2, 3, 4, 5):
+    # the acceptance sweep goes to k=8, order 12; keep the unit test snappy.
+    # At k = 10^20 + 1 and + 2 the crosscheck holds prefixes of the squares
+    # b^(2^i) and of their running products over the set bits of k - 1,
+    # about 2 log2 k of them; one prefix per power b^j, j < k, would not
+    # fit in memory
+    for k in (2, 3, 4, 5, 10**20 + 1, 10**20 + 2):
         params = GonalParams(k)
         assert compute_b(params, 10).int_coeffs(1) == recurrence_crosscheck(params, 10)
 

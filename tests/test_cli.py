@@ -43,6 +43,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def table_text(*args):
+    # render_table's pieces joined: the text that the table command writes
+    return "".join(render_table(*args))
+
+
 class TestCount:
     def test_order_prefix(self, capsys):
         code, out, _ = run_cli(
@@ -301,7 +306,7 @@ class TestTable:
             render_table(2, k_max, order)
 
     def test_widest_k_range_accepted(self):
-        rows = render_table(2, 1 + K_RANGE_CEILING, 0).splitlines()
+        rows = table_text(2, 1 + K_RANGE_CEILING, 0).splitlines()
         assert len(rows[0].split(",")) == 1 + K_RANGE_CEILING
         assert rows[1] == "0" + ",1" * K_RANGE_CEILING
 
@@ -314,7 +319,7 @@ class TestTable:
             (100, "c273f8dcf03d557299da56aa129512220717581a45070c494f2b696e05998a8f"),
             (250, "dfc6183c24f50cb367a5cd33632f3eca7ea254c264fd71776f265b14368eef7d"),
         ):
-            digest = hashlib.sha256(render_table(2, 12, order).encode()).hexdigest()
+            digest = hashlib.sha256(table_text(2, 12, order).encode()).hexdigest()
             assert digest == want, f"order {order}"
 
     def test_single_cell_k12(self, capsys):
@@ -322,6 +327,28 @@ class TestTable:
             capsys, "count", "--k", "12", "--family", "unlabelled", "--n", "6"
         )
         assert json.loads(out)["counts"] == [{"n": 6, "value": "15189"}]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_is_the_joined_pieces(self, monkeypatch, fmt):
+        # the command writes each CSV row as it is made, so no one write
+        # holds the whole table; JSON is one document, written once
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        argv = ["table", "--k-min", "2", "--k-max", "6", "--order", "30", "--format", fmt]
+        assert main(argv) == 0
+        want = table_text(2, 6, 30, fmt)
+        assert "".join(writes) == want
+        if fmt == "csv":
+            assert len(writes) == 1 + 31
+            assert max(map(len, writes)) < len(want)
+        else:
+            assert writes == [want]
 
 
 def _table_cost(k_min, k_max, order):
@@ -375,7 +402,7 @@ class TestSplitTable:
 
     def test_cache_holds_one_complete_file_per_column(self, monkeypatch, tmp_path, split):
         forks, mask = split
-        first = render_table(2, 12, 40, "csv", tmp_path)
+        first = table_text(2, 12, 40, "csv", tmp_path)
         assert_left_clean(mask)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             f"b_k{k}.json" for k in range(2, 13)
@@ -389,7 +416,7 @@ class TestSplitTable:
             raise AssertionError("a column missed the cache")
 
         monkeypatch.setattr(kernels, "solve_b", no_solve)
-        assert render_table(2, 12, 40, "csv", tmp_path) == first
+        assert table_text(2, 12, 40, "csv", tmp_path) == first
         assert_left_clean(mask)
         assert forks == [1, 1]
 
@@ -451,9 +478,9 @@ class TestSplitTable:
 
     def test_output_is_the_same_when_pinning_fails(self, monkeypatch, split):
         forks, mask = split
-        want = self._one_process(monkeypatch, lambda: render_table(2, 12, 40))
+        want = self._one_process(monkeypatch, lambda: table_text(2, 12, 40))
         monkeypatch.setattr(os, "sched_setaffinity", _refuse_affinity)
-        assert render_table(2, 12, 40) == want
+        assert table_text(2, 12, 40) == want
         assert_left_clean(mask)
         assert forks == [1]
 
@@ -465,10 +492,10 @@ class TestSplitTable:
         monkeypatch.setattr(kernels, "FORK_WORK", 0)
         if pinning == "refused":
             monkeypatch.setattr(os, "sched_setaffinity", _refuse_affinity)
-        want = self._one_process(monkeypatch, lambda: render_table(2, 12, 40))
+        want = self._one_process(monkeypatch, lambda: table_text(2, 12, 40))
         assert len(forks) == 10
         forks.clear()
-        assert render_table(2, 12, 40) == want
+        assert table_text(2, 12, 40) == want
         assert_left_clean(mask)
         assert forks == [1]
 
@@ -479,7 +506,7 @@ class TestSplitTable:
         assert _table_cost(2, 12, 20) < TABLE_FORK_WORK
         two_cpus(monkeypatch)
         forks = spy_forks(monkeypatch)
-        assert render_table(2, 12, 20) == packaged_golden_table()
+        assert table_text(2, 12, 20) == packaged_golden_table()
         assert forks == []
         # nor does a single column, whatever its size: its solve forks
         # by FORK_WORK instead
@@ -664,10 +691,33 @@ class TestAmplitudeProbe:
         # the xi solve, which loads mpmath
         assert self._tables_alive_at_xi_solve(monkeypatch, False) == []
 
-    def test_probe_keeps_its_table(self, monkeypatch):
-        # the check above sees a table that is still alive
-        seen = self._tables_alive_at_xi_solve(monkeypatch, True)
-        assert [t.order for t in seen] == [40]
+    def test_probe_keeps_no_table(self, monkeypatch):
+        # with the probe too: its three counts are taken before the xi
+        # solve, and only they and b outlive the table
+        assert self._tables_alive_at_xi_solve(monkeypatch, True) == []
+
+    def test_probe_counts_before_the_xi_solve(self, monkeypatch):
+        # the exact stage ends, largest count first, before the analytic
+        # stage starts
+        events = []
+        count = kgonal.cli.oriented_count
+
+        def spying_count(table, n):
+            events.append(("count", table.order, n))
+            return count(table, n)
+
+        def spying_solve(*args, **kwargs):
+            events.append(("solve_xi",))
+            return solve_xi(*args, **kwargs)
+
+        monkeypatch.setattr("kgonal.cli.oriented_count", spying_count)
+        monkeypatch.setattr("kgonal.cli.solve_xi", spying_solve)
+        monkeypatch.setattr("kgonal.cli.EMPIRICAL_ORDER", 40)
+        doc = constants_report(3, 30, 1e-13, True)
+        assert events == [
+            ("count", 40, 40), ("count", 40, 20), ("count", 40, 10), ("solve_xi",)
+        ]
+        assert doc["alpha_bar_empirical"] is not None
 
 
 class TestOrderCeiling:
@@ -1056,7 +1106,13 @@ class TestLongIntegers:
             "kgonal.cli.unlabelled_series",
             lambda table: [self.BIG + n for n in range(table.order + 1)],
         )
-        out = render_table(3, 4, 2, fmt)
+        pieces = []
+        for piece in render_table(3, 4, 2, fmt):
+            # the CSV rows are made as they are read, each under a
+            # lifted limit that is restored before the reader gets it
+            assert sys.get_int_max_str_digits() == DEFAULT_LIMIT
+            pieces.append(piece)
+        out = "".join(pieces)
         assert sys.get_int_max_str_digits() == DEFAULT_LIMIT
         with long_decimals():
             want = [str(self.BIG + n) for n in range(3)]
